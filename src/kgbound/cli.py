@@ -403,10 +403,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_negative_number_list(token: str) -> bool:
+    """'-6.7e-05' or '-1e-3,0.5': a comma-separated number list led by a minus."""
+    if not token.startswith("-"):
+        return False
+    try:
+        for piece in token.split(","):
+            if piece.strip():
+                float(piece)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Spell `--flag -6.7e-05` as `--flag=-6.7e-05`.
+
+    argparse takes a dash-led token for an option unless it is a plain
+    negative decimal, so an exponent or a list would leave the flag without
+    its value.  Every long option here but --help takes a value, so the token
+    is that value.
+    """
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        takes_value = prev.startswith("--") and prev not in ("--", "--help") and "=" not in prev
+        if takes_value and _is_negative_number_list(token):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _attach_negative_values(list(sys.argv[1:] if argv is None else argv))
     # pre-scan for --config so file values become defaults before parsing
-    argv = list(sys.argv[1:] if argv is None else argv)
     if "--config" in argv:
         try:
             path = argv[argv.index("--config") + 1]

@@ -11,7 +11,10 @@ difference the equivalent Sturm-Liouville problem for the smooth factor w:
 That keeps second-order accuracy for non-integer and even critical (p = 1/2)
 exponents, where the plain scheme stalls; one Richardson step then removes
 the leading h^2 error.  Eigenvalues come from a Sturm-sequence bisection
-solver (LAPACK stebz via scipy).
+solver (LAPACK stebz via scipy).  The mixed model's energy is the root of an
+eigenvalue matching function, bracketed by a scan and narrowed by Brent's
+method (scipy's brentq); every E-independent part of its discretization is
+built once per solve.
 """
 
 from __future__ import annotations
@@ -21,12 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.optimize import brentq
 
 from .coulomb_mixed import MixedCoulombParams
 from .errors import ConvergenceFailure, NoBracket, UnsupportedRegime
 from .scalar_linear import LinearMassParams
 
-BISECTION_TOL = 1e-10  # on E, in units of the rest energy
+BISECTION_TOL = 1e-10  # root tolerance on E, in units of the rest energy
 
 
 @dataclass(frozen=True)
@@ -131,43 +135,54 @@ def eigen_lowest(system: TridiagonalSystem, count: int, check_nodes: bool = True
 # transformed scheme used by the model solvers
 
 
-def _transformed_system(
-    p: float, c_inv: float, c_r2: float, grid: RadialGrid
-) -> TridiagonalSystem:
-    """Symmetrized discretization of the r^p-factored radial equation."""
-    h = grid.h
-    r = grid.nodes()
-    tp = 2.0 * p
-    face_right = (r + 0.5 * h) ** tp
-    face_left = np.empty_like(face_right)
-    face_left[0] = (grid.r_min + 0.5 * h) ** tp
-    face_left[1:] = face_right[:-1]
-    weight = r**tp
-    diagonal = (face_left + face_right) / (h * h) + c_inv * r ** (tp - 1.0) + c_r2 * r ** (tp + 2.0)
-    # fold the left wall value in through the two-term regular series of w
-    c1 = c_inv / (2.0 * p)
-    ratio = (1.0 + c1 * grid.r_min) / (1.0 + c1 * r[0])
-    diagonal[0] -= face_left[0] * ratio / (h * h)
-    off = -face_right[:-1] / (h * h)
-    sw = np.sqrt(weight)
-    return TridiagonalSystem(diagonal / weight, off / (sw[:-1] * sw[1:]), grid)
+class _TransformedOperator:
+    """Symmetrized discretization of the r^p-factored radial equation on one grid.
+
+    Everything but the 1/r coefficient c_inv is fixed per (p, c_r2, grid) and
+    built once: the face weights, r^2p, the symmetrized off-diagonal, the c_r2
+    term and the left-wall fold factor.  c_inv enters the diagonal linearly
+    and through the wall ratio of element 0.
+    """
+
+    def __init__(self, p: float, c_r2: float, grid: RadialGrid):
+        h = grid.h
+        r = grid.nodes()
+        tp = 2.0 * p
+        face_right = (r + 0.5 * h) ** tp
+        face_wall = (grid.r_min + 0.5 * h) ** tp
+        weight = r**tp
+        face_left = np.concatenate(([face_wall], face_right[:-1]))
+        self._base = (face_left + face_right) / (h * h * weight) + c_r2 * r * r
+        self._inv_r = 1.0 / r
+        self._fold = face_wall / (h * h * weight[0])
+        self._two_p, self._r_wall, self._r0 = tp, grid.r_min, r[0]
+        sw = np.sqrt(weight)
+        self._off = -face_right[:-1] / (h * h) / (sw[:-1] * sw[1:])
+        self.grid = grid
+
+    def system(self, c_inv: float) -> TridiagonalSystem:
+        diagonal = self._base + c_inv * self._inv_r
+        # fold the left wall value in through the two-term regular series of w
+        c1 = c_inv / self._two_p
+        diagonal[0] -= self._fold * (1.0 + c1 * self._r_wall) / (1.0 + c1 * self._r0)
+        return TridiagonalSystem(diagonal, self._off, self.grid)
 
 
-def _transformed_eigenvalue(
-    p: float, c_inv: float, c_r2: float, grid: RadialGrid, index: int
-) -> float:
-    """Richardson-extrapolated index-th eigenvalue of the transformed scheme."""
-    coarse = eigen_lowest(
-        _transformed_system(p, c_inv, c_r2, grid), index + 1, check_nodes=False
-    )[index]
-    fine = eigen_lowest(
-        _transformed_system(p, c_inv, c_r2, grid.refined()), index + 1, check_nodes=False
-    )[index]
-    return (4.0 * fine - coarse) / 3.0
+class _TransformedScheme:
+    """Coarse and refined operators of one grid, for one Richardson step."""
 
+    def __init__(self, p: float, c_r2: float, grid: RadialGrid):
+        self.coarse = _TransformedOperator(p, c_r2, grid)
+        self.fine = _TransformedOperator(p, c_r2, grid.refined())
 
-def _check_transformed_nodes(p, c_inv, c_r2, grid, index):
-    eigen_lowest(_transformed_system(p, c_inv, c_r2, grid), index + 1, check_nodes=True)
+    def eigenvalue(self, c_inv: float, index: int) -> float:
+        """Richardson-extrapolated index-th eigenvalue."""
+        coarse = eigen_lowest(self.coarse.system(c_inv), index + 1, check_nodes=False)[index]
+        fine = eigen_lowest(self.fine.system(c_inv), index + 1, check_nodes=False)[index]
+        return (4.0 * fine - coarse) / 3.0
+
+    def check_nodes(self, c_inv: float, index: int) -> None:
+        eigen_lowest(self.coarse.system(c_inv), index + 1, check_nodes=True)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +216,9 @@ def solve_modelB(
     if grid is None:
         grid = default_grid_scalar(params, n, l)
     p = params.Lambda(l) + 1.0
-    kappa = _transformed_eigenvalue(p, 0.0, params.alpha1**2, grid, n)
-    _check_transformed_nodes(p, 0.0, params.alpha1**2, grid, n)
+    scheme = _TransformedScheme(p, params.alpha1**2, grid)
+    kappa = scheme.eigenvalue(0.0, n)
+    scheme.check_nodes(0.0, n)
     return kappa * c.hbar_c**2 + 2.0 * c.rest_energy * params.s / params.length_scale
 
 
@@ -214,17 +230,21 @@ def solve_modelA(
     window: tuple[float, float] | None = None,
     scan_points: int = 33,
 ) -> float:
-    """Bound energy of the mixed model by an outer bracketing bisection.
+    """Bound energy of the mixed model by Brent's method on a scanned bracket.
 
-    The matching function f(E) = mu_n(E) + eps(E)^2 is evaluated on a scan
-    of the (open) energy window; the first sign change is bisected down to
-    1e-10 * m0c^2.  `window` restricts the search, e.g. to isolate one of
-    the particle/antiparticle roots.
+    The matching function f(E) = mu_n(E) + eps(E)^2 is evaluated along a scan
+    of the (open) energy window up to its first sign change, which Brent's
+    method (scipy's brentq) then narrows to 1e-10 * m0c^2.  `window`
+    restricts the search, e.g. to isolate one of the particle/antiparticle
+    roots.  With a window, the default grid is sized for its end nearest
+    the continuum, where eps is smallest and a level reaches furthest out;
+    the full window touches the continuum at both ends and is sized at its
+    midpoint, so that deep levels stay resolved.
     """
     if n < 0 or l < 0:
         raise ValueError("n and l must be nonnegative")
     c = params.constants
-    mc2, Q = c.rest_energy, c.hbar_c
+    mc2 = c.rest_energy
     gamma2 = params.gamma2(l)
     if 1.0 + 4.0 * gamma2 < 0.0:
         raise UnsupportedRegime(f"1 + 4*gamma2 = {1.0 + 4.0 * gamma2} < 0 (fall to center)")
@@ -240,42 +260,47 @@ def solve_modelA(
         raise ValueError("empty energy window")
 
     if grid is None:
-        grid = default_grid_mixed(params.epsilon(0.5 * (lo + hi)), c)
+        if window is None:
+            eps = params.epsilon(0.5 * (lo + hi))
+        else:
+            eps = min(params.epsilon(lo), params.epsilon(hi))
+        grid = default_grid_mixed(eps, c)
+    scheme = _TransformedScheme(p, 0.0, grid)
 
     def f(E: float) -> float:
-        g1 = params.gamma1(E)
-        mu = _transformed_eigenvalue(p, g1, 0.0, grid, n)
-        return mu + params.epsilon(E) ** 2
+        return scheme.eigenvalue(params.gamma1(E), n) + params.epsilon(E) ** 2
 
-    scan = np.linspace(lo, hi, scan_points)
-    values = [f(E) for E in scan]
-    bracket = None
-    for i in range(scan_points - 1):
-        if values[i] == 0.0:
-            return float(scan[i])
-        if values[i] * values[i + 1] < 0.0:
-            bracket = (float(scan[i]), float(scan[i + 1]), values[i])
+    scan = np.linspace(lo, hi, scan_points).tolist()
+    values: list[float] = []
+    for E in scan:
+        values.append(f(E))
+        if values[-1] == 0.0:
+            return E
+        if len(values) > 1 and values[-2] * values[-1] < 0.0:
             break
-    if values[-1] == 0.0:
-        return float(scan[-1])
-    if bracket is None:
+    else:
         table = ", ".join(f"f({E:.6g})={v:.6g}" for E, v in zip(scan, values))
         raise NoBracket(
             f"no sign change of the matching function on the scanned window: {table}",
-            scan=list(zip(scan.tolist(), values)),
+            scan=list(zip(scan, values)),
         )
 
-    a, b, fa = bracket
-    while b - a > BISECTION_TOL * mc2:
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            a = b = mid
-            break
-        if fa * fm < 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    root = 0.5 * (a + b)
-    _check_transformed_nodes(p, params.gamma1(root), 0.0, grid, n)
+    # the scan already holds f at both bracket ends, so brentq's first two
+    # calls are answered from it
+    a, b = scan[len(values) - 2], scan[len(values) - 1]
+    known = {a: values[-2], b: values[-1]}
+    root, info = brentq(
+        lambda E: known[E] if E in known else f(E),
+        a,
+        b,
+        xtol=BISECTION_TOL * mc2,
+        full_output=True,
+        disp=False,
+    )
+    if not info.converged:
+        raise ConvergenceFailure(
+            f"Brent's method stopped unconverged ({info.flag}) after "
+            f"{info.iterations} iterations on [{a!r}, {b!r}]"
+        )
+    scheme.check_nodes(params.gamma1(root), n)
     return float(root)

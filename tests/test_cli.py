@@ -230,6 +230,33 @@ class TestSweep:
         assert out.splitlines()[-1].startswith("s,n,l,")
 
 
+class TestNegativeExponentValues:
+    """A dash-led number in exponent notation is a value, in either spelling."""
+
+    def test_flag_value(self, capsys):
+        base = ("spectrum", "--model", "mixed", "--q", "0.5", "--n-max", "1")
+        code, spaced, err = run(capsys, *base, "--beta", "-6.7e-05")
+        assert code == 0, err
+        _, joined, _ = run(capsys, *base, "--beta=-6.7e-05")
+        assert spaced == joined
+        assert "beta=-6.70000000000e-05" in spaced
+
+    def test_values_list(self, capsys):
+        base = ("sweep", "--model", "mixed", "--q", "0.5", "--key", "beta",
+                "--n-max", "0", "--l-max", "0")
+        code, spaced, err = run(capsys, *base, "--values", "-6.7e-05,1")
+        assert code == 0, err
+        _, joined, _ = run(capsys, *base, "--values=-6.7e-05,1")
+        assert spaced == joined
+        rows = [line for line in spaced.splitlines() if line.startswith("-6.7")]
+        assert len(rows) == 2
+
+    def test_non_number_is_still_an_option(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(capsys, "spectrum", "--model", "mixed", "--q", "--beta", "1")
+        assert info.value.code == 2
+
+
 class TestConfigFile:
     def test_config_supplies_parameters(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,12 +1,15 @@
 """Self-tests and model checks for the finite-difference verifier."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from kgbound import coulomb_mixed as cm, oracle, scalar_linear as sl
-from kgbound.errors import NoBracket, UnsupportedRegime
+from kgbound.errors import ConvergenceFailure, NoBracket, UnsupportedRegime
+from kgbound.levels import BOUND
 
 
 class TestRadialGrid:
@@ -85,6 +88,36 @@ class TestSelfTests:
             oracle.eigen_lowest(system, 500)
 
 
+class TestTransformedOperator:
+    @staticmethod
+    def direct(p, c_inv, c_r2, grid):
+        """The scheme built in one pass, as the solvers once did per evaluation."""
+        h, r, tp = grid.h, grid.nodes(), 2.0 * p
+        face_right = (r + 0.5 * h) ** tp
+        face_left = np.concatenate(([(grid.r_min + 0.5 * h) ** tp], face_right[:-1]))
+        weight = r**tp
+        diagonal = (
+            (face_left + face_right) / (h * h)
+            + c_inv * r ** (tp - 1.0)
+            + c_r2 * r ** (tp + 2.0)
+        )
+        c1 = c_inv / (2.0 * p)
+        diagonal[0] -= face_left[0] * (1.0 + c1 * grid.r_min) / (1.0 + c1 * r[0]) / (h * h)
+        sw = np.sqrt(weight)
+        return diagonal / weight, -face_right[:-1] / (h * h) / (sw[:-1] * sw[1:])
+
+    @pytest.mark.parametrize("p", [0.5, 0.618, 1.7, 3.2])
+    @pytest.mark.parametrize("c_inv, c_r2", [(-1.3, 0.0), (0.4, 0.0), (0.0, 0.81)])
+    def test_matches_direct_build(self, p, c_inv, c_r2):
+        grid = oracle.RadialGrid(1e-4, 300.0, points=2000)
+        system = oracle._TransformedOperator(p, c_r2, grid).system(c_inv)
+        diagonal, off = self.direct(p, c_inv, c_r2, grid)
+        # same arithmetic up to reassociation and pow rounding: 64 ulp
+        tol = 64 * np.finfo(float).eps
+        assert np.max(np.abs(system.diagonal / diagonal - 1.0)) <= tol
+        assert np.array_equal(system.off_diagonal, off)
+
+
 class TestModelB:
     def test_massless_coupling_ladder(self):
         params = sl.LinearMassParams(s=0.0)
@@ -122,6 +155,67 @@ class TestModelA:
         with pytest.raises(NoBracket) as info:
             oracle.solve_modelA(params, 0, 0, window=(0.7, 0.75), scan_points=3)
         assert len(info.value.scan) == 3
+        # every scan point is evaluated and listed, none of them a sign change
+        energies, values = zip(*info.value.scan)
+        assert np.allclose(energies, np.linspace(0.7, 0.75, 3), rtol=0, atol=1e-15)
+        assert len({math.copysign(1.0, v) for v in values}) == 1
+
+    @pytest.fixture
+    def eigensolves(self, monkeypatch):
+        """Grid sizes of every oracle.eigen_lowest call, in order."""
+        calls = []
+        original = oracle.eigen_lowest
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].grid.points)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "eigen_lowest", counted)
+        return calls
+
+    def test_eigensolves_per_level(self, eigensolves):
+        # criterion 2's traffic: 3 scan points, a +/-1e-5 window per level
+        params = cm.MixedCoulombParams(q=0.3, beta=0.5)
+        rows = [r for r in cm.spectrum(params, 2, 1) if r.status == BOUND]
+        for row in rows:
+            E = oracle.solve_modelA(
+                params, row.n, row.l, window=(row.energy - 1e-5, row.energy + 1e-5),
+                scan_points=3,
+            )
+            assert abs(E - row.energy) / abs(row.energy) < 1e-6
+        assert len(rows) >= 8
+        assert len(eigensolves) / len(rows) <= 10.0
+
+    def test_first_of_two_sign_changes(self, eigensolves):
+        # one window holding both the antiparticle and the particle root of
+        # n = 0; the scan stops at the first sign change, next to its start
+        params = cm.MixedCoulombParams(q=0.5, beta=0.5)
+        e_plus, e_minus = cm.candidate_energies(params, 0, 0)
+        E = oracle.solve_modelA(params, 0, 0, window=(e_minus - 0.015, e_plus + 0.012))
+        assert abs(E - e_minus) / abs(e_minus) < 1e-6
+        assert len(eigensolves) < 33
+
+    def test_brent_nonconvergence_is_convergence_failure(self, monkeypatch):
+        monkeypatch.setattr(
+            oracle, "brentq", functools.partial(scipy.optimize.brentq, maxiter=1)
+        )
+        params = cm.MixedCoulombParams(q=0.5)
+        with pytest.raises(ConvergenceFailure):
+            oracle.solve_modelA(params, 0, 0, window=(0.55, 0.65), scan_points=3)
+
+    def test_full_window_ground_state(self):
+        E = oracle.solve_modelA(cm.MixedCoulombParams(q=0.5), 0, 0)
+        assert abs(E - 0.6) < 1e-8
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_window_clipped_at_continuum(self, n):
+        # the +/-0.02 window runs past E = -m0c^2; a grid sized at the clipped
+        # window's midpoint gave a 4e-6 deviation (n = 0) and NoBracket (n = 2)
+        params = cm.MixedCoulombParams(q=0.3, beta=0.5)
+        e_minus = cm.candidate_energies(params, n, 2)[1]
+        assert cm.validate(params, n, 2, e_minus, "antiparticle").status == BOUND
+        E = oracle.solve_modelA(params, n, 2, window=(e_minus - 0.02, e_minus + 0.02))
+        assert abs(E - e_minus) / abs(e_minus) < 1e-6
 
     def test_fall_to_center_rejected(self):
         params = cm.MixedCoulombParams(q=3.0, b=1.0)
