@@ -236,10 +236,11 @@ def solve_modelA(
     of the (open) energy window up to its first sign change, which Brent's
     method (scipy's brentq) then narrows to 1e-10 * m0c^2.  `window`
     restricts the search, e.g. to isolate one of the particle/antiparticle
-    roots.  With a window, the default grid is sized for its end nearest
-    the continuum, where eps is smallest and a level reaches furthest out;
-    the full window touches the continuum at both ends and is sized at its
-    midpoint, so that deep levels stay resolved.
+    roots.  The default grid is sized from eps at the midpoint of the window
+    as requested, before it is clipped to the physical window: that is the
+    caller's estimate of the level, while a clipped end can sit at the
+    continuum, where eps -> 0 would stretch the domain far past the level.
+    A midpoint outside the physical window falls back to the clipped one.
     """
     if n < 0 or l < 0:
         raise ValueError("n and l must be nonnegative")
@@ -253,18 +254,16 @@ def solve_modelA(
     pad = 1e-9 * mc2
     lo_phys, hi_phys = -mc2 - params.V0 + pad, mc2 - params.V0 - pad
     if window is None:
-        lo, hi = lo_phys, hi_phys
-    else:
-        lo, hi = max(window[0], lo_phys), min(window[1], hi_phys)
+        window = (lo_phys, hi_phys)
+    lo, hi = max(window[0], lo_phys), min(window[1], hi_phys)
     if not lo < hi:
         raise ValueError("empty energy window")
 
     if grid is None:
-        if window is None:
-            eps = params.epsilon(0.5 * (lo + hi))
-        else:
-            eps = min(params.epsilon(lo), params.epsilon(hi))
-        grid = default_grid_mixed(eps, c)
+        centre = 0.5 * (window[0] + window[1])
+        if not lo <= centre <= hi:
+            centre = 0.5 * (lo + hi)
+        grid = default_grid_mixed(params.epsilon(centre), c)
     scheme = _TransformedScheme(p, 0.0, grid)
 
     def f(E: float) -> float:

@@ -203,8 +203,11 @@ class TestModelA:
         with pytest.raises(ConvergenceFailure):
             oracle.solve_modelA(params, 0, 0, window=(0.55, 0.65), scan_points=3)
 
-    def test_full_window_ground_state(self):
-        E = oracle.solve_modelA(cm.MixedCoulombParams(q=0.5), 0, 0)
+    @pytest.mark.parametrize("window", [None, (0.0, 1.0), (-2.0, 2.0), (0.5, 5.0)])
+    def test_ground_state_any_window(self, window):
+        # (-2, 2) clips to the full window; (0.5, 5) has its midpoint outside
+        # the physical window, so the grid is sized at the clipped midpoint
+        E = oracle.solve_modelA(cm.MixedCoulombParams(q=0.5), 0, 0, window=window)
         assert abs(E - 0.6) < 1e-8
 
     @pytest.mark.parametrize("n", [0, 2])
@@ -216,6 +219,17 @@ class TestModelA:
         assert cm.validate(params, n, 2, e_minus, "antiparticle").status == BOUND
         E = oracle.solve_modelA(params, n, 2, window=(e_minus - 0.02, e_minus + 0.02))
         assert abs(E - e_minus) / abs(e_minus) < 1e-6
+
+    @pytest.mark.parametrize("q, b", [(0.3, 0.0), (0.5, 0.5)])
+    def test_window_clipped_at_continuum_deep_level(self, q, b):
+        # n = 2 particle level 0.02 below the continuum: a grid sized at the
+        # window end nearer the continuum (r_max = 2500 lambda0 on 6000
+        # points) put it 1.3e-6 (q = 0.3) and 4.8e-6 (q = 0.5) off
+        params = cm.MixedCoulombParams(q=q, b=b)
+        e_plus = cm.candidate_energies(params, 2, 0)[0]
+        assert cm.validate(params, 2, 0, e_plus, "particle").status == BOUND
+        E = oracle.solve_modelA(params, 2, 0, window=(e_plus - 0.02, e_plus + 0.02))
+        assert abs(E - e_plus) / abs(e_plus) < 1e-6
 
     def test_fall_to_center_rejected(self):
         params = cm.MixedCoulombParams(q=3.0, b=1.0)
