@@ -15,6 +15,7 @@ from .errors import (
     ConvergenceFailure,
     DegenerateProblem,
     EnergyOutOfWindow,
+    InvalidParameter,
     KGBoundError,
     MultipleBranches,
     NoAdmissibleBranch,
@@ -28,7 +29,6 @@ from .errors import (
 from .levels import (
     ANTIPARTICLE,
     BOUND,
-    NEGATIVE_E2,
     PARTICLE,
     SPURIOUS,
     THRESHOLD,
@@ -64,12 +64,12 @@ __all__ = [
     "DerivedMixed",
     "EnergyLevel",
     "EnergyOutOfWindow",
+    "InvalidParameter",
     "KGBoundError",
     "LinearMassParams",
     "MixedCoulombParams",
     "MultipleBranches",
     "NATURAL",
-    "NEGATIVE_E2",
     "NoAdmissibleBranch",
     "NoBracket",
     "NonNormalizable",

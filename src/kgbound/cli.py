@@ -19,13 +19,17 @@ import numpy as np
 
 from . import coulomb_mixed, nu, oracle, scalar_linear, verify, wavefunctions
 from .errors import KGBoundError, NoAdmissibleBranch, NotBound
-from .levels import ANTIPARTICLE, BOUND, PARTICLE
+from .levels import ANTIPARTICLE, BOUND, PARTICLE, require_quantum_numbers
 from .units import NATURAL, PhysicalConstants
 
 SCHEMA = 1
 
 _MIXED_SWEEP_KEYS = ("q", "b", "beta", "V0")
 _SCALAR_SWEEP_KEYS = ("s", "length_scale")
+_COLUMNS = {
+    "mixed": ("n", "l", "branch", "energy", "status", "residual"),
+    "scalar-linear": ("n", "l", "branch", "energy", "energy_squared", "status"),
+}
 
 
 def fmt(x: float) -> str:
@@ -44,30 +48,26 @@ def fmt(x: float) -> str:
 # configuration plumbing
 
 
-def _read_config(path: str) -> dict[str, str]:
+def _apply_config(command: argparse.ArgumentParser, args) -> None:
+    """Install the flat key=value file as the subcommand's defaults (flags
+    still win); the next parse converts them with each option's type."""
     values = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise KGBoundError(f"config line not key=value: {line!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    return values
-
-
-def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
-    """Install config-file values as parser defaults (flags still win)."""
-    actions = {a.dest: a for a in parser._actions}
-    defaults = {}
-    for key, raw in _read_config(path).items():
-        action = actions.get(key)
-        if action is None or key in ("help", "config"):
+    try:
+        with open(args.config) as fh:
+            for raw in fh:
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise KGBoundError(f"config line not key=value: {line!r}")
+                key, _, val = line.partition("=")
+                values[key.strip()] = val.strip()
+    except OSError as exc:
+        raise KGBoundError(str(exc)) from exc
+    for key in values:
+        if key not in vars(args) or key in ("config", "func", "command"):
             raise KGBoundError(f"unknown config key {key!r}")
-        defaults[key] = action.type(raw) if action.type else raw
-    parser.set_defaults(**defaults)
+    command.set_defaults(**values)
 
 
 def _constants(args) -> PhysicalConstants:
@@ -122,10 +122,9 @@ def _param_meta(params) -> dict:
     return d
 
 
-def _spectrum_rows(args, model: str, params, unit: float) -> tuple[list[str], list[dict]]:
+def _spectrum_rows(args, model: str, params, unit: float) -> list[dict]:
     if model == "mixed":
-        columns = ["n", "l", "branch", "energy", "status", "residual"]
-        rows = [
+        return [
             {
                 "n": lv.n,
                 "l": lv.l,
@@ -136,8 +135,6 @@ def _spectrum_rows(args, model: str, params, unit: float) -> tuple[list[str], li
             }
             for lv in coulomb_mixed.spectrum(params, args.n_max, args.l_max)
         ]
-        return columns, rows
-    columns = ["n", "l", "branch", "energy", "energy_squared", "status"]
     rows = []
     for lv in scalar_linear.spectrum(params, args.n_max, args.l_max, args.mode):
         e2 = scalar_linear.energy_squared(params, lv.n, lv.l, args.mode)
@@ -151,7 +148,7 @@ def _spectrum_rows(args, model: str, params, unit: float) -> tuple[list[str], li
                 "status": lv.status,
             }
         )
-    return columns, rows
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +158,12 @@ def _spectrum_rows(args, model: str, params, unit: float) -> tuple[list[str], li
 def cmd_spectrum(args) -> int:
     params = _mixed_params(args) if args.model == "mixed" else _scalar_params(args)
     unit = _energy_unit(args)
-    columns, rows = _spectrum_rows(args, args.model, params, unit)
+    rows = _spectrum_rows(args, args.model, params, unit)
     meta = {"command": "spectrum", "model": args.model, "units": args.units,
             "params": _param_meta(params)}
     if args.model == "scalar-linear":
         meta["mode"] = args.mode
-    _emit(args, meta, columns, rows)
+    _emit(args, meta, _COLUMNS[args.model], rows)
     return 0
 
 
@@ -185,18 +182,13 @@ def cmd_wavefunction(args) -> int:
             )
             return 3
         wf = wavefunctions.build_mixed(params, level)
+        # quadrature is the authoritative normalization for emitted samples
+        wf = dataclasses.replace(wf, norm=wavefunctions.norm_quadrature(wf))
     else:
         params = _scalar_params(args)
-        e2 = scalar_linear.energy_squared(params, args.n, args.l, args.mode)
-        if e2 < 0:
-            print(f"level n={args.n} l={args.l} has negative squared energy",
-                  file=sys.stderr)
-            return 3
-        energy = math.sqrt(e2) if args.branch == PARTICLE else -math.sqrt(e2)
-        wf = wavefunctions.build_scalar(params, args.n, args.l, energy)
-    # quadrature is the authoritative normalization for emitted samples
-    wf = dataclasses.replace(wf, norm=1.0)
-    wf = dataclasses.replace(wf, norm=wavefunctions.norm_quadrature(wf))
+        e = math.sqrt(scalar_linear.energy_squared(params, args.n, args.l, args.mode))
+        energy = e if args.branch == PARTICLE else -e
+        wf = wavefunctions.build_scalar(params, args.n, args.l, energy)  # quadrature-normalized
     meta = {
         "command": "wavefunction", "model": args.model, "units": args.units,
         "params": _param_meta(params),
@@ -253,6 +245,7 @@ def _branch_dict(branch: nu.NUBranch) -> dict:
 
 
 def cmd_nu_solve(args) -> int:
+    require_quantum_numbers(args.n, args.l)
     if args.model == "mixed":
         params = _mixed_params(args)
         if args.energy is None:
@@ -312,24 +305,15 @@ def cmd_sweep(args) -> int:
         args.s = 0.0
     base = _mixed_params(args) if args.model == "mixed" else _scalar_params(args)
     all_rows: list[dict] = []
-    columns = None
     for value in values:
         params = dataclasses.replace(base, **{args.key: value})
-        cols, rows = _spectrum_rows(args, args.model, params, unit)
-        columns = [args.key] + cols
-        for row in rows:
+        for row in _spectrum_rows(args, args.model, params, unit):
             all_rows.append({args.key: value, **row})
-    if columns is None:
-        columns = [args.key] + (
-            ["n", "l", "branch", "energy", "status", "residual"]
-            if args.model == "mixed"
-            else ["n", "l", "branch", "energy", "energy_squared", "status"]
-        )
     meta = {"command": "sweep", "model": args.model, "units": args.units,
             "sweep_key": args.key, "params": _param_meta(base)}
     if args.model == "scalar-linear":
         meta["mode"] = args.mode
-    _emit(args, meta, columns, all_rows)
+    _emit(args, meta, (args.key, *_COLUMNS[args.model]), all_rows)
     return 0
 
 
@@ -337,9 +321,8 @@ def cmd_sweep(args) -> int:
 # argument parsing
 
 
-def _add_common(sub, model_required=True):
-    sub.add_argument("--model", choices=("mixed", "scalar-linear"),
-                     required=model_required)
+def _add_common(sub):
+    sub.add_argument("--model", choices=("mixed", "scalar-linear"), required=True)
     sub.add_argument("--config", type=str, default=None,
                      help="flat key=value file; flags override")
     sub.add_argument("--hbar-c", dest="hbar_c", type=float, default=1.0)
@@ -357,7 +340,8 @@ def _add_common(sub, model_required=True):
     sub.add_argument("--mode", choices=scalar_linear.MODES, default="corrected")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="kgbound",
         description="Bound-state spectra of the radial Klein-Gordon equation "
@@ -400,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--n-max", dest="n_max", type=int, default=3)
     sw.add_argument("--l-max", dest="l_max", type=int, default=3)
     sw.set_defaults(func=cmd_sweep)
-    return parser
+    return parser, {"spectrum": sp, "wavefunction": wf, "verify": vf, "nu-solve": ns, "sweep": sw}
 
 
 def _is_negative_number_list(token: str) -> bool:
@@ -436,26 +420,13 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     argv = _attach_negative_values(list(sys.argv[1:] if argv is None else argv))
-    # pre-scan for --config so file values become defaults before parsing
-    if "--config" in argv:
-        try:
-            path = argv[argv.index("--config") + 1]
-        except IndexError:
-            parser.error("--config requires a path")
-        if argv and argv[0] in {"spectrum", "wavefunction", "verify", "nu-solve", "sweep"}:
-            sub = next(
-                a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction)
-            ).choices[argv[0]]
-            try:
-                _apply_config(sub, path)
-            except (OSError, KGBoundError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
     args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            _apply_config(commands[args.command], args)
+            args = parser.parse_args(argv)
         return args.func(args)
     except NotBound as exc:
         print(f"error: {exc}", file=sys.stderr)

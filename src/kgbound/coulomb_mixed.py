@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import levels, nu
-from .errors import EnergyOutOfWindow, UnrealRadicand
+from .errors import EnergyOutOfWindow, InvalidParameter, UnrealRadicand
 from .levels import ANTIPARTICLE, BOUND, PARTICLE, SPURIOUS, THRESHOLD, UNREAL, EnergyLevel
 from .units import NATURAL, PhysicalConstants
 
@@ -43,6 +43,10 @@ class MixedCoulombParams:
     V0: float = 0.0
     constants: PhysicalConstants = NATURAL
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.q, self.b, self.beta, self.V0))):
+            raise InvalidParameter("q, b, beta and V0 must be finite")
+
     @classmethod
     def equal_mix(cls, q, b=0.0, constants=NATURAL):
         """V = S (beta = +1, V0 = 0)."""
@@ -59,7 +63,7 @@ class MixedCoulombParams:
             return replace(self, b=2.0 * self.q, beta=-self.beta)
         if self.b == 2.0 * self.q:
             return replace(self, b=0.0, beta=-self.beta)
-        raise ValueError("duality partner defined only for b = 0 or b = 2q")
+        raise InvalidParameter("duality partner defined only for b = 0 or b = 2q")
 
     def ell_radicand(self, l: int) -> float:
         """(l + 1/2)^2 + b(b - 2q) + q^2(1 - beta^2)."""
@@ -144,6 +148,7 @@ def nu_problem(params: MixedCoulombParams, l: int, E: float) -> nu.NUProblem:
 
 def candidate_energies(params: MixedCoulombParams, n: int, l: int):
     """The squared-condition energy pair (E_plus, E_minus)."""
+    levels.require_quantum_numbers(n, l)
     c = params.constants
     B = params.B(n, l)
     q, b, beta = params.q, params.b, params.beta
@@ -160,6 +165,7 @@ def candidate_energies(params: MixedCoulombParams, n: int, l: int):
 
 def validate(params: MixedCoulombParams, n: int, l: int, E: float, branch: str) -> EnergyLevel:
     """Classify a candidate energy by back-substituting the unsquared condition."""
+    levels.require_quantum_numbers(n, l)
     c = params.constants
     mc2, Q = c.rest_energy, c.hbar_c
     e_tilde = E + params.V0
@@ -169,8 +175,7 @@ def validate(params: MixedCoulombParams, n: int, l: int, E: float, branch: str) 
     residual = abs(2.0 * params.B(n, l) * eps + params.gamma1(E)) * Q
     if eps <= THRESHOLD_TOL * mc2 / Q:
         return EnergyLevel(n, l, branch, E, THRESHOLD, residual)
-    offset_ok = params.V0 <= -E + mc2 * (1.0 + 1e-12)
-    if residual < RESIDUAL_TOL * mc2 and offset_ok:
+    if residual < RESIDUAL_TOL * mc2:
         return EnergyLevel(n, l, branch, E, BOUND, residual)
     return EnergyLevel(n, l, branch, E, SPURIOUS, residual)
 
@@ -182,7 +187,7 @@ def spectrum(params: MixedCoulombParams, n_max: int, l_max: int) -> list[EnergyL
     energies, never aborting the table.  Rows are sorted by (l, n, branch).
     """
     if n_max < 0 or l_max < 0:
-        raise ValueError("n_max and l_max must be nonnegative")
+        raise InvalidParameter("n_max and l_max must be nonnegative")
     rows = []
     for l in range(l_max + 1):
         for n in range(n_max + 1):

@@ -5,6 +5,10 @@ class KGBoundError(Exception):
     """Base class for all kgbound-specific errors."""
 
 
+class InvalidParameter(KGBoundError, ValueError):
+    """A parameter or quantum number is out of range or not finite."""
+
+
 class DegenerateProblem(KGBoundError):
     """The square-root discriminant does not depend on the shift constant k."""
 

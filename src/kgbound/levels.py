@@ -2,11 +2,12 @@
 
 from dataclasses import dataclass, asdict
 
+from .errors import InvalidParameter
+
 BOUND = "bound"
 THRESHOLD = "threshold"
 SPURIOUS = "spurious"
 UNREAL = "unreal"
-NEGATIVE_E2 = "negative_e2"
 
 PARTICLE = "particle"
 ANTIPARTICLE = "antiparticle"
@@ -29,3 +30,9 @@ class EnergyLevel:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def require_quantum_numbers(n: int, l: int) -> None:
+    """Reject a negative radial or orbital quantum number."""
+    if n < 0 or l < 0:
+        raise InvalidParameter("n and l must be nonnegative")

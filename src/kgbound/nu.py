@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .errors import (
     DegenerateProblem,
+    InvalidParameter,
     MultipleBranches,
     NoAdmissibleBranch,
     UnsupportedSigma,
@@ -71,11 +72,11 @@ class NUProblem:
 
     def __post_init__(self):
         if self.tau_tilde.degree() > 1:
-            raise ValueError("tau_tilde must have degree <= 1")
+            raise InvalidParameter("tau_tilde must have degree <= 1")
         if self.sigma.degree() not in (1, 2):
-            raise ValueError("sigma must have degree 1 or 2")
+            raise InvalidParameter("sigma must have degree 1 or 2")
         if self.sigma_tilde.degree() > 2:
-            raise ValueError("sigma_tilde must have degree <= 2")
+            raise InvalidParameter("sigma_tilde must have degree <= 2")
 
 
 @dataclass(frozen=True)
@@ -224,7 +225,7 @@ def select(candidates: list[NUBranch], problem: NUProblem) -> NUBranch:
 def quantize(branch: NUBranch, problem: NUProblem, n: int) -> tuple[float, float]:
     """(lambda, lambda_n); the eigenvalue condition is equality of the two."""
     if n < 0:
-        raise ValueError("n must be a nonnegative integer")
+        raise InvalidParameter("n must be a nonnegative integer")
     lam_n = -n * branch.tau.c1 - n * (n - 1) * problem.sigma.c2
     return branch.lam, lam_n
 

@@ -27,7 +27,8 @@ from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.optimize import brentq
 
 from .coulomb_mixed import MixedCoulombParams
-from .errors import ConvergenceFailure, NoBracket, UnsupportedRegime
+from .errors import ConvergenceFailure, InvalidParameter, NoBracket, UnsupportedRegime
+from .levels import require_quantum_numbers
 from .scalar_linear import LinearMassParams
 
 BISECTION_TOL = 1e-10  # root tolerance on E, in units of the rest energy
@@ -40,15 +41,12 @@ class RadialGrid:
     r_min: float
     r_max: float
     points: int = 6000
-    spacing: str = "uniform"
 
     def __post_init__(self):
         if not (0.0 < self.r_min < self.r_max):
-            raise ValueError("require 0 < r_min < r_max")
+            raise InvalidParameter("require 0 < r_min < r_max")
         if self.points < 200:
-            raise ValueError("require at least 200 grid points")
-        if self.spacing != "uniform":
-            raise ValueError("only uniform spacing is supported")
+            raise InvalidParameter("require at least 200 grid points")
 
     @property
     def h(self) -> float:
@@ -59,7 +57,7 @@ class RadialGrid:
 
     def refined(self) -> "RadialGrid":
         """Same interval with exactly halved spacing."""
-        return RadialGrid(self.r_min, self.r_max, 2 * self.points + 1, self.spacing)
+        return RadialGrid(self.r_min, self.r_max, 2 * self.points + 1)
 
 
 @dataclass(frozen=True)
@@ -101,9 +99,9 @@ def _count_nodes(vec: np.ndarray) -> int:
 def eigen_lowest(system: TridiagonalSystem, count: int, check_nodes: bool = True):
     """The `count` algebraically smallest eigenvalues, index = node count."""
     if count < 1:
-        raise ValueError("count must be positive")
+        raise InvalidParameter("count must be positive")
     if count > system.grid.points // 10:
-        raise ValueError("count must not exceed points/10")
+        raise InvalidParameter("count must not exceed points/10")
     try:
         if check_nodes:
             vals, vecs = eigh_tridiagonal(
@@ -210,8 +208,7 @@ def solve_modelB(
     params: LinearMassParams, n: int, l: int, grid: RadialGrid | None = None
 ) -> float:
     """E^2 for the scalar linear-mass model from the oscillator eigenvalue."""
-    if n < 0 or l < 0:
-        raise ValueError("n and l must be nonnegative")
+    require_quantum_numbers(n, l)
     c = params.constants
     if grid is None:
         grid = default_grid_scalar(params, n, l)
@@ -242,8 +239,7 @@ def solve_modelA(
     continuum, where eps -> 0 would stretch the domain far past the level.
     A midpoint outside the physical window falls back to the clipped one.
     """
-    if n < 0 or l < 0:
-        raise ValueError("n and l must be nonnegative")
+    require_quantum_numbers(n, l)
     c = params.constants
     mc2 = c.rest_energy
     gamma2 = params.gamma2(l)
@@ -257,7 +253,7 @@ def solve_modelA(
         window = (lo_phys, hi_phys)
     lo, hi = max(window[0], lo_phys), min(window[1], hi_phys)
     if not lo < hi:
-        raise ValueError("empty energy window")
+        raise InvalidParameter("empty energy window")
 
     if grid is None:
         centre = 0.5 * (window[0] + window[1])

@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 
 from . import nu
-from .levels import ANTIPARTICLE, BOUND, NEGATIVE_E2, PARTICLE, EnergyLevel
+from .errors import InvalidParameter
+from .levels import ANTIPARTICLE, BOUND, PARTICLE, EnergyLevel, require_quantum_numbers
 from .units import NATURAL, PhysicalConstants
 
 MODES = ("corrected", "as_printed")
@@ -32,8 +33,10 @@ class LinearMassParams:
     constants: PhysicalConstants = NATURAL
 
     def __post_init__(self):
-        if self.length_scale <= 0:
-            raise ValueError("length_scale must be positive")
+        if not math.isfinite(self.s):
+            raise InvalidParameter("s must be finite")
+        if not 0.0 < self.length_scale < math.inf:
+            raise InvalidParameter("length_scale must be positive and finite")
 
     @property
     def alpha1(self) -> float:
@@ -62,7 +65,7 @@ class DerivedLinear:
 def derive(params: LinearMassParams, l: int, E: float | None = None) -> DerivedLinear:
     """Reduced-equation constants; epsilon_sq is NaN without a trial energy."""
     if l < 0:
-        raise ValueError("l must be nonnegative")
+        raise InvalidParameter("l must be nonnegative")
     c = params.constants
     if E is None:
         eps_sq = math.nan
@@ -94,13 +97,15 @@ def energy_squared(params: LinearMassParams, n: int, l: int, mode: str = "correc
     The two modes differ by exactly (m0c^2 * hbar*c / L) * (2n + 1).
     """
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    if n < 0 or l < 0:
-        raise ValueError("n and l must be nonnegative")
+        raise InvalidParameter(f"mode must be one of {MODES}")
+    require_quantum_numbers(n, l)
     c = params.constants
     Q, mc2, L = c.hbar_c, c.rest_energy, params.length_scale
     root = math.sqrt((2 * l + 1) ** 2 + 4.0 * params.s**2 / (Q * Q))
     coef = 4 * n + 2 if mode == "corrected" else 2 * n + 1
+    if params.s < 0.0:
+        # 2s/Q + root cancels for s << 0; its rationalized form keeps E^2 > 0
+        return mc2 * (Q / L) * (coef + (2 * l + 1) ** 2 / (root - 2.0 * params.s / Q))
     return mc2 * (2.0 * params.s / L + (Q / L) * (coef + root))
 
 
@@ -109,16 +114,11 @@ def spectrum(
 ) -> list[EnergyLevel]:
     """Level table; energies come in exact +/- pairs, symmetric about zero."""
     if n_max < 0 or l_max < 0:
-        raise ValueError("n_max and l_max must be nonnegative")
+        raise InvalidParameter("n_max and l_max must be nonnegative")
     rows = []
     for l in range(l_max + 1):
         for n in range(n_max + 1):
-            e2 = energy_squared(params, n, l, mode)
-            if e2 < 0.0:
-                rows.append(EnergyLevel(n, l, ANTIPARTICLE, math.nan, NEGATIVE_E2, math.nan))
-                rows.append(EnergyLevel(n, l, PARTICLE, math.nan, NEGATIVE_E2, math.nan))
-                continue
-            e = math.sqrt(e2)
+            e = math.sqrt(energy_squared(params, n, l, mode))
             rows.append(EnergyLevel(n, l, ANTIPARTICLE, -e, BOUND, 0.0))
             rows.append(EnergyLevel(n, l, PARTICLE, e, BOUND, 0.0))
     rows.sort(key=lambda r: (r.l, r.n, r.branch))

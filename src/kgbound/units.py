@@ -1,6 +1,9 @@
 """Unit system: everything is expressed through hbar*c and the rest energy."""
 
+import math
 from dataclasses import dataclass
+
+from .errors import InvalidParameter
 
 
 @dataclass(frozen=True)
@@ -15,8 +18,8 @@ class PhysicalConstants:
     rest_energy: float = 1.0
 
     def __post_init__(self):
-        if self.hbar_c <= 0 or self.rest_energy <= 0:
-            raise ValueError("hbar_c and rest_energy must be strictly positive")
+        if not (0.0 < self.hbar_c < math.inf and 0.0 < self.rest_energy < math.inf):
+            raise InvalidParameter("hbar_c and rest_energy must be positive and finite")
 
     @property
     def compton_length(self) -> float:

@@ -1,21 +1,29 @@
-"""Cross-check suites driven by the `verify` CLI command.
+"""Check registry: the single definition of every closed-form check.
 
-Each check compares a closed-form quantity against an independent route
-(the finite-difference oracle, quadrature, or an algebraic identity) and
-reports one pass/fail row.  The printed-formula discrepancies of the scalar
-model are *reproduced* here on purpose: those checks pass when the expected
-mismatch is observed.
+Each check compares a closed-form quantity against an independent route (the
+finite-difference oracle, quadrature, or an algebraic identity) and reports
+one or more pass/fail rows.  It carries two fixture sets: `quick`, run by the
+`verify` CLI command, and `full`, run by the acceptance gate
+(tests/test_acceptance.py) under the release criterion the check belongs to.
+A row with `in_verify=False` is an acceptance condition with no `verify` row.
+The printed-formula discrepancies of the scalar model are *reproduced* here
+on purpose: those checks pass when the expected mismatch is observed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace as Fixtures
+from typing import Callable
 
 import numpy as np
 
 from . import coulomb_mixed, nu, oracle, scalar_linear, wavefunctions
-from .levels import BOUND, THRESHOLD
+from .coulomb_mixed import MixedCoulombParams
+from .errors import InvalidParameter, KGBoundError
+from .levels import BOUND, PARTICLE, THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -24,6 +32,8 @@ class Check:
     comparison: str  # "<=" or ">="
     tolerance: float
     observed: float
+    levels: int  # levels (or cases) the observed value was taken over
+    in_verify: bool = True  # False: an acceptance condition with no `verify` row
 
     @property
     def passed(self) -> bool:
@@ -32,227 +42,310 @@ class Check:
         return self.observed >= self.tolerance
 
 
-def _upper(name, tol, observed):
-    return Check(name, "<=", tol, float(observed))
+def _upper(name, tol, observed, levels, in_verify=True):
+    return Check(name, "<=", tol, float(observed), levels, in_verify)
 
 
-def _lower(name, tol, observed):
-    return Check(name, ">=", tol, float(observed))
+@dataclass(frozen=True)
+class CheckDef:
+    """One check: `measure(fixtures, mode)` returns its rows.  `model` None:
+    the check belongs to both models' `verify`."""
+
+    criterion: int
+    model: str | None
+    measure: Callable[[Fixtures, str], list[Check]]
+    quick: Fixtures
+    full: Fixtures
+
+
+def _levels(fx):
+    """(params, level) pairs: each listed (params, n, l, branch), validated,
+    or else every bound row of spectrum(p, n_max, l_max) for p in fx.params."""
+    if hasattr(fx, "levels"):
+        for params, n, l, branch in fx.levels:
+            e_plus, e_minus = coulomb_mixed.candidate_energies(params, n, l)
+            energy = e_plus if branch == PARTICLE else e_minus
+            yield params, coulomb_mixed.validate(params, n, l, energy, branch)
+        return
+    for params in fx.params:
+        for row in coulomb_mixed.bound_levels(coulomb_mixed.spectrum(params, fx.n_max, fx.l_max)):
+            yield params, row
+
+
+def _quantum_numbers(fx):
+    return itertools.product(range(fx.n_max + 1), range(fx.l_max + 1))
 
 
 # ---------------------------------------------------------------------------
 # engine regression
 
 
-def nu_engine_checks() -> list[Check]:
-    checks = []
-
+def _nu_engine(fx, mode):
     # Coulomb-form reduction at a known bound energy
-    params = coulomb_mixed.MixedCoulombParams(q=0.5)
-    E = 0.6
-    d = coulomb_mixed.derive(params, 0, 0, E)
-    problem = coulomb_mixed.nu_problem(params, 0, E)
+    params = MixedCoulombParams(q=fx.q)
+    d = coulomb_mixed.derive(params, 0, 0, fx.energy)
+    problem = coulomb_mixed.nu_problem(params, 0, fx.energy)
     branch = nu.select(nu.branches(problem), problem)
     root = math.sqrt(1.0 + 4.0 * d.gamma2)
-    dev = max(
+    coulomb = max(
         abs(branch.pi.c1 + d.epsilon),
         abs(branch.pi.c0 - 0.5 * (1.0 + root)),
         abs(branch.k + d.gamma1 + d.epsilon * root),
         abs(branch.tau_prime + 2.0 * d.epsilon),
+        abs(branch.tau.c0 - (1.0 + root)),
     )
-    checks.append(_upper("nu-branch-regression-coulomb", 1e-12, dev))
 
-    # oscillator-form reduction
-    sparams = scalar_linear.LinearMassParams(s=1.0)
+    # oscillator-form reduction at its ground-state energy
+    sparams = scalar_linear.LinearMassParams(s=fx.s)
     e0 = math.sqrt(scalar_linear.energy_squared(sparams, 0, 0))
     sd = scalar_linear.derive(sparams, 0, e0)
     sproblem = scalar_linear.nu_problem(sparams, 0, e0)
     sbranch = nu.select(nu.branches(sproblem), sproblem)
     sroot = math.sqrt(4.0 * sd.alpha2 + 1.0)
-    dev = max(
+    oscillator = max(
         abs(sbranch.tau.c1 + 2.0 * sd.alpha1),
         abs(sbranch.tau.c0 - (2.0 + sroot)),
     )
-    checks.append(_upper("nu-branch-regression-oscillator", 1e-12, dev))
 
     # perfect-square property of every solved k
-    worst = 0.0
+    discriminant = 0.0
     for prob in (problem, sproblem):
         for k in nu.solve_k(prob):
             rad = nu.radicand(prob, k)
             disc = rad.c1**2 - 4.0 * rad.c0 * rad.c2
-            worst = max(worst, abs(disc) / max(rad.scale() ** 2, 1.0))
-    checks.append(_upper("nu-discriminant-zero", 1e-12, worst))
+            discriminant = max(discriminant, abs(disc) / max(rad.scale() ** 2, 1.0))
 
     # ground-state quantization vanishes identically
-    lam0 = max(
+    ground = max(
         abs(nu.quantize(branch, problem, 0)[1]),
         abs(nu.quantize(sbranch, sproblem, 0)[1]),
     )
-    checks.append(_upper("nu-quantize-ground", 0.0, lam0))
-    return checks
+    return [
+        _upper("nu-branch-regression-coulomb", 1e-12, coulomb, 1),
+        _upper("nu-branch-regression-oscillator", 1e-12, oscillator, 1),
+        _upper("nu-discriminant-zero", 1e-12, discriminant, 2),
+        _upper("nu-quantize-ground", 0.0, ground, 2),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # mixed model
 
 
-def mixed_checks() -> list[Check]:
-    checks = []
-
-    # constant-mass equal-mix closed form and antiparticle threshold
-    worst = 0.0
-    mislabeled = 0
-    for q in (0.3, 0.5):
-        params = coulomb_mixed.MixedCoulombParams.equal_mix(q)
-        for n in range(3):
-            for l in range(3):
-                e_plus, e_minus = coulomb_mixed.candidate_energies(params, n, l)
-                N = n + l + 1
-                expected = (N * N - q * q) / (N * N + q * q)
-                worst = max(worst, abs(e_plus - expected))
-                row = coulomb_mixed.validate(params, n, l, e_minus, "antiparticle")
-                if row.status != THRESHOLD or abs(row.energy + 1.0) > 1e-12:
-                    mislabeled += 1
-    checks.append(_upper("mixed-constant-mass-spectrum", 1e-12, worst))
-    checks.append(_upper("mixed-antiparticle-threshold", 0.0, mislabeled))
-
-    # back-substitution residuals on a small parameter sample
-    worst = 0.0
-    for params in (
-        coulomb_mixed.MixedCoulombParams(q=0.5),
-        coulomb_mixed.MixedCoulombParams(q=0.3, b=0.5, beta=-1.0),
-        coulomb_mixed.MixedCoulombParams(q=0.5, b=1.0, beta=1.0, V0=0.1),
-    ):
-        for row in coulomb_mixed.bound_levels(coulomb_mixed.spectrum(params, 2, 2)):
-            worst = max(worst, row.residual)
-    checks.append(_upper("mixed-bound-residuals", 1e-10, worst))
-
-    # q = b/2 duality of the candidate tables
-    worst = 0.0
-    for q in (0.25, 0.5):
-        for beta in (1.0, -1.0):
-            varying = coulomb_mixed.MixedCoulombParams(q=q, b=2.0 * q, beta=beta)
-            partner = varying.dual()
-            for a, b_ in zip(
-                coulomb_mixed.spectrum(varying, 3, 3),
-                coulomb_mixed.spectrum(partner, 3, 3),
-            ):
-                worst = max(worst, abs(a.energy - b_.energy))
-    checks.append(_upper("mixed-mass-duality", 1e-12, worst))
-
-    # closed form vs finite-difference oracle
-    worst = 0.0
-    fixtures = [
-        (coulomb_mixed.MixedCoulombParams(q=0.5), 0, 0, "particle"),
-        (coulomb_mixed.MixedCoulombParams(q=0.5), 1, 0, "particle"),
-        (coulomb_mixed.MixedCoulombParams(q=0.3, b=0.5, beta=-1.0), 0, 0, "antiparticle"),
-        (coulomb_mixed.MixedCoulombParams(q=0.5, b=0.5, beta=1.0, V0=0.1), 0, 1, "particle"),
+def _constant_mass(fx, mode):
+    """Equal-mix E+ against (N^2 - q^2)/(N^2 + q^2); E- must sit at the threshold."""
+    worst, mislabeled, count = 0.0, 0, 0
+    for q in fx.qs:
+        params = MixedCoulombParams.equal_mix(q)
+        for n, l in _quantum_numbers(fx):
+            e_plus, e_minus = coulomb_mixed.candidate_energies(params, n, l)
+            N = n + l + 1
+            worst = max(worst, abs(e_plus - (N * N - q * q) / (N * N + q * q)))
+            row = coulomb_mixed.validate(params, n, l, e_minus, "antiparticle")
+            if row.status != THRESHOLD or abs(row.energy + 1.0) > 1e-12:
+                mislabeled += 1
+            count += 1
+    return [
+        _upper("mixed-constant-mass-spectrum", 1e-12, worst, count),
+        _upper("mixed-antiparticle-threshold", 0.0, mislabeled, count),
     ]
-    for params, n, l, branch in fixtures:
-        e_plus, e_minus = coulomb_mixed.candidate_energies(params, n, l)
-        e_cf = e_plus if branch == "particle" else e_minus
-        row = coulomb_mixed.validate(params, n, l, e_cf, branch)
+
+
+def _bound_residuals(fx, mode):
+    residuals = [row.residual for _, row in _levels(fx)]
+    return [_upper("mixed-bound-residuals", 1e-10, max(residuals, default=0.0), len(residuals))]
+
+
+def _duality(fx, mode):
+    """q = b/2 varying-mass tables equal their constant-mass partners', row by row."""
+    worst, count = 0.0, 0
+    for q, beta in itertools.product(fx.qs, fx.betas):
+        varying = MixedCoulombParams(q=q, b=2.0 * q, beta=beta)
+        for a, b in zip(
+            coulomb_mixed.spectrum(varying, fx.n_max, fx.l_max),
+            coulomb_mixed.spectrum(varying.dual(), fx.n_max, fx.l_max),
+        ):
+            if (a.n, a.l, a.branch) != (b.n, b.l, b.branch):
+                worst = math.inf
+            worst = max(worst, abs(a.energy - b.energy))
+            count += 1
+    return [_upper("mixed-mass-duality", 1e-12, worst, count)]
+
+
+def _mixed_oracle(fx, mode):
+    """Relative deviation from the oracle, searching +/- half_width * m0c^2
+    around each closed-form level; a level that is not bound, or that the
+    oracle cannot confirm, counts as infinite."""
+    worst, count = 0.0, 0
+    for params, row in _levels(fx):
+        count += 1
         if row.status != BOUND:
             worst = math.inf
             continue
-        half = 0.02 * params.constants.rest_energy
-        e_num = oracle.solve_modelA(params, n, l, window=(e_cf - half, e_cf + half))
-        worst = max(worst, abs(e_num - e_cf) / abs(e_cf))
-    checks.append(_upper("mixed-oracle-agreement", 1e-6, worst))
+        half = fx.half_width * params.constants.rest_energy
+        try:
+            e_num = oracle.solve_modelA(
+                params,
+                row.n,
+                row.l,
+                window=(row.energy - half, row.energy + half),
+                scan_points=fx.scan_points,
+            )
+        except KGBoundError:  # NoBracket, ConvergenceFailure, ...
+            worst = math.inf
+            continue
+        worst = max(worst, abs(e_num - row.energy) / abs(row.energy))
+    return [_upper("mixed-oracle-agreement", 1e-6, worst, count)]
 
-    # closed-form normalization against quadrature
-    worst = 0.0
-    params = coulomb_mixed.MixedCoulombParams(q=0.5)
-    for row in coulomb_mixed.bound_levels(coulomb_mixed.spectrum(params, 3, 1)):
+
+def _mixed_normalization(fx, mode):
+    """Closed-form norm against quadrature, and the unit integral of u^2."""
+    pair, unit, count = 0.0, 0.0, 0
+    for params, row in _levels(fx):
         wf = wavefunctions.build_mixed(params, row)
-        n_quad = wavefunctions.norm_quadrature(wf)
-        worst = max(worst, abs(wf.norm / n_quad - 1.0))
-    checks.append(_upper("mixed-normalization-closed-vs-quadrature", 1e-8, worst))
-    return checks
+        ratio = wf.norm / wavefunctions.norm_quadrature(wf)
+        pair = max(pair, abs(ratio - 1.0))
+        unit = max(unit, abs(ratio**2 - 1.0))
+        count += 1
+    return [
+        _upper("mixed-normalization-closed-vs-quadrature", 1e-8, pair, count),
+        _upper("mixed-normalization-unit-integral", 1e-8, unit, count, in_verify=False),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # scalar model
 
 
-def scalar_checks(mode: str = "corrected") -> list[Check]:
-    if mode not in scalar_linear.MODES:
-        raise ValueError(f"mode must be one of {scalar_linear.MODES}")
-    checks = []
+def _scalar_oracle(fx, mode):
+    """E^2 of `mode` against the oracle; at s = 0, also against (4n + 2l + 3)/L."""
+    worst, ladder, count = 0.0, 0.0, 0
+    for s, L in itertools.product(fx.s_values, fx.length_scales):
+        params = scalar_linear.LinearMassParams(s=s, length_scale=L)
+        for n, l in _quantum_numbers(fx):
+            e2 = scalar_linear.energy_squared(params, n, l, mode)
+            e2_num = oracle.solve_modelB(params, n, l)
+            worst = max(worst, abs(e2 - e2_num) / abs(e2_num))
+            if s == 0.0:
+                exact = (4 * n + 2 * l + 3) / L
+                ladder = max(ladder, abs(e2 - exact) / exact)
+            count += 1
+    return [
+        _upper(f"scalar-oracle-agreement[{mode}]", 1e-6, worst, count),
+        _upper("scalar-uncoupled-ladder", 1e-6, ladder, count, in_verify=False),
+    ]
 
-    # spectrum vs oracle, in the requested mode
-    worst = 0.0
-    for s in (0.0, 1.0):
-        params = scalar_linear.LinearMassParams(s=s)
-        for n in range(2):
-            for l in range(2):
-                e2 = scalar_linear.energy_squared(params, n, l, mode)
-                e2_num = oracle.solve_modelB(params, n, l)
-                worst = max(worst, abs(e2 - e2_num) / abs(e2_num))
-    checks.append(_upper(f"scalar-oracle-agreement[{mode}]", 1e-6, worst))
 
-    # the two modes differ by exactly (m0c^2 hbar c / L)(2n+1)
-    worst = 0.0
-    params = scalar_linear.LinearMassParams(s=0.5, length_scale=2.0)
-    c = params.constants
-    unit = c.rest_energy * c.hbar_c / params.length_scale
-    for n in range(4):
-        for l in range(4):
+def _printed_offset(fx, mode):
+    """The two modes differ by exactly (m0c^2 hbar c / L)(2n + 1)."""
+    worst, count = 0.0, 0
+    for L in fx.length_scales:
+        params = scalar_linear.LinearMassParams(s=fx.s, length_scale=L)
+        c = params.constants
+        unit = c.rest_energy * c.hbar_c / params.length_scale
+        for n, l in _quantum_numbers(fx):
             gap = scalar_linear.energy_squared(params, n, l, "as_printed") - \
                 scalar_linear.energy_squared(params, n, l, "corrected")
             worst = max(worst, abs(gap + unit * (2 * n + 1)))
-    checks.append(_upper("scalar-printed-offset-identity", 1e-12, worst))
+            count += 1
+    return [_upper("scalar-printed-offset-identity", 1e-12, worst, count)]
 
-    # corrected exponent solves the radial equation; printed one does not
-    params = scalar_linear.LinearMassParams(s=1.0)
+
+def _printed_forms(fx, mode):
+    """The corrected exponent solves the radial equation and the printed one
+    does not; the printed norm is right at n = 0 and infinite for n >= 1."""
+    params = scalar_linear.LinearMassParams(s=fx.s)
     E = math.sqrt(scalar_linear.energy_squared(params, 0, 0))
-    grid = np.geomspace(0.1, 10.0, 50)
     good = wavefunctions.build_scalar(params, 0, 0, E)
     bad = wavefunctions.build_scalar(params, 0, 0, E, as_printed=True)
-    checks.append(
-        _upper(
-            "scalar-corrected-exponent-residual",
-            1e-6,
-            wavefunctions.ode_residual(good, params, E, grid),
-        )
+    n0 = abs(wavefunctions.norm_closed_scalar_printed(params, 0, 0) / good.norm - 1.0)
+    finite = sum(
+        not math.isinf(wavefunctions.norm_closed_scalar_printed(params, n, l))
+        for n, l in itertools.product(fx.ns, fx.ls)
     )
-    checks.append(
-        _lower(
-            "scalar-printed-exponent-residual",
-            1e-2,
-            wavefunctions.ode_residual(bad, params, E, grid),
-        )
-    )
+    return [
+        _upper("scalar-corrected-exponent-residual", 1e-6,
+               wavefunctions.ode_residual(good, params, E, fx.grid), 1),
+        Check("scalar-printed-exponent-residual", ">=", 1e-2,
+              wavefunctions.ode_residual(bad, params, E, fx.grid), 1),
+        _upper("scalar-printed-normalization-n0", 1e-8, n0, 1),
+        _upper("scalar-printed-normalization-unusable-n>=1", 0.0, finite, len(fx.ns) * len(fx.ls)),
+    ]
 
-    # printed normalization: usable at n = 0 only
-    wf0 = wavefunctions.build_scalar(params, 0, 0, E)
-    printed0 = wavefunctions.norm_closed_scalar_printed(params, 0, 0)
-    checks.append(
-        _upper(
-            "scalar-printed-normalization-n0",
-            1e-8,
-            abs(printed0 / wf0.norm - 1.0),
-        )
+
+# ---------------------------------------------------------------------------
+# the registry, in `verify` row order
+
+_ACCEPTANCE_GRID = tuple(
+    MixedCoulombParams(q=q, b=b, beta=beta, V0=V0)
+    for q, b, beta, V0 in itertools.product(
+        (0.3, 0.5), (0.0, 0.5, 1.0), (1.0, -1.0, 0.5), (0.0, 0.1)
     )
-    usable = 0
-    for n in (1, 2):
-        printed = wavefunctions.norm_closed_scalar_printed(params, n, 0)
-        En = math.sqrt(scalar_linear.energy_squared(params, n, 0))
-        wf = wavefunctions.build_scalar(params, n, 0, En)
-        if math.isfinite(printed) and abs(printed / wf.norm - 1.0) <= 1e-3:
-            usable += 1
-    checks.append(_upper("scalar-printed-normalization-unusable-n>=1", 0.0, usable))
-    return checks
+)
+_NU = Fixtures(q=0.5, energy=0.6, s=1.0)
+_DUALITY = Fixtures(qs=(0.25, 0.5), betas=(1.0, -1.0), n_max=3, l_max=3)
+
+REGISTRY = (
+    CheckDef(7, None, _nu_engine, quick=_NU, full=_NU),
+    CheckDef(
+        1, "mixed", _constant_mass,
+        quick=Fixtures(qs=(0.3, 0.5), n_max=2, l_max=2),
+        full=Fixtures(qs=(0.1, 0.3, 0.5, 0.9), n_max=3, l_max=3),
+    ),
+    CheckDef(
+        2, "mixed", _bound_residuals,
+        quick=Fixtures(params=(
+            MixedCoulombParams(q=0.5),
+            MixedCoulombParams(q=0.3, b=0.5, beta=-1.0),
+            MixedCoulombParams(q=0.5, b=1.0, beta=1.0, V0=0.1),
+        ), n_max=2, l_max=2),
+        full=Fixtures(params=_ACCEPTANCE_GRID, n_max=2, l_max=2),
+    ),
+    CheckDef(3, "mixed", _duality, quick=_DUALITY, full=_DUALITY),
+    CheckDef(
+        2, "mixed", _mixed_oracle,
+        quick=Fixtures(levels=(
+            (MixedCoulombParams(q=0.5), 0, 0, "particle"),
+            (MixedCoulombParams(q=0.5), 1, 0, "particle"),
+            (MixedCoulombParams(q=0.3, b=0.5, beta=-1.0), 0, 0, "antiparticle"),
+            (MixedCoulombParams(q=0.5, b=0.5, beta=1.0, V0=0.1), 0, 1, "particle"),
+        ), half_width=0.02, scan_points=33),
+        full=Fixtures(params=_ACCEPTANCE_GRID, n_max=2, l_max=2, half_width=1e-5, scan_points=3),
+    ),
+    CheckDef(
+        6, "mixed", _mixed_normalization,
+        quick=Fixtures(params=(MixedCoulombParams(q=0.5),), n_max=3, l_max=1),
+        full=Fixtures(params=_ACCEPTANCE_GRID, n_max=5, l_max=2),
+    ),
+    CheckDef(
+        4, "scalar-linear", _scalar_oracle,
+        quick=Fixtures(s_values=(0.0, 1.0), length_scales=(1.0,), n_max=1, l_max=1),
+        full=Fixtures(s_values=(0.0, 0.5, 1.0, 2.0), length_scales=(0.5, 1.0, 2.0), n_max=3, l_max=3),
+    ),
+    CheckDef(
+        5, "scalar-linear", _printed_offset,
+        quick=Fixtures(s=0.5, length_scales=(2.0,), n_max=3, l_max=3),
+        full=Fixtures(s=0.7, length_scales=(0.5, 2.0), n_max=3, l_max=2),
+    ),
+    CheckDef(
+        5, "scalar-linear", _printed_forms,
+        quick=Fixtures(s=1.0, grid=np.geomspace(0.1, 10.0, 50), ns=(1, 2), ls=(0,)),
+        full=Fixtures(s=1.0, grid=np.array([0.1 * 1.26**i for i in range(20)]), ns=(1, 2, 3), ls=(0, 1)),
+    ),
+)
 
 
 def run_verify(model: str, mode: str = "corrected") -> list[Check]:
-    """All checks for one model; exit status is pass iff every row passes."""
-    checks = nu_engine_checks()
-    if model == "mixed":
-        checks += mixed_checks()
-    elif model == "scalar-linear":
-        checks += scalar_checks(mode)
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    return checks
+    """The `verify` rows of one model, from each check's quick fixtures; the
+    command passes iff every row passes."""
+    if model not in ("mixed", "scalar-linear"):
+        raise InvalidParameter(f"unknown model {model!r}")
+    if mode not in scalar_linear.MODES:
+        raise InvalidParameter(f"mode must be one of {scalar_linear.MODES}")
+    return [
+        check
+        for spec in REGISTRY
+        if spec.model in (None, model)
+        for check in spec.measure(spec.quick, mode)
+        if check.in_verify
+    ]

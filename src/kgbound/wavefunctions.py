@@ -15,7 +15,7 @@ import numpy as np
 from scipy import integrate
 
 from . import coulomb_mixed, scalar_linear
-from .errors import NonNormalizable, NotBound
+from .errors import InvalidParameter, NonNormalizable, NotBound
 from .levels import BOUND, EnergyLevel
 
 MIXED = "mixed"
@@ -25,9 +25,9 @@ SCALAR = "scalar_linear"
 def laguerre(n: int, alpha: float, x):
     """Generalized Laguerre L_n^alpha(x) by the three-term recurrence."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise InvalidParameter("n must be nonnegative")
     if alpha <= -1.0:
-        raise ValueError("alpha must exceed -1")
+        raise InvalidParameter("alpha must exceed -1")
     x = np.asarray(x, dtype=float)
     prev = np.ones_like(x)
     if n == 0:
@@ -183,7 +183,7 @@ def ode_residual(wf: RadialWavefunction, params, E: float, grid) -> float:
     """
     r = np.asarray(grid, dtype=float)
     if np.any(r <= 0.0):
-        raise ValueError("grid points must be strictly positive")
+        raise InvalidParameter("grid points must be strictly positive")
     if wf.model == MIXED:
         d = coulomb_mixed.derive(params, wf.n, wf.l, E)
         w = d.epsilon**2 + d.gamma1 / r + d.gamma2 / r**2
@@ -192,7 +192,7 @@ def ode_residual(wf: RadialWavefunction, params, E: float, grid) -> float:
         kappa = -d.epsilon_sq
         w = d.alpha1**2 * r**2 + d.alpha2 / r**2 - kappa
     else:
-        raise ValueError(f"unknown model {wf.model!r}")
+        raise InvalidParameter(f"unknown model {wf.model!r}")
     h = 0.01 * r
     u = wf.evaluate(r)
     u2 = (

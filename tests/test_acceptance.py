@@ -1,25 +1,16 @@
-"""Acceptance gate: one test per release criterion, one printed line each.
+"""Acceptance gate: one test per release criterion, one printed line per row.
 
-Every criterion compares the closed-form implementation against an
-independent route (finite-difference oracle, quadrature, exact algebraic
-identity, or the CLI contract) at a pinned tolerance.  Tolerances here are
-frozen; loosening one is a release decision, not a test fix.
+Criteria 1-7 run the checks of `kgbound.verify.REGISTRY` on their full
+fixture sets: each check is defined once there, shared with `kgbound verify`,
+which runs the same checks on their quick sets.  Criterion 8 solves textbook
+fixtures with the oracle, and criterion 9 holds the CLI contract.
+Tolerances are frozen; loosening one is a release decision, not a test fix.
 """
 
-import itertools
 import json
 import math
-from dataclasses import replace
 
-import pytest
-
-from kgbound import cli, coulomb_mixed as cm, nu, oracle, scalar_linear as sl
-from kgbound import wavefunctions as wfn
-from kgbound.levels import BOUND, THRESHOLD
-
-MIXED_GRID = list(
-    itertools.product((0.3, 0.5), (0.0, 0.5, 1.0), (1.0, -1.0, 0.5), (0.0, 0.1))
-)
+from kgbound import cli, coulomb_mixed as cm, oracle, verify
 
 
 def _report(capsys, name: str, passed: bool, detail: str = ""):
@@ -29,214 +20,50 @@ def _report(capsys, name: str, passed: bool, detail: str = ""):
     assert passed, f"{name}: {detail}"
 
 
-def mixed_params(q, b, beta, V0):
-    return cm.MixedCoulombParams(q=q, b=b, beta=beta, V0=V0)
+def _gate(capsys, criterion: int):
+    """Run every registry check of one criterion on its full fixture set."""
+    checks = [check for spec in verify.REGISTRY if spec.criterion == criterion
+              for check in spec.measure(spec.full, "corrected")]
+    with capsys.disabled():
+        for c in checks:
+            print(f"[{'PASS' if c.passed else 'FAIL'}] criterion-{criterion} {c.name}  "
+                  f"(observed {c.observed:.3e} {c.comparison} {c.tolerance:g}, {c.levels} levels)")
+    assert checks and all(c.passed for c in checks), [c for c in checks if not c.passed]
 
 
 def test_criterion_1_constant_mass_equal_mix(capsys):
     """E+ closed form and E- threshold for the constant-mass equal mix."""
-    worst = 0.0
-    threshold_ok = True
-    for q in (0.1, 0.3, 0.5, 0.9):
-        params = cm.MixedCoulombParams.equal_mix(q)
-        for n in range(4):
-            for l in range(4):
-                e_plus, e_minus = cm.candidate_energies(params, n, l)
-                N = n + l + 1
-                worst = max(worst, abs(e_plus - (N * N - q * q) / (N * N + q * q)))
-                row = cm.validate(params, n, l, e_minus, "antiparticle")
-                if row.status != THRESHOLD or abs(e_minus + 1.0) > 1e-12:
-                    threshold_ok = False
-    _report(
-        capsys,
-        "criterion-1 constant-mass equal-mix spectrum",
-        worst <= 1e-12 and threshold_ok,
-        f"max |E+ - closed form| = {worst:.3e}",
-    )
+    _gate(capsys, 1)
 
 
 def test_criterion_2_mixed_oracle_agreement(capsys):
-    """Every bound closed-form level is confirmed by the grid solver.
-
-    The oracle searches a +/-1e-5 m0c^2 window around each closed value;
-    finding no sign change there (NoBracket) counts as a failure.
-    """
-    worst_rel = 0.0
-    worst_res = 0.0
-    checked = 0
-    failures = []
-    for q, b, beta, V0 in MIXED_GRID:
-        params = mixed_params(q, b, beta, V0)
-        for row in cm.spectrum(params, 2, 2):
-            if row.status != BOUND:
-                continue
-            worst_res = max(worst_res, row.residual)
-            window = (row.energy - 1e-5, row.energy + 1e-5)
-            try:
-                e_num = oracle.solve_modelA(
-                    params, row.n, row.l, window=window, scan_points=3
-                )
-            except Exception as exc:  # NoBracket, ConvergenceFailure, ...
-                failures.append((q, b, beta, V0, row.n, row.l, repr(exc)))
-                continue
-            worst_rel = max(worst_rel, abs(e_num - row.energy) / abs(row.energy))
-            checked += 1
-    _report(
-        capsys,
-        "criterion-2 mixed-model oracle agreement",
-        not failures and worst_rel <= 1e-6 and worst_res < 1e-10,
-        f"{checked} bound levels, max rel dev {worst_rel:.3e}, "
-        f"max residual {worst_res:.3e}, failures {failures[:3]}",
-    )
+    """Every bound closed-form level is confirmed by the grid solver."""
+    _gate(capsys, 2)
 
 
 def test_criterion_3_mass_duality(capsys):
     """q = b/2 varying-mass spectra equal their constant-mass partners."""
-    worst = 0.0
-    for q in (0.25, 0.5):
-        for beta in (1.0, -1.0):
-            varying = cm.MixedCoulombParams(q=q, b=2.0 * q, beta=beta)
-            partner = varying.dual()
-            a_rows = cm.spectrum(varying, 3, 3)
-            b_rows = cm.spectrum(partner, 3, 3)
-            for a, b in zip(a_rows, b_rows):
-                assert (a.n, a.l, a.branch) == (b.n, b.l, b.branch)
-                worst = max(worst, abs(a.energy - b.energy))
-    _report(
-        capsys,
-        "criterion-3 q=b/2 duality of spectra",
-        worst <= 1e-12,
-        f"max level-by-level deviation {worst:.3e}",
-    )
+    _gate(capsys, 3)
 
 
 def test_criterion_4_scalar_oracle_agreement(capsys):
     """Corrected-mode E^2 against the oscillator grid solver."""
-    worst = 0.0
-    ladder_worst = 0.0
-    for s in (0.0, 0.5, 1.0, 2.0):
-        for L in (0.5, 1.0, 2.0):
-            params = sl.LinearMassParams(s=s, length_scale=L)
-            for n in range(4):
-                for l in range(4):
-                    e2 = sl.energy_squared(params, n, l)
-                    e2_num = oracle.solve_modelB(params, n, l)
-                    worst = max(worst, abs(e2 - e2_num) / abs(e2_num))
-                    if s == 0.0:
-                        ladder = (4 * n + 2 * l + 3) / L
-                        ladder_worst = max(
-                            ladder_worst, abs(e2 - ladder) / ladder
-                        )
-    _report(
-        capsys,
-        "criterion-4 scalar-model oracle agreement",
-        worst <= 1e-6 and ladder_worst <= 1e-6,
-        f"max rel dev {worst:.3e}, uncoupled ladder dev {ladder_worst:.3e}",
-    )
+    _gate(capsys, 4)
 
 
 def test_criterion_5_discrepancies_reproduced(capsys):
     """The published-forms gaps are exhibited exactly, never patched over."""
-    # (a) mode gap is exactly -(m0c^2 hbar c / L)(2n+1)
-    gap_worst = 0.0
-    for L in (0.5, 2.0):
-        params = sl.LinearMassParams(s=0.7, length_scale=L)
-        for n in range(4):
-            for l in range(3):
-                gap = sl.energy_squared(params, n, l, "as_printed") - \
-                    sl.energy_squared(params, n, l, "corrected")
-                gap_worst = max(gap_worst, abs(gap + (2 * n + 1) / L))
-    # (b) exponent: corrected solves the radial equation, printed does not
-    params = sl.LinearMassParams(s=1.0)
-    E = math.sqrt(sl.energy_squared(params, 0, 0))
-    grid = [0.1 * 1.26**i for i in range(20)]
-    res_good = wfn.ode_residual(wfn.build_scalar(params, 0, 0, E), params, E, grid)
-    res_bad = wfn.ode_residual(
-        wfn.build_scalar(params, 0, 0, E, as_printed=True), params, E, grid
-    )
-    # (c) printed normalization unusable for n >= 1
-    norm_bad = all(
-        math.isinf(wfn.norm_closed_scalar_printed(params, n, l))
-        for n in (1, 2, 3)
-        for l in (0, 1)
-    )
-    ok = gap_worst <= 1e-12 and res_good < 1e-6 and res_bad > 1e-2 and norm_bad
-    _report(
-        capsys,
-        "criterion-5 published-form discrepancies reproduced",
-        ok,
-        f"gap dev {gap_worst:.3e}, residuals {res_good:.3e}/{res_bad:.3e}",
-    )
+    _gate(capsys, 5)
 
 
 def test_criterion_6_normalization(capsys):
     """Closed-form norms match quadrature; all u integrate to one."""
-    worst_pair = 0.0
-    worst_unit = 0.0
-    checked = 0
-    for q, b, beta, V0 in MIXED_GRID:
-        params = mixed_params(q, b, beta, V0)
-        for row in cm.spectrum(params, 5, 2):
-            if row.status != BOUND:
-                continue
-            u = wfn.build_mixed(params, row)  # closed-form normalized
-            n_quad = wfn.norm_quadrature(u)
-            worst_pair = max(worst_pair, abs(u.norm / n_quad - 1.0))
-            worst_unit = max(worst_unit, abs((u.norm / n_quad) ** 2 - 1.0))
-            checked += 1
-    _report(
-        capsys,
-        "criterion-6 closed-form normalization",
-        worst_pair <= 1e-8 and worst_unit <= 1e-8,
-        f"{checked} levels, max norm dev {worst_pair:.3e}, "
-        f"max unit-integral dev {worst_unit:.3e}",
-    )
+    _gate(capsys, 6)
 
 
 def test_criterion_7_nu_engine_regression(capsys):
     """Branch coefficients, perfect squares, and the n=0 condition."""
-    # Coulomb-type reduction at its ground-state energy
-    params = cm.MixedCoulombParams(q=0.5)
-    d = cm.derive(params, 0, 0, 0.6)
-    problem = cm.nu_problem(params, 0, 0.6)
-    branch = nu.select(nu.branches(problem), problem)
-    root = math.sqrt(1.0 + 4.0 * d.gamma2)
-    dev = max(
-        abs(branch.pi.c1 + d.epsilon),
-        abs(branch.pi.c0 - 0.5 * (1.0 + root)),
-        abs(branch.tau.c1 + 2.0 * d.epsilon),
-        abs(branch.tau.c0 - (1.0 + root)),
-    )
-    # oscillator-type reduction
-    sparams = sl.LinearMassParams(s=1.0)
-    E = math.sqrt(sl.energy_squared(sparams, 0, 0))
-    sd = sl.derive(sparams, 0, E)
-    sproblem = sl.nu_problem(sparams, 0, E)
-    sbranch = nu.select(nu.branches(sproblem), sproblem)
-    sroot = math.sqrt(4.0 * sd.alpha2 + 1.0)
-    dev = max(
-        dev,
-        abs(sbranch.tau.c0 - (2.0 + sroot)),
-        abs(sbranch.tau.c1 + 2.0 * sd.alpha1),
-    )
-    square_worst = 0.0
-    for prob in (problem, sproblem):
-        for k in nu.solve_k(prob):
-            rad = nu.radicand(prob, k)
-            disc = rad.c1**2 - 4.0 * rad.c0 * rad.c2
-            square_worst = max(
-                square_worst, abs(disc) / max(rad.scale() ** 2, 1.0)
-            )
-    lam0_exact = (
-        nu.quantize(branch, problem, 0)[1] == 0.0
-        and nu.quantize(sbranch, sproblem, 0)[1] == 0.0
-    )
-    _report(
-        capsys,
-        "criterion-7 reduction-engine regression",
-        dev <= 1e-12 and square_worst <= 1e-12 and lam0_exact,
-        f"coefficient dev {dev:.3e}, discriminant dev {square_worst:.3e}",
-    )
+    _gate(capsys, 7)
 
 
 def test_criterion_8_oracle_self_tests(capsys):

@@ -146,12 +146,46 @@ class TestVerify:
         assert len(failing) == 1
         assert failing[0].startswith("scalar-oracle-agreement")
 
+    NU_ROWS = [
+        ("nu-branch-regression-coulomb", "<=", 1e-12, "pass"),
+        ("nu-branch-regression-oscillator", "<=", 1e-12, "pass"),
+        ("nu-discriminant-zero", "<=", 1e-12, "pass"),
+        ("nu-quantize-ground", "<=", 0.0, "pass"),
+    ]
+    SCALAR_ROWS = [
+        ("scalar-printed-offset-identity", "<=", 1e-12, "pass"),
+        ("scalar-corrected-exponent-residual", "<=", 1e-6, "pass"),
+        ("scalar-printed-exponent-residual", ">=", 1e-2, "pass"),
+        ("scalar-printed-normalization-n0", "<=", 1e-8, "pass"),
+        ("scalar-printed-normalization-unusable-n>=1", "<=", 0.0, "pass"),
+    ]
+    REPORTS = [
+        ("mixed", "corrected", 0, NU_ROWS + [
+            ("mixed-constant-mass-spectrum", "<=", 1e-12, "pass"),
+            ("mixed-antiparticle-threshold", "<=", 0.0, "pass"),
+            ("mixed-bound-residuals", "<=", 1e-10, "pass"),
+            ("mixed-mass-duality", "<=", 1e-12, "pass"),
+            ("mixed-oracle-agreement", "<=", 1e-6, "pass"),
+            ("mixed-normalization-closed-vs-quadrature", "<=", 1e-8, "pass"),
+        ]),
+        ("scalar-linear", "corrected", 0, NU_ROWS + [
+            ("scalar-oracle-agreement[corrected]", "<=", 1e-6, "pass"),
+        ] + SCALAR_ROWS),
+        ("scalar-linear", "as_printed", 1, NU_ROWS + [
+            ("scalar-oracle-agreement[as_printed]", "<=", 1e-6, "FAIL"),
+        ] + SCALAR_ROWS),
+    ]
+
     def test_json_report(self, capsys):
-        code, out, _ = run(capsys, "verify", "--model", "scalar-linear",
-                           "--output", "json")
-        assert code == 0
-        doc = json.loads(out)
-        assert all(c["status"] == "pass" for c in doc["checks"])
+        """Every row of each report, in order, with its rule and verdict;
+        observed values come from the oracle and LAPACK, so they are not pinned."""
+        for model, mode, code, rows in self.REPORTS:
+            got, out, _ = run(capsys, "verify", "--model", model, "--mode", mode,
+                              "--output", "json")
+            assert got == code
+            doc = json.loads(out)
+            assert [(c["name"], c["comparison"], c["tolerance"], c["status"])
+                    for c in doc["checks"]] == rows
 
 
 class TestNuSolve:
@@ -261,10 +295,10 @@ class TestConfigFile:
     def test_config_supplies_parameters(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("q = 0.5\nn_max = 0\nl_max = 0\n")
-        code, out, _ = run(capsys, "spectrum", "--model", "mixed",
-                           "--config", str(cfg))
-        assert code == 0
-        assert "0,0,particle,0.6,bound,0" in out.splitlines()
+        for spelling in (["--config", str(cfg)], [f"--config={cfg}"]):
+            code, out, _ = run(capsys, "spectrum", "--model", "mixed", *spelling)
+            assert code == 0
+            assert "0,0,particle,0.6,bound,0" in out.splitlines()
 
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -279,3 +313,37 @@ class TestConfigFile:
         code, _, err = run(capsys, "spectrum", "--model", "mixed",
                            "--config", str(cfg))
         assert code == 2 and "coupling" in err
+
+    @pytest.mark.parametrize("joined", [False, True])
+    @pytest.mark.parametrize("line", ["q=abc", "func=x", "command=verify", "config=x"])
+    def test_bad_entry_exit_2(self, tmp_path, line, joined):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        spelling = [f"--config={cfg}"] if joined else ["--config", str(cfg)]
+        try:
+            code = cli.main(["spectrum", "--model", "mixed", *spelling])
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+        assert code == 2
+
+
+class TestParameterErrors:
+    """Out-of-range or non-finite parameters exit 2 with a message."""
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--model", "mixed", "--q", "0.5", "--n-max", "-1"),
+        ("spectrum", "--model", "scalar-linear", "--s", "1", "--length-scale", "-1"),
+        ("wavefunction", "--model", "scalar-linear", "--s", "1", "--n", "-1"),
+        ("wavefunction", "--model", "mixed", "--q", "0.5", "--n", "-1"),
+        ("nu-solve", "--model", "mixed", "--q", "0.5", "--energy", "0.6", "--n", "-1"),
+        ("nu-solve", "--model", "scalar-linear", "--s", "1", "--l", "-1"),
+        ("spectrum", "--model", "mixed", "--q", "nan"),
+        ("spectrum", "--model", "scalar-linear", "--s", "inf"),
+        ("spectrum", "--model", "mixed", "--q", "0.5", "--rest-energy", "nan"),
+        ("spectrum", "--model", "mixed", "--q", "0.5", "--hbar-c", "inf"),
+        ("sweep", "--model", "mixed", "--key", "beta", "--q", "0.5", "--values", "1,nan"),
+    ])
+    def test_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from kgbound import coulomb_mixed as cm
-from kgbound.errors import EnergyOutOfWindow, UnrealRadicand
+from kgbound.errors import EnergyOutOfWindow, InvalidParameter, UnrealRadicand
 from kgbound.levels import BOUND, SPURIOUS, THRESHOLD, UNREAL
 from kgbound.units import PhysicalConstants
 
@@ -26,6 +26,12 @@ class TestParams:
     def test_dual_undefined(self):
         with pytest.raises(ValueError):
             cm.MixedCoulombParams(q=0.25, b=0.3).dual()
+
+    @pytest.mark.parametrize("field", ["q", "b", "beta", "V0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(InvalidParameter):
+            cm.MixedCoulombParams(**{"q": 0.5, field: value})
 
     def test_effective_l_constant_mass(self):
         p = cm.MixedCoulombParams(q=0.5)
@@ -107,6 +113,14 @@ class TestCandidates:
         p = cm.MixedCoulombParams(q=3.0, b=1.0)
         with pytest.raises(UnrealRadicand):
             cm.candidate_energies(p, 0, 0)
+
+    @pytest.mark.parametrize("n, l", [(-1, 0), (0, -1)])
+    def test_negative_quantum_numbers_rejected(self, n, l):
+        p = cm.MixedCoulombParams(q=0.5)
+        with pytest.raises(InvalidParameter):
+            cm.candidate_energies(p, n, l)
+        with pytest.raises(InvalidParameter):
+            cm.validate(p, n, l, 0.6, "particle")
 
     def test_rest_energy_scaling(self):
         c = PhysicalConstants(hbar_c=197.3269804, rest_energy=938.272)

@@ -20,8 +20,6 @@ class TestRadialGrid:
             oracle.RadialGrid(2.0, 1.0)
         with pytest.raises(ValueError):
             oracle.RadialGrid(0.1, 1.0, points=50)
-        with pytest.raises(ValueError):
-            oracle.RadialGrid(0.1, 1.0, spacing="log")
 
     def test_nodes_and_spacing(self):
         grid = oracle.RadialGrid(1e-6, 1.0, points=999)

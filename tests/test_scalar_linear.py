@@ -5,6 +5,7 @@ import math
 import pytest
 
 from kgbound import scalar_linear as sl
+from kgbound.errors import InvalidParameter
 from kgbound.levels import BOUND
 from kgbound.units import PhysicalConstants
 
@@ -13,6 +14,11 @@ class TestParams:
     def test_length_scale_validation(self):
         with pytest.raises(ValueError):
             sl.LinearMassParams(s=1.0, length_scale=0.0)
+
+    @pytest.mark.parametrize("s, L", [(math.nan, 1.0), (-math.inf, 1.0), (1.0, math.inf)])
+    def test_non_finite_rejected(self, s, L):
+        with pytest.raises(InvalidParameter):
+            sl.LinearMassParams(s=s, length_scale=L)
 
     def test_alpha1(self):
         p = sl.LinearMassParams(s=1.0, length_scale=2.0)
@@ -82,11 +88,15 @@ class TestEnergySquared:
             sl.energy_squared(sl.LinearMassParams(s=1.0), 0, 0, "fixed")
 
     def test_positive_for_any_coupling_sign(self):
-        # 2s/L is dominated by the square root term, so E^2 stays positive
-        for s in (-5.0, -1.0, 0.0, 1.0, 5.0):
+        # 2s/L is dominated by the square root term, so E^2 stays positive,
+        # also where the two cancel in floating point (s << 0)
+        for s in (-1e17, -5.0, -1.0, 0.0, 1.0, 5.0):
             p = sl.LinearMassParams(s=s)
             for mode in sl.MODES:
                 assert sl.energy_squared(p, 0, 0, mode) > 0.0
+        # 2s + sqrt(1 + 4s^2) = 1/(sqrt(1 + 4s^2) - 2s) ~ 1/(4|s|) for s << 0
+        p = sl.LinearMassParams(s=-1e8)
+        assert sl.energy_squared(p, 0, 0) == pytest.approx(2.0 + 0.25e-8, rel=1e-15)
 
     def test_units_scaling(self):
         c = PhysicalConstants(hbar_c=197.3269804, rest_energy=0.511)
