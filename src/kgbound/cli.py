@@ -48,9 +48,10 @@ def fmt(x: float) -> str:
 # configuration plumbing
 
 
-def _apply_config(command: argparse.ArgumentParser, args) -> None:
-    """Install the flat key=value file as the subcommand's defaults (flags
-    still win); the next parse converts them with each option's type."""
+def _config_tokens(args) -> list[str]:
+    """The flat key=value file as `--key=value` tokens, for the caller to
+    put ahead of the flags (so flags win) and parse with argparse's own
+    type and choices checks."""
     values = {}
     try:
         with open(args.config) as fh:
@@ -67,7 +68,7 @@ def _apply_config(command: argparse.ArgumentParser, args) -> None:
     for key in values:
         if key not in vars(args) or key in ("config", "func", "command"):
             raise KGBoundError(f"unknown config key {key!r}")
-    command.set_defaults(**values)
+    return [f"--{key.replace('_', '-')}={val}" for key, val in values.items()]
 
 
 def _constants(args) -> PhysicalConstants:
@@ -340,8 +341,7 @@ def _add_common(sub):
     sub.add_argument("--mode", choices=scalar_linear.MODES, default="corrected")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, and each subcommand's parser by name."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kgbound",
         description="Bound-state spectra of the radial Klein-Gordon equation "
@@ -384,7 +384,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sw.add_argument("--n-max", dest="n_max", type=int, default=3)
     sw.add_argument("--l-max", dest="l_max", type=int, default=3)
     sw.set_defaults(func=cmd_sweep)
-    return parser, {"spectrum": sp, "wavefunction": wf, "verify": vf, "nu-solve": ns, "sweep": sw}
+    return parser
 
 
 def _is_negative_number_list(token: str) -> bool:
@@ -420,13 +420,13 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser, commands = build_parser()
+    parser = build_parser()
     argv = _attach_negative_values(list(sys.argv[1:] if argv is None else argv))
     args = parser.parse_args(argv)
     try:
         if args.config is not None:
-            _apply_config(commands[args.command], args)
-            args = parser.parse_args(argv)
+            # argv[0] is the subcommand: the top-level parser has no options
+            args = parser.parse_args(argv[:1] + _config_tokens(args) + argv[1:])
         return args.func(args)
     except NotBound as exc:
         print(f"error: {exc}", file=sys.stderr)

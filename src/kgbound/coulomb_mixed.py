@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from . import levels, nu
 from .errors import EnergyOutOfWindow, InvalidParameter, UnrealRadicand
 from .levels import ANTIPARTICLE, BOUND, PARTICLE, SPURIOUS, THRESHOLD, UNREAL, EnergyLevel
-from .units import NATURAL, PhysicalConstants
+from .units import NATURAL, PhysicalConstants, require_finite_square
 
 # epsilon below this (in units of m0*c^2/hbar*c) counts as a continuum edge
 THRESHOLD_TOL = 1e-12
@@ -46,6 +46,7 @@ class MixedCoulombParams:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.q, self.b, self.beta, self.V0))):
             raise InvalidParameter("q, b, beta and V0 must be finite")
+        require_finite_square(q=self.q, b=self.b, beta=self.beta)
 
     @classmethod
     def equal_mix(cls, q, b=0.0, constants=NATURAL):
@@ -58,11 +59,17 @@ class MixedCoulombParams:
         return cls(q=q, b=b, beta=-1.0, V0=0.0, constants=constants)
 
     def dual(self) -> "MixedCoulombParams":
-        """The q = b/2 duality partner: (beta, b=2q) <-> (-beta, b=0)."""
+        """The q = b/2 duality partner: (q, b=2q, beta) <-> (-q, b=0, -beta).
+
+        m(r)c^2 + S(r) = m0c^2 + hbar*c*(b - q)/r and V - V0 = -beta*q*hbar*c/r
+        are the same for both, so the partner has the same levels and the
+        same bound/spurious labels.  The printed partner (q, b=0, -beta) shares
+        the candidate energies only: its gamma1 has the opposite sign.
+        """
         if self.b == 0.0:
-            return replace(self, b=2.0 * self.q, beta=-self.beta)
+            return replace(self, q=-self.q, b=-2.0 * self.q, beta=-self.beta)
         if self.b == 2.0 * self.q:
-            return replace(self, b=0.0, beta=-self.beta)
+            return replace(self, q=-self.q, b=0.0, beta=-self.beta)
         raise InvalidParameter("duality partner defined only for b = 0 or b = 2q")
 
     def ell_radicand(self, l: int) -> float:

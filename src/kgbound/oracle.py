@@ -1,17 +1,20 @@
 """Independent finite-difference verifier for the two radial models.
 
-Two discretizations live here.  `discretize` is the plain three-point scheme
-on -u'' + V_eff(r) u with Dirichlet walls; it backs the self-test fixtures
-(box, hydrogen-like, oscillator).  The model solvers instead factor out the
-known origin behavior u = r^p w (p from the inverse-square coefficient) and
-difference the equivalent Sturm-Liouville problem for the smooth factor w:
+One discretization lives here.  The radial equation
+
+    -u'' + (p(p-1)/r^2 + c_inv/r + c_r2 r^2) u = mu u
+
+is solved with its known origin behavior factored out, u = r^p w, by
+differencing the equivalent Sturm-Liouville problem for the smooth factor w:
 
     -(r^2p w')' + (c_inv r^{2p-1} + c_r2 r^{2p+2}) w = mu r^2p w.
 
 That keeps second-order accuracy for non-integer and even critical (p = 1/2)
-exponents, where the plain scheme stalls; one Richardson step then removes
-the leading h^2 error.  Eigenvalues come from a Sturm-sequence bisection
-solver (LAPACK stebz via scipy).  The mixed model's energy is the root of an
+exponents, where a plain three-point scheme on u stalls; one Richardson step
+then removes the leading h^2 error.  Both model solvers and the textbook
+self-tests (box, hydrogen-like, oscillator; acceptance criterion 8) run on
+this one scheme.  Eigenvalues come from a Sturm-sequence bisection solver
+(LAPACK stebz via scipy).  The mixed model's energy is the root of an
 eigenvalue matching function, bracketed by a scan and narrowed by Brent's
 method (scipy's brentq); every E-independent part of its discretization is
 built once per solve.
@@ -61,33 +64,10 @@ class RadialGrid:
 
 
 @dataclass(frozen=True)
-class EffectivePotentialSpec:
-    """V_eff(r) = c_r2*r^2 + c_inv/r + c_inv2/r^2 + offset."""
-
-    c_r2: float
-    c_inv: float
-    c_inv2: float
-    offset: float = 0.0
-
-    def evaluate(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.c_r2 * r * r + self.c_inv / r + self.c_inv2 / (r * r) + self.offset
-
-
-@dataclass(frozen=True)
 class TridiagonalSystem:
     diagonal: np.ndarray
     off_diagonal: np.ndarray
     grid: RadialGrid
-
-
-def discretize(spec: EffectivePotentialSpec, grid: RadialGrid) -> TridiagonalSystem:
-    """Three-point central difference of -u'' + V_eff(r) u."""
-    h = grid.h
-    r = grid.nodes()
-    diagonal = 2.0 / (h * h) + spec.evaluate(r)
-    off = np.full(grid.points - 1, -1.0 / (h * h))
-    return TridiagonalSystem(diagonal, off, grid)
 
 
 def _count_nodes(vec: np.ndarray) -> int:
@@ -103,29 +83,22 @@ def eigen_lowest(system: TridiagonalSystem, count: int, check_nodes: bool = True
     if count > system.grid.points // 10:
         raise InvalidParameter("count must not exceed points/10")
     try:
-        if check_nodes:
-            vals, vecs = eigh_tridiagonal(
-                system.diagonal,
-                system.off_diagonal,
-                select="i",
-                select_range=(0, count - 1),
-            )
-            for i in range(count):
-                nodes = _count_nodes(vecs[:, i])
-                if nodes != i:
-                    raise ConvergenceFailure(
-                        f"eigenvector {i} has {nodes} interior nodes", index=i
-                    )
-        else:
-            vals = eigh_tridiagonal(
-                system.diagonal,
-                system.off_diagonal,
-                select="i",
-                select_range=(0, count - 1),
-                eigvals_only=True,
-            )
+        result = eigh_tridiagonal(
+            system.diagonal,
+            system.off_diagonal,
+            eigvals_only=not check_nodes,
+            select="i",
+            select_range=(0, count - 1),
+        )
     except LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
+    vals = result
+    if check_nodes:
+        vals, vecs = result
+        for i in range(count):
+            nodes = _count_nodes(vecs[:, i])
+            if nodes != i:
+                raise ConvergenceFailure(f"eigenvector {i} has {nodes} interior nodes", index=i)
     return [float(v) for v in vals]
 
 
@@ -187,7 +160,7 @@ class _TransformedScheme:
 # model solvers
 
 
-def default_grid_scalar(params: LinearMassParams, n: int = 0, l: int = 0) -> RadialGrid:
+def default_grid_scalar(params: LinearMassParams, n: int, l: int) -> RadialGrid:
     """Domain sized from the oscillator turning point of level (n, l)."""
     lam0 = params.constants.compton_length
     a1 = params.alpha1
@@ -204,16 +177,13 @@ def default_grid_mixed(eps_estimate: float, constants) -> RadialGrid:
     return RadialGrid(1e-4 * lam0, r_max, 6000)
 
 
-def solve_modelB(
-    params: LinearMassParams, n: int, l: int, grid: RadialGrid | None = None
-) -> float:
-    """E^2 for the scalar linear-mass model from the oscillator eigenvalue."""
+def solve_modelB(params: LinearMassParams, n: int, l: int) -> float:
+    """E^2 for the scalar linear-mass model from the oscillator eigenvalue, on
+    the grid `default_grid_scalar` sizes for level (n, l)."""
     require_quantum_numbers(n, l)
     c = params.constants
-    if grid is None:
-        grid = default_grid_scalar(params, n, l)
     p = params.Lambda(l) + 1.0
-    scheme = _TransformedScheme(p, params.alpha1**2, grid)
+    scheme = _TransformedScheme(p, params.alpha1**2, default_grid_scalar(params, n, l))
     kappa = scheme.eigenvalue(0.0, n)
     scheme.check_nodes(0.0, n)
     return kappa * c.hbar_c**2 + 2.0 * c.rest_energy * params.s / params.length_scale
@@ -223,7 +193,6 @@ def solve_modelA(
     params: MixedCoulombParams,
     n: int,
     l: int,
-    grid: RadialGrid | None = None,
     window: tuple[float, float] | None = None,
     scan_points: int = 33,
 ) -> float:
@@ -233,8 +202,8 @@ def solve_modelA(
     of the (open) energy window up to its first sign change, which Brent's
     method (scipy's brentq) then narrows to 1e-10 * m0c^2.  `window`
     restricts the search, e.g. to isolate one of the particle/antiparticle
-    roots.  The default grid is sized from eps at the midpoint of the window
-    as requested, before it is clipped to the physical window: that is the
+    roots.  The grid is sized from eps at the midpoint of the window as
+    requested, before it is clipped to the physical window: that is the
     caller's estimate of the level, while a clipped end can sit at the
     continuum, where eps -> 0 would stretch the domain far past the level.
     A midpoint outside the physical window falls back to the clipped one.
@@ -255,12 +224,10 @@ def solve_modelA(
     if not lo < hi:
         raise InvalidParameter("empty energy window")
 
-    if grid is None:
-        centre = 0.5 * (window[0] + window[1])
-        if not lo <= centre <= hi:
-            centre = 0.5 * (lo + hi)
-        grid = default_grid_mixed(params.epsilon(centre), c)
-    scheme = _TransformedScheme(p, 0.0, grid)
+    centre = 0.5 * (window[0] + window[1])
+    if not lo <= centre <= hi:
+        centre = 0.5 * (lo + hi)
+    scheme = _TransformedScheme(p, 0.0, default_grid_mixed(params.epsilon(centre), c))
 
     def f(E: float) -> float:
         return scheme.eigenvalue(params.gamma1(E), n) + params.epsilon(E) ** 2

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import nu
 from .errors import InvalidParameter
 from .levels import ANTIPARTICLE, BOUND, PARTICLE, EnergyLevel, require_quantum_numbers
-from .units import NATURAL, PhysicalConstants
+from .units import NATURAL, PhysicalConstants, require_finite_square
 
 MODES = ("corrected", "as_printed")
 
@@ -35,6 +35,7 @@ class LinearMassParams:
     def __post_init__(self):
         if not math.isfinite(self.s):
             raise InvalidParameter("s must be finite")
+        require_finite_square(s=self.s)
         if not 0.0 < self.length_scale < math.inf:
             raise InvalidParameter("length_scale must be positive and finite")
 

@@ -157,7 +157,8 @@ def _bound_residuals(fx, mode):
 
 
 def _duality(fx, mode):
-    """q = b/2 varying-mass tables equal their constant-mass partners', row by row."""
+    """q = b/2 varying-mass tables equal their constant-mass partners', row by
+    row: energies, and labels (n, l, branch, status)."""
     worst, count = 0.0, 0
     for q, beta in itertools.product(fx.qs, fx.betas):
         varying = MixedCoulombParams(q=q, b=2.0 * q, beta=beta)
@@ -165,7 +166,7 @@ def _duality(fx, mode):
             coulomb_mixed.spectrum(varying, fx.n_max, fx.l_max),
             coulomb_mixed.spectrum(varying.dual(), fx.n_max, fx.l_max),
         ):
-            if (a.n, a.l, a.branch) != (b.n, b.l, b.branch):
+            if (a.n, a.l, a.branch, a.status) != (b.n, b.l, b.branch, b.status):
                 worst = math.inf
             worst = max(worst, abs(a.energy - b.energy))
             count += 1

@@ -3,7 +3,7 @@
 Criteria 1-7 run the checks of `kgbound.verify.REGISTRY` on their full
 fixture sets: each check is defined once there, shared with `kgbound verify`,
 which runs the same checks on their quick sets.  Criterion 8 solves textbook
-fixtures with the oracle, and criterion 9 holds the CLI contract.
+fixtures on the oracle's own scheme, and criterion 9 holds the CLI contract.
 Tolerances are frozen; loosening one is a release decision, not a test fix.
 """
 
@@ -13,22 +13,23 @@ import math
 from kgbound import cli, coulomb_mixed as cm, oracle, verify
 
 
-def _report(capsys, name: str, passed: bool, detail: str = ""):
+def _report(capsys, criterion: int, rows):
+    """Print one [PASS]/[FAIL] line per (name, passed, detail) row, then assert."""
     with capsys.disabled():
-        tail = f"  ({detail})" if detail else ""
-        print(f"[{'PASS' if passed else 'FAIL'}] {name}{tail}")
-    assert passed, f"{name}: {detail}"
+        for name, passed, detail in rows:
+            print(f"[{'PASS' if passed else 'FAIL'}] criterion-{criterion} {name}  ({detail})")
+    assert rows and all(passed for _, passed, _ in rows), [r for r in rows if not r[1]]
 
 
 def _gate(capsys, criterion: int):
     """Run every registry check of one criterion on its full fixture set."""
     checks = [check for spec in verify.REGISTRY if spec.criterion == criterion
               for check in spec.measure(spec.full, "corrected")]
-    with capsys.disabled():
-        for c in checks:
-            print(f"[{'PASS' if c.passed else 'FAIL'}] criterion-{criterion} {c.name}  "
-                  f"(observed {c.observed:.3e} {c.comparison} {c.tolerance:g}, {c.levels} levels)")
-    assert checks and all(c.passed for c in checks), [c for c in checks if not c.passed]
+    _report(capsys, criterion, [
+        (c.name, c.passed,
+         f"observed {c.observed:.3e} {c.comparison} {c.tolerance:g}, {c.levels} levels")
+        for c in checks
+    ])
 
 
 def test_criterion_1_constant_mass_equal_mix(capsys):
@@ -66,39 +67,38 @@ def test_criterion_7_nu_engine_regression(capsys):
     _gate(capsys, 7)
 
 
+# -u'' + (p(p-1)/r^2 + c_inv/r + c_r2 r^2) u = mu u with u(r_min) = u(r_max) = 0:
+# (name, p, c_inv, c_r2, (r_min, r_max), levels, exact mu of level i)
+_SELF_TESTS = (
+    ("box", 1.0, 0.0, 0.0, (1e-9, 1.0), 6, lambda i: ((i + 1) * math.pi) ** 2),
+    ("hydrogen-l0", 1.0, -2.0, 0.0, (1e-8, 70.0), 3, lambda i: -1.0 / (i + 1) ** 2),
+    ("hydrogen-l1", 2.0, -2.0, 0.0, (1e-8, 70.0), 3, lambda i: -1.0 / (i + 2) ** 2),
+    ("oscillator", 1.0, 0.0, 1.0, (1e-8, 12.0), 3, lambda i: 4 * i + 3),
+)
+
+
 def test_criterion_8_oracle_self_tests(capsys):
-    """Textbook fixtures solved at default resolution."""
-    # particle in a box on (0, 1)
-    box = oracle.RadialGrid(1e-9, 1.0, points=6000)
-    free = oracle.EffectivePotentialSpec(0.0, 0.0, 0.0)
-    box_vals = oracle.eigen_lowest(oracle.discretize(free, box), 6)
-    box_dev = max(
-        abs(v - ((i + 1) * math.pi) ** 2) / ((i + 1) * math.pi) ** 2
-        for i, v in enumerate(box_vals)
-    )
-    # hydrogen-like: -u'' - (2/r)u = E u
-    hyd = oracle.RadialGrid(1e-8, 70.0, points=6000)
-    coul = oracle.EffectivePotentialSpec(0.0, -2.0, 0.0)
-    hyd_vals = oracle.eigen_lowest(oracle.discretize(coul, hyd), 3)
-    hyd_dev = max(
-        abs(v + 1.0 / (i + 1) ** 2) * (i + 1) ** 2 for i, v in enumerate(hyd_vals)
-    )
-    # node-count indexing for n <= 5 passed inside eigen_lowest(..., 6) above;
-    # h^2 convergence on the box ground state
-    errors = []
-    for pts in (1500, 3001):
-        grid = oracle.RadialGrid(1e-9, 1.0, points=pts)
-        val = oracle.eigen_lowest(oracle.discretize(free, grid), 1)[0]
-        errors.append(abs(val - math.pi**2))
+    """Textbook fixtures on the solvers' r^p-factored scheme at 6000 points:
+    the coarse operator, with eigenvector i checked to have i nodes, and the
+    Richardson value the solvers return."""
+    rows = []
+    for name, p, c_inv, c_r2, (r_min, r_max), count, exact in _SELF_TESTS:
+        scheme = oracle._TransformedScheme(p, c_r2, oracle.RadialGrid(r_min, r_max, 6000))
+        coarse = oracle.eigen_lowest(scheme.coarse.system(c_inv), count, check_nodes=True)
+        richardson = [scheme.eigenvalue(c_inv, i) for i in range(count)]
+        for kind, values in (("coarse", coarse), ("richardson", richardson)):
+            dev = max(abs(v - exact(i)) / abs(exact(i)) for i, v in enumerate(values))
+            rows.append((f"{name}-{kind}", dev <= 1e-4,
+                         f"max rel dev {dev:.3e} <= 0.0001, {count} levels"))
+    # h^2 convergence of the coarse box ground state
+    errors = [
+        abs(oracle.eigen_lowest(oracle._TransformedOperator(1.0, 0.0, grid).system(0.0), 1)[0]
+            - math.pi**2)
+        for grid in (oracle.RadialGrid(1e-9, 1.0, 1500), oracle.RadialGrid(1e-9, 1.0, 3001))
+    ]
     factor = errors[0] / errors[1]
-    ok = box_dev <= 1e-4 and hyd_dev <= 1e-4 and 3.5 <= factor <= 4.5
-    _report(
-        capsys,
-        "criterion-8 oracle self-tests",
-        ok,
-        f"box dev {box_dev:.3e}, hydrogen dev {hyd_dev:.3e}, "
-        f"h^2 factor {factor:.2f}",
-    )
+    rows.append(("box-h2-factor", 3.5 <= factor <= 4.5, f"{factor:.2f} in [3.5, 4.5]"))
+    _report(capsys, 8, rows)
 
 
 def test_criterion_9_cli_contract(capsys):
@@ -124,10 +124,8 @@ def test_criterion_9_cli_contract(capsys):
         got == exp.to_dict() for got, exp in zip(doc["rows"], rows)
     )
     ok = codes == (0, 0, 1) and first == second and round_trip
-    _report(
-        capsys,
-        "criterion-9 CLI contract",
-        ok,
+    _report(capsys, 9, [(
+        "CLI contract", ok,
         f"verify exit codes {codes}, byte-identical {first == second}, "
         f"JSON round-trip {round_trip}",
-    )
+    )])

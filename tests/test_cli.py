@@ -315,13 +315,15 @@ class TestConfigFile:
         assert code == 2 and "coupling" in err
 
     @pytest.mark.parametrize("joined", [False, True])
-    @pytest.mark.parametrize("line", ["q=abc", "func=x", "command=verify", "config=x"])
+    @pytest.mark.parametrize("line", ["q=abc", "func=x", "command=verify", "config=x",
+                                      "units=bogus", "output=xml", "mode=bogus",
+                                      "n=0"])  # n: only a prefix of --n-max
     def test_bad_entry_exit_2(self, tmp_path, line, joined):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
         spelling = [f"--config={cfg}"] if joined else ["--config", str(cfg)]
-        try:
-            code = cli.main(["spectrum", "--model", "mixed", *spelling])
+        try:  # --q is valid, so only the config entry can fail
+            code = cli.main(["spectrum", "--model", "mixed", "--q", "0.5", *spelling])
         except SystemExit as exc:  # argparse rejects the value
             code = exc.code
         assert code == 2
@@ -342,6 +344,15 @@ class TestParameterErrors:
         ("spectrum", "--model", "mixed", "--q", "0.5", "--rest-energy", "nan"),
         ("spectrum", "--model", "mixed", "--q", "0.5", "--hbar-c", "inf"),
         ("sweep", "--model", "mixed", "--key", "beta", "--q", "0.5", "--values", "1,nan"),
+        # magnitudes whose square overflows or underflows
+        ("spectrum", "--model", "scalar-linear", "--s", "1e200"),
+        ("spectrum", "--model", "mixed", "--q", "1e200"),
+        ("spectrum", "--model", "mixed", "--q", "0.5", "--beta", "1e200"),
+        ("spectrum", "--model", "mixed", "--q", "0.5", "--rest-energy", "1e200"),
+        ("spectrum", "--model", "scalar-linear", "--s", "1", "--rest-energy", "1e200"),
+        ("spectrum", "--model", "scalar-linear", "--s", "1", "--hbar-c", "1e-200"),
+        ("wavefunction", "--model", "scalar-linear", "--s", "1e200", "--samples", "2"),
+        ("nu-solve", "--model", "scalar-linear", "--s", "1e200"),
     ])
     def test_exit_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)

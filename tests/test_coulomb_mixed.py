@@ -20,7 +20,7 @@ class TestParams:
     def test_dual_roundtrip(self):
         p = cm.MixedCoulombParams(q=0.25, b=0.0, beta=1.0)
         d = p.dual()
-        assert (d.b, d.beta) == (0.5, -1.0)
+        assert (d.q, d.b, d.beta) == (-0.25, -0.5, -1.0)
         assert d.dual() == p
 
     def test_dual_undefined(self):
@@ -196,3 +196,4 @@ def test_duality_of_candidate_tables():
             partner = varying.dual()
             for a, b in zip(cm.spectrum(varying, 3, 3), cm.spectrum(partner, 3, 3)):
                 assert a.energy == pytest.approx(b.energy, abs=1e-13)
+                assert (a.n, a.l, a.branch, a.status) == (b.n, b.l, b.branch, b.status)

@@ -1,0 +1,122 @@
+"""Property tests: invariants of the closed-form tables over random parameters."""
+
+import contextlib
+import io
+import json
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from kgbound import cli, coulomb_mixed as cm, scalar_linear as sl
+from kgbound.errors import InvalidParameter, UnrealRadicand
+from kgbound.levels import BOUND
+from kgbound.units import PhysicalConstants
+
+# the same examples on every run, no example database in the checkout, and
+# few enough examples to keep the suite's wall time
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=50)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+coupling = st.floats(-4.0, 4.0)
+constants = st.builds(PhysicalConstants, hbar_c=st.floats(1e-3, 1e3),
+                      rest_energy=st.floats(1e-3, 1e3))
+mixed_params = st.builds(cm.MixedCoulombParams, q=coupling, b=coupling, beta=coupling,
+                         V0=coupling, constants=constants)
+sizes = st.integers(0, 3)
+
+
+def _same(a, b) -> bool:
+    """Equal, counting NaN as equal to NaN."""
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
+@PROPERTY
+@given(q=coupling, beta=coupling, V0=coupling, consts=constants, to_constant_mass=st.booleans())
+def test_mass_duality(q, beta, V0, consts, to_constant_mass):
+    """q = b/2 and its constant-mass partner: the same rows, labels included."""
+    b = 2.0 * q if to_constant_mass else 0.0
+    params = cm.MixedCoulombParams(q=q, b=b, beta=beta, V0=V0, constants=consts)
+    for a, d in zip(cm.spectrum(params, 3, 3), cm.spectrum(params.dual(), 3, 3)):
+        assert (a.n, a.l, a.branch, a.status) == (d.n, d.l, d.branch, d.status)
+        assert _same(a.energy, d.energy) and _same(a.residual, d.residual)
+
+
+@PROPERTY
+@given(params=mixed_params, n=sizes, l=sizes)
+def test_particle_above_antiparticle(params, n, l):
+    try:
+        e_plus, e_minus = cm.candidate_energies(params, n, l)
+    except UnrealRadicand:
+        return
+    assert e_plus >= e_minus
+
+
+@PROPERTY
+@given(params=mixed_params)
+def test_bound_rows_have_small_residual(params):
+    for row in cm.spectrum(params, 3, 3):
+        if row.status == BOUND:
+            assert row.residual < cm.RESIDUAL_TOL * params.constants.rest_energy
+
+
+@PROPERTY
+@given(q=finite, b=finite, beta=finite, V0=finite, s=finite, length_scale=finite,
+       hbar_c=finite, rest_energy=finite, n_max=sizes, l_max=sizes,
+       mode=st.sampled_from(sl.MODES))
+def test_spectrum_raises_only_invalid_parameter(q, b, beta, V0, s, length_scale, hbar_c,
+                                                rest_energy, n_max, l_max, mode):
+    """Finite input either builds both tables or is refused as InvalidParameter."""
+    try:
+        consts = PhysicalConstants(hbar_c=hbar_c, rest_energy=rest_energy)
+    except InvalidParameter:
+        consts = PhysicalConstants()
+    try:
+        cm.spectrum(cm.MixedCoulombParams(q=q, b=b, beta=beta, V0=V0, constants=consts),
+                    n_max, l_max)
+    except InvalidParameter:
+        pass
+    try:
+        sl.spectrum(sl.LinearMassParams(s=s, length_scale=length_scale, constants=consts),
+                    n_max, l_max, mode)
+    except InvalidParameter:
+        pass
+
+
+def _spectrum_json(*argv) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["spectrum", "--units", "absolute", "--output", "json", *argv]) == 0
+    return json.loads(out.getvalue())
+
+
+@PROPERTY
+@given(params=mixed_params, n_max=sizes, l_max=sizes)
+def test_json_round_trip_mixed(params, n_max, l_max):
+    c = params.constants
+    doc = _spectrum_json(
+        "--model", "mixed", f"--q={params.q!r}", f"--b={params.b!r}",
+        f"--beta={params.beta!r}", f"--V0={params.V0!r}", f"--hbar-c={c.hbar_c!r}",
+        f"--rest-energy={c.rest_energy!r}", f"--n-max={n_max}", f"--l-max={l_max}",
+    )
+    rows = cm.spectrum(params, n_max, l_max)
+    assert len(doc["rows"]) == len(rows)
+    for got, row in zip(doc["rows"], rows):
+        assert got.keys() == row.to_dict().keys()
+        assert all(_same(got[k], v) for k, v in row.to_dict().items())
+
+
+@PROPERTY
+@given(s=coupling, length_scale=st.floats(0.1, 10.0), consts=constants,
+       n_max=sizes, l_max=sizes, mode=st.sampled_from(sl.MODES))
+def test_json_round_trip_scalar(s, length_scale, consts, n_max, l_max, mode):
+    params = sl.LinearMassParams(s=s, length_scale=length_scale, constants=consts)
+    doc = _spectrum_json(
+        "--model", "scalar-linear", f"--s={s!r}", f"--length-scale={length_scale!r}",
+        f"--hbar-c={consts.hbar_c!r}", f"--rest-energy={consts.rest_energy!r}",
+        f"--mode={mode}", f"--n-max={n_max}", f"--l-max={l_max}",
+    )
+    rows = sl.spectrum(params, n_max, l_max, mode)
+    assert [(g["n"], g["l"], g["branch"], g["energy"], g["status"]) for g in doc["rows"]] == \
+        [(r.n, r.l, r.branch, r.energy, r.status) for r in rows]
+    assert [g["energy_squared"] for g in doc["rows"]] == \
+        [sl.energy_squared(params, r.n, r.l, mode) for r in rows]
