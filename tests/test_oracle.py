@@ -34,8 +34,47 @@ class TestRadialGrid:
         assert fine.h == pytest.approx(grid.h / 2.0, rel=1e-14)
 
 
+def _lowest(c_inv, c_r2, grid, count, check_nodes=False):
+    """Lowest eigenvalues of -u'' + (c_inv/r + c_r2 r^2) u on the solvers' p = 1 operator."""
+    system = oracle._TransformedOperator(1.0, c_r2, grid).system(c_inv)
+    return oracle.eigen_lowest(system, count, check_nodes=check_nodes)
+
+
 class TestSelfTests:
-    """The textbook fixtures are acceptance criterion 8; this is the rest."""
+    """Textbook fixtures on the solvers' coarse operator; acceptance criterion 8
+    adds the Richardson values and an l = 1 case."""
+
+    def test_particle_in_a_box(self):
+        vals = _lowest(0.0, 0.0, oracle.RadialGrid(1e-9, 1.0, points=6000), 4)
+        for i, v in enumerate(vals):
+            exact = ((i + 1) * math.pi) ** 2
+            assert abs(v - exact) / exact < 1e-4
+
+    def test_hydrogen_like(self):
+        # -u'' - (2/r) u = E u: E_n = -1/(n+1)^2
+        vals = _lowest(-2.0, 0.0, oracle.RadialGrid(1e-8, 70.0, points=6000), 3)
+        for i, v in enumerate(vals):
+            exact = -1.0 / (i + 1) ** 2
+            assert abs(v - exact) / abs(exact) < 1e-4
+
+    def test_radial_oscillator(self):
+        # -u'' + r^2 u = E u with u(0) = 0: E = 4n + 3
+        vals = _lowest(0.0, 1.0, oracle.RadialGrid(1e-8, 12.0, points=6000), 3)
+        for i, v in enumerate(vals):
+            assert abs(v - (4 * i + 3)) / (4 * i + 3) < 1e-4
+
+    def test_node_count_indexing(self):
+        # eigen_lowest raises if eigenvector i does not have i nodes
+        _lowest(0.0, 0.0, oracle.RadialGrid(1e-9, 1.0, points=2000), 6, check_nodes=True)
+
+    def test_h2_convergence_factor(self):
+        exact = math.pi**2
+        errors = [
+            abs(_lowest(0.0, 0.0, oracle.RadialGrid(1e-9, 1.0, points=pts), 1)[0] - exact)
+            for pts in (1500, 3001)
+        ]
+        factor = errors[0] / errors[1]
+        assert 3.5 <= factor <= 4.5
 
     def test_count_validation(self):
         grid = oracle.RadialGrid(1e-9, 1.0, points=2000)
