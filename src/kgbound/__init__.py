@@ -4,7 +4,6 @@ term, solved by reduction to hypergeometric form, with an independent
 finite-difference oracle for verification."""
 
 from .coulomb_mixed import (
-    DerivedMixed,
     MixedCoulombParams,
     bound_levels,
     candidate_energies,
@@ -38,7 +37,6 @@ from .levels import (
 from .nu import NUBranch, NUProblem, QuadPoly, branches, quantize, select, solve_k
 from .oracle import RadialGrid, solve_modelA, solve_modelB
 from .scalar_linear import (
-    DerivedLinear,
     LinearMassParams,
     energy_squared,
     spectrum as scalar_spectrum,
@@ -60,8 +58,6 @@ __all__ = [
     "BOUND",
     "ConvergenceFailure",
     "DegenerateProblem",
-    "DerivedLinear",
-    "DerivedMixed",
     "EnergyLevel",
     "EnergyOutOfWindow",
     "InvalidParameter",

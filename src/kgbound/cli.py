@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -18,9 +19,9 @@ import sys
 import numpy as np
 
 from . import coulomb_mixed, nu, oracle, scalar_linear, verify, wavefunctions
-from .errors import KGBoundError, NoAdmissibleBranch, NotBound
+from .errors import InvalidParameter, KGBoundError, NoAdmissibleBranch, NotBound
 from .levels import ANTIPARTICLE, BOUND, PARTICLE, require_quantum_numbers
-from .units import NATURAL, PhysicalConstants
+from .units import PhysicalConstants
 
 SCHEMA = 1
 
@@ -72,8 +73,6 @@ def _config_tokens(args) -> list[str]:
 
 
 def _constants(args) -> PhysicalConstants:
-    if args.hbar_c == 1.0 and args.rest_energy == 1.0:
-        return NATURAL
     return PhysicalConstants(hbar_c=args.hbar_c, rest_energy=args.rest_energy)
 
 
@@ -183,13 +182,11 @@ def cmd_wavefunction(args) -> int:
             )
             return 3
         wf = wavefunctions.build_mixed(params, level)
-        # quadrature is the authoritative normalization for emitted samples
-        wf = dataclasses.replace(wf, norm=wavefunctions.norm_quadrature(wf))
     else:
         params = _scalar_params(args)
         e = math.sqrt(scalar_linear.energy_squared(params, args.n, args.l, args.mode))
         energy = e if args.branch == PARTICLE else -e
-        wf = wavefunctions.build_scalar(params, args.n, args.l, energy)  # quadrature-normalized
+        wf = wavefunctions.build_scalar(params, args.n, args.l, energy)
     meta = {
         "command": "wavefunction", "model": args.model, "units": args.units,
         "params": _param_meta(params),
@@ -199,7 +196,9 @@ def cmd_wavefunction(args) -> int:
     rows = []
     if args.samples > 0:
         grid = np.geomspace(args.r_min, args.r_max, args.samples)
-        u = wf.evaluate(grid)
+        # far from the function's scale a factor overflows; evaluate handles it
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = wf.evaluate(grid)
         rows = [{"r": float(r), "u": float(v)} for r, v in zip(grid, u)]
     _emit(args, meta, ["r", "u"], rows)
     return 0
@@ -247,6 +246,8 @@ def _branch_dict(branch: nu.NUBranch) -> dict:
 
 def cmd_nu_solve(args) -> int:
     require_quantum_numbers(args.n, args.l)
+    if args.energy is not None and not math.isfinite(args.energy):
+        raise InvalidParameter("--energy must be finite")
     if args.model == "mixed":
         params = _mixed_params(args)
         if args.energy is None:
@@ -326,10 +327,12 @@ def _add_common(sub):
     sub.add_argument("--model", choices=("mixed", "scalar-linear"), required=True)
     sub.add_argument("--config", type=str, default=None,
                      help="flat key=value file; flags override")
+
+
+def _add_physics(sub):
+    """The constants and both models' couplings."""
     sub.add_argument("--hbar-c", dest="hbar_c", type=float, default=1.0)
     sub.add_argument("--rest-energy", dest="rest_energy", type=float, default=1.0)
-    sub.add_argument("--units", choices=("mc2", "absolute"), default="mc2")
-    sub.add_argument("--output", choices=("csv", "json"), default="csv")
     # mixed-model couplings
     sub.add_argument("--q", type=float, default=None)
     sub.add_argument("--b", type=float, default=0.0)
@@ -338,7 +341,20 @@ def _add_common(sub):
     # scalar-model couplings
     sub.add_argument("--s", type=float, default=None)
     sub.add_argument("--length-scale", dest="length_scale", type=float, default=1.0)
+
+
+def _add_report(sub):
+    """Output format and scalar-model spectrum mode."""
+    sub.add_argument("--output", choices=("csv", "json"), default="csv")
     sub.add_argument("--mode", choices=scalar_linear.MODES, default="corrected")
+
+
+def _add_table(sub):
+    """The options of `spectrum`, `sweep` and `wavefunction`."""
+    _add_common(sub)
+    _add_physics(sub)
+    sub.add_argument("--units", choices=("mc2", "absolute"), default="mc2")
+    _add_report(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,15 +364,18 @@ def build_parser() -> argparse.ArgumentParser:
         "with mixed Coulomb couplings or a linearly rising scalar mass term.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    # exact option names only: a prefix of one option, such as --mode of
+    # --model, would otherwise stand in for it where the other is not accepted
+    add_parser = functools.partial(subs.add_parser, allow_abbrev=False)
 
-    sp = subs.add_parser("spectrum", help="tabulate the closed-form spectrum")
-    _add_common(sp)
+    sp = add_parser("spectrum", help="tabulate the closed-form spectrum")
+    _add_table(sp)
     sp.add_argument("--n-max", dest="n_max", type=int, default=3)
     sp.add_argument("--l-max", dest="l_max", type=int, default=3)
     sp.set_defaults(func=cmd_spectrum)
 
-    wf = subs.add_parser("wavefunction", help="sample a normalized radial eigenfunction")
-    _add_common(wf)
+    wf = add_parser("wavefunction", help="sample a normalized radial eigenfunction")
+    _add_table(wf)
     wf.add_argument("--n", type=int, default=0)
     wf.add_argument("--l", type=int, default=0)
     wf.add_argument("--branch", choices=(PARTICLE, ANTIPARTICLE), default=PARTICLE)
@@ -365,19 +384,21 @@ def build_parser() -> argparse.ArgumentParser:
     wf.add_argument("--r-max", dest="r_max", type=float, default=20.0)
     wf.set_defaults(func=cmd_wavefunction)
 
-    vf = subs.add_parser("verify", help="run closed-form vs oracle check suites")
+    vf = add_parser("verify", help="run closed-form vs oracle check suites")
     _add_common(vf)
+    _add_report(vf)
     vf.set_defaults(func=cmd_verify)
 
-    ns = subs.add_parser("nu-solve", help="inspect the hypergeometric reduction")
+    ns = add_parser("nu-solve", help="inspect the hypergeometric reduction")
     _add_common(ns)
+    _add_physics(ns)
     ns.add_argument("--n", type=int, default=0)
     ns.add_argument("--l", type=int, default=0)
     ns.add_argument("--energy", type=float, default=None)
     ns.set_defaults(func=cmd_nu_solve)
 
-    sw = subs.add_parser("sweep", help="spectrum table over a parameter range")
-    _add_common(sw)
+    sw = add_parser("sweep", help="spectrum table over a parameter range")
+    _add_table(sw)
     sw.add_argument("--key", required=True, help="parameter to sweep")
     sw.add_argument("--values", required=True,
                     help="comma-separated parameter values")

@@ -111,36 +111,15 @@ class MixedCoulombParams:
         """Binding wavenumber sqrt(m0^2 c^4 - E_tilde^2)/(hbar c)."""
         c = self.constants
         e_tilde = E + self.V0
+        # the check below raises here too; comparing first keeps e_tilde**2 finite
+        if abs(e_tilde) > (1.0 + 1e-6) * c.rest_energy:
+            raise EnergyOutOfWindow(f"|E + V0| = {abs(e_tilde)} > m0c^2")
         arg = c.rest_energy**2 - e_tilde**2
         if arg < 0.0:
             if arg < -1e-12 * c.rest_energy**2:
                 raise EnergyOutOfWindow(f"|E + V0| = {abs(e_tilde)} > m0c^2")
             arg = 0.0
         return math.sqrt(arg) / c.hbar_c
-
-
-@dataclass(frozen=True)
-class DerivedMixed:
-    """Energy-dependent constants of the reduced radial equation."""
-
-    epsilon: float
-    gamma1: float
-    gamma2: float
-    B: float
-    effective_L: float
-    E_tilde: float
-
-
-def derive(params: MixedCoulombParams, n: int, l: int, E: float) -> DerivedMixed:
-    """All reduced-equation constants for a trial energy E."""
-    return DerivedMixed(
-        epsilon=params.epsilon(E),
-        gamma1=params.gamma1(E),
-        gamma2=params.gamma2(l),
-        B=params.B(n, l),
-        effective_L=params.effective_L(l),
-        E_tilde=E + params.V0,
-    )
 
 
 def nu_problem(params: MixedCoulombParams, l: int, E: float) -> nu.NUProblem:
@@ -191,7 +170,8 @@ def spectrum(params: MixedCoulombParams, n_max: int, l_max: int) -> list[EnergyL
     """All validated levels for n <= n_max, l <= l_max, both branches.
 
     Per-entry failures (unreal radicands) are recorded in-row with NaN
-    energies, never aborting the table.  Rows are sorted by (l, n, branch).
+    energies, never aborting the table.  Rows come in (l, n, branch) order:
+    antiparticle sorts before particle.
     """
     if n_max < 0 or l_max < 0:
         raise InvalidParameter("n_max and l_max must be nonnegative")
@@ -206,7 +186,6 @@ def spectrum(params: MixedCoulombParams, n_max: int, l_max: int) -> list[EnergyL
                 continue
             rows.append(validate(params, n, l, e_minus, ANTIPARTICLE))
             rows.append(validate(params, n, l, e_plus, PARTICLE))
-    rows.sort(key=lambda r: (r.l, r.n, r.branch))
     return rows
 
 

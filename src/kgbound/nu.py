@@ -126,7 +126,9 @@ def solve_k(problem: NUProblem) -> list[float]:
     """All real k for which R_k has zero discriminant in z.
 
     R_k's coefficients are affine in k, so the discriminant is at most a
-    quadratic in k; complex root pairs yield an empty list.
+    quadratic in k; complex root pairs yield an empty list.  Coefficients
+    too large to square, or a discriminant that overflows, raise
+    InvalidParameter.
     """
     base = radicand(problem, 0.0)
     s = problem.sigma
@@ -134,13 +136,16 @@ def solve_k(problem: NUProblem) -> list[float]:
     a = s.c1 * s.c1 - 4.0 * s.c0 * s.c2
     b = 2.0 * base.c1 * s.c1 - 4.0 * (base.c0 * s.c2 + base.c2 * s.c0)
     c = base.c1 * base.c1 - 4.0 * base.c0 * base.c2
+    disc = b * b - 4.0 * a * c
+    big = max(base.scale(), s.scale())
+    if not all(map(math.isfinite, (disc, big * big))):
+        raise InvalidParameter("NU coefficients out of float range: the discriminant overflows")
     scale = max(base.scale() ** 2, s.scale() ** 2, 1e-300)
     tol = _REL_TOL * scale
     if abs(a) <= tol:
         if abs(b) <= tol:
             raise DegenerateProblem("discriminant does not depend on k")
         return [-c / b]
-    disc = b * b - 4.0 * a * c
     if disc < 0.0:
         if disc < -_REL_TOL * (b * b + abs(4.0 * a * c) + tol):
             return []

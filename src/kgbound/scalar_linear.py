@@ -43,7 +43,10 @@ class LinearMassParams:
     def alpha1(self) -> float:
         """Oscillator stiffness m0*c^2/(hbar*c*L), units 1/length^2."""
         c = self.constants
-        return c.rest_energy / (c.hbar_c * self.length_scale)
+        hbar_c_L = c.hbar_c * self.length_scale
+        if hbar_c_L == 0.0:
+            raise InvalidParameter("hbar_c * length_scale underflows to 0")
+        return c.rest_energy / hbar_c_L
 
     def alpha2(self, l: int) -> float:
         Q = self.constants.hbar_c
@@ -52,43 +55,26 @@ class LinearMassParams:
     def Lambda(self, l: int) -> float:
         """Effective angular momentum absorbing the coupling."""
         Q = self.constants.hbar_c
-        return 0.5 * (math.sqrt((2 * l + 1) ** 2 + (2.0 * self.s / Q) ** 2) - 1.0)
+        two_s_over_hbar_c = 2.0 * self.s / Q
+        require_finite_square(two_s_over_hbar_c=two_s_over_hbar_c)
+        return 0.5 * (math.sqrt((2 * l + 1) ** 2 + two_s_over_hbar_c**2) - 1.0)
 
-
-@dataclass(frozen=True)
-class DerivedLinear:
-    alpha1: float
-    alpha2: float
-    Lambda: float
-    epsilon_sq: float  # signed: (2 m0c^2 s/L - E^2)/(hbar c)^2, never rooted
-
-
-def derive(params: LinearMassParams, l: int, E: float | None = None) -> DerivedLinear:
-    """Reduced-equation constants; epsilon_sq is NaN without a trial energy."""
-    if l < 0:
-        raise InvalidParameter("l must be nonnegative")
-    c = params.constants
-    if E is None:
-        eps_sq = math.nan
-    else:
-        eps_sq = (
-            2.0 * c.rest_energy * params.s / params.length_scale - E * E
-        ) / c.hbar_c**2
-    return DerivedLinear(
-        alpha1=params.alpha1,
-        alpha2=params.alpha2(l),
-        Lambda=params.Lambda(l),
-        epsilon_sq=eps_sq,
-    )
+    def epsilon_sq(self, E: float) -> float:
+        """Signed (2 m0c^2 s/L - E^2)/(hbar c)^2, never rooted."""
+        c = self.constants
+        return (2.0 * c.rest_energy * self.s / self.length_scale - E * E) / c.hbar_c**2
 
 
 def nu_problem(params: LinearMassParams, l: int, E: float) -> nu.NUProblem:
     """The hypergeometric-type reduction in the variable z = r^2."""
-    d = derive(params, l, E)
+    if l < 0:
+        raise InvalidParameter("l must be nonnegative")
+    alpha1 = params.alpha1
+    require_finite_square(alpha1=alpha1)
     return nu.NUProblem(
         tau_tilde=nu.QuadPoly(1.0, 0.0, 0.0),
         sigma=nu.QuadPoly(0.0, 2.0, 0.0),
-        sigma_tilde=nu.QuadPoly(-d.alpha2, -d.epsilon_sq, -d.alpha1**2),
+        sigma_tilde=nu.QuadPoly(-params.alpha2(l), -params.epsilon_sq(E), -alpha1**2),
     )
 
 
@@ -113,7 +99,10 @@ def energy_squared(params: LinearMassParams, n: int, l: int, mode: str = "correc
 def spectrum(
     params: LinearMassParams, n_max: int, l_max: int, mode: str = "corrected"
 ) -> list[EnergyLevel]:
-    """Level table; energies come in exact +/- pairs, symmetric about zero."""
+    """Level table; energies come in exact +/- pairs, symmetric about zero.
+
+    Rows come in (l, n, branch) order: antiparticle sorts before particle.
+    """
     if n_max < 0 or l_max < 0:
         raise InvalidParameter("n_max and l_max must be nonnegative")
     rows = []
@@ -122,7 +111,6 @@ def spectrum(
             e = math.sqrt(energy_squared(params, n, l, mode))
             rows.append(EnergyLevel(n, l, ANTIPARTICLE, -e, BOUND, 0.0))
             rows.append(EnergyLevel(n, l, PARTICLE, e, BOUND, 0.0))
-    rows.sort(key=lambda r: (r.l, r.n, r.branch))
     return rows
 
 
@@ -132,7 +120,8 @@ def anharmonic_check(params: LinearMassParams, n: int, l: int) -> tuple[float, f
     The difference rhs - lhs = 2n*alpha1 quantifies the internal
     n-coefficient inconsistency between the two published forms.
     """
-    d = derive(params, l)
-    lhs = d.alpha1 * (2 * n + 2.0 * d.Lambda + 3.0)
-    rhs = d.alpha1 * (4 * n + 2.0 * d.Lambda + 3.0)
+    require_quantum_numbers(n, l)
+    alpha1, Lambda = params.alpha1, params.Lambda(l)
+    lhs = alpha1 * (2 * n + 2.0 * Lambda + 3.0)
+    rhs = alpha1 * (4 * n + 2.0 * Lambda + 3.0)
     return lhs, rhs

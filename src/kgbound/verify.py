@@ -83,27 +83,26 @@ def _quantum_numbers(fx):
 def _nu_engine(fx, mode):
     # Coulomb-form reduction at a known bound energy
     params = MixedCoulombParams(q=fx.q)
-    d = coulomb_mixed.derive(params, 0, 0, fx.energy)
+    eps = params.epsilon(fx.energy)
     problem = coulomb_mixed.nu_problem(params, 0, fx.energy)
     branch = nu.select(nu.branches(problem), problem)
-    root = math.sqrt(1.0 + 4.0 * d.gamma2)
+    root = math.sqrt(1.0 + 4.0 * params.gamma2(0))
     coulomb = max(
-        abs(branch.pi.c1 + d.epsilon),
+        abs(branch.pi.c1 + eps),
         abs(branch.pi.c0 - 0.5 * (1.0 + root)),
-        abs(branch.k + d.gamma1 + d.epsilon * root),
-        abs(branch.tau_prime + 2.0 * d.epsilon),
+        abs(branch.k + params.gamma1(fx.energy) + eps * root),
+        abs(branch.tau_prime + 2.0 * eps),
         abs(branch.tau.c0 - (1.0 + root)),
     )
 
     # oscillator-form reduction at its ground-state energy
     sparams = scalar_linear.LinearMassParams(s=fx.s)
     e0 = math.sqrt(scalar_linear.energy_squared(sparams, 0, 0))
-    sd = scalar_linear.derive(sparams, 0, e0)
     sproblem = scalar_linear.nu_problem(sparams, 0, e0)
     sbranch = nu.select(nu.branches(sproblem), sproblem)
-    sroot = math.sqrt(4.0 * sd.alpha2 + 1.0)
+    sroot = math.sqrt(4.0 * sparams.alpha2(0) + 1.0)
     oscillator = max(
-        abs(sbranch.tau.c1 + 2.0 * sd.alpha1),
+        abs(sbranch.tau.c1 + 2.0 * sparams.alpha1),
         abs(sbranch.tau.c0 - (2.0 + sroot)),
     )
 
@@ -204,7 +203,7 @@ def _mixed_normalization(fx, mode):
     pair, unit, count = 0.0, 0.0, 0
     for params, row in _levels(fx):
         wf = wavefunctions.build_mixed(params, row)
-        ratio = wf.norm / wavefunctions.norm_quadrature(wf)
+        ratio = wavefunctions.norm_closed_mixed(params, row) / wf.norm
         pair = max(pair, abs(ratio - 1.0))
         unit = max(unit, abs(ratio**2 - 1.0))
         count += 1

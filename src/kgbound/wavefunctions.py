@@ -1,7 +1,7 @@
 """Radial eigenfunctions: power * exponential * generalized Laguerre.
 
-Normalization is available both in closed form (mixed model) and by adaptive
-quadrature; the quadrature value is authoritative.  An independent
+Every built wavefunction is normalized by adaptive quadrature; the
+closed-form norm of the mixed model is a check on it.  An independent
 finite-difference residual check verifies that a constructed u(r) actually
 solves its radial equation.
 """
@@ -16,7 +16,7 @@ from scipy import integrate
 
 from . import coulomb_mixed, scalar_linear
 from .errors import InvalidParameter, NonNormalizable, NotBound
-from .levels import BOUND, EnergyLevel
+from .levels import BOUND, EnergyLevel, require_quantum_numbers
 
 MIXED = "mixed"
 SCALAR = "scalar_linear"
@@ -51,7 +51,6 @@ class RadialWavefunction:
     power: float
     decay: float
     laguerre_alpha: float
-    laguerre_n: int
     norm: float = 1.0
 
     @property
@@ -61,33 +60,32 @@ class RadialWavefunction:
     def evaluate(self, r):
         r = np.asarray(r, dtype=float)
         arg = r ** self.radial_exponent
-        shape = (
-            r**self.power
-            * np.exp(-self.decay * arg)
-            * laguerre(self.laguerre_n, self.laguerre_alpha, 2.0 * self.decay * arg)
+        envelope = np.exp(-self.decay * arg)
+        out = self.norm * (
+            r**self.power * envelope * laguerre(self.n, self.laguerre_alpha, 2.0 * self.decay * arg)
         )
-        out = self.norm * shape
-        return out if out.ndim else float(out)
-
-    def __call__(self, r):
-        return self.evaluate(r)
+        # where exp(-decay r^m) underflows to 0 it decides the value; an
+        # overflowing r^power or Laguerre factor would make that 0 * inf = NaN
+        if out.ndim:
+            out[np.isnan(out) & (envelope == 0.0)] = 0.0
+            return out
+        return 0.0 if math.isnan(out) and envelope == 0.0 else float(out)
 
 
 def build_mixed(params: coulomb_mixed.MixedCoulombParams, level: EnergyLevel) -> RadialWavefunction:
-    """Eigenfunction of a bound mixed-model level, closed-form normalized."""
+    """Eigenfunction of a bound mixed-model level, quadrature normalized."""
     if level.status != BOUND:
         raise NotBound(f"level (n={level.n}, l={level.l}) has status {level.status!r}")
-    d = coulomb_mixed.derive(params, level.n, level.l, level.energy)
+    L = params.effective_L(level.l)
     wf = RadialWavefunction(
         model=MIXED,
         n=level.n,
         l=level.l,
-        power=d.effective_L + 1.0,
-        decay=d.epsilon,
-        laguerre_alpha=2.0 * d.effective_L + 1.0,
-        laguerre_n=level.n,
+        power=L + 1.0,
+        decay=params.epsilon(level.energy),
+        laguerre_alpha=2.0 * L + 1.0,
     )
-    return replace(wf, norm=norm_closed_mixed(params, level))
+    return replace(wf, norm=norm_quadrature(wf))
 
 
 def build_scalar(
@@ -101,18 +99,18 @@ def build_scalar(
 
     The default exponent of r is Lambda + 1, which the residual check
     confirms; `as_printed` selects the published (Lambda + 1)/2 instead so
-    the discrepancy can be exhibited.
+    the discrepancy can be exhibited.  E, the level's energy, is fixed by
+    (n, l) and is not read.
     """
-    d = scalar_linear.derive(params, l, E)
-    power = (d.Lambda + 1.0) / 2.0 if as_printed else d.Lambda + 1.0
+    require_quantum_numbers(n, l)
+    Lambda = params.Lambda(l)
     wf = RadialWavefunction(
         model=SCALAR,
         n=n,
         l=l,
-        power=power,
-        decay=0.5 * d.alpha1,
-        laguerre_alpha=(2.0 * d.Lambda + 1.0) / 2.0,
-        laguerre_n=n,
+        power=(Lambda + 1.0) / 2.0 if as_printed else Lambda + 1.0,
+        decay=0.5 * params.alpha1,
+        laguerre_alpha=(2.0 * Lambda + 1.0) / 2.0,
     )
     return replace(wf, norm=norm_quadrature(wf))
 
@@ -121,13 +119,15 @@ def norm_closed_mixed(params: coulomb_mixed.MixedCoulombParams, level: EnergyLev
     """Closed-form normalization from the Laguerre orthogonality relation."""
     if level.status != BOUND:
         raise NotBound(f"level (n={level.n}, l={level.l}) has status {level.status!r}")
-    d = coulomb_mixed.derive(params, level.n, level.l, level.energy)
-    n, L, eps = level.n, d.effective_L, d.epsilon
-    return math.sqrt(
-        math.factorial(n)
-        * (2.0 * eps) ** (2.0 * L + 3.0)
-        / (2.0 * (n + L + 1.0) * math.gamma(n + 2.0 * L + 2.0))
-    )
+    n, L, eps = level.n, params.effective_L(level.l), params.epsilon(level.energy)
+    try:
+        return math.sqrt(
+            math.factorial(n)
+            * (2.0 * eps) ** (2.0 * L + 3.0)
+            / (2.0 * (n + L + 1.0) * math.gamma(n + 2.0 * L + 2.0))
+        )
+    except OverflowError as exc:
+        raise NonNormalizable(f"closed-form norm out of float range: {exc}") from exc
 
 
 def norm_closed_scalar_printed(params: scalar_linear.LinearMassParams, n: int, l: int) -> float:
@@ -150,7 +150,8 @@ def norm_quadrature(wf: RadialWavefunction) -> float:
     """N such that the integral of u^2 over (0, inf) equals one.
 
     Adaptive quadrature on (0, r_cut); r_cut is grown until the integrand
-    tail is below 1e-14 of its peak.
+    tail is below 1e-14 of its peak.  A peak or integral that is not a
+    finite positive float (u^2 overflows or underflows) is NonNormalizable.
     """
     if wf.decay <= 0.0:
         raise NonNormalizable("decay rate must be positive")
@@ -164,13 +165,19 @@ def norm_quadrature(wf: RadialWavefunction) -> float:
     m = wf.radial_exponent
     r_star = (wf.power / (m * wf.decay)) ** (1.0 / m)
     probe = np.linspace(r_star / 8.0, 8.0 * r_star, 257)
-    peak = float(np.max(integrand(probe)))
-    r_cut = 4.0 * r_star
-    while integrand(r_cut) > 1e-14 * peak:
-        r_cut *= 2.0
-    value, _ = integrate.quad(
-        integrand, 0.0, r_cut, epsabs=0.0, epsrel=1e-12, limit=400, points=[r_star]
-    )
+    # out-of-range values are rejected below, so numpy's warnings add nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = float(np.max(integrand(probe)))
+        if not 0.0 < peak < math.inf:
+            raise NonNormalizable(f"the peak of u^2 near r = {r_star!r} is {peak!r}")
+        r_cut = 4.0 * r_star
+        while integrand(r_cut) > 1e-14 * peak:
+            r_cut *= 2.0
+        value, _ = integrate.quad(
+            integrand, 0.0, r_cut, epsabs=0.0, epsrel=1e-12, limit=400, points=[r_star]
+        )
+    if not 0.0 < value < math.inf:
+        raise NonNormalizable(f"the integral of u^2 is {value!r}")
     return 1.0 / math.sqrt(value)
 
 
@@ -185,12 +192,9 @@ def ode_residual(wf: RadialWavefunction, params, E: float, grid) -> float:
     if np.any(r <= 0.0):
         raise InvalidParameter("grid points must be strictly positive")
     if wf.model == MIXED:
-        d = coulomb_mixed.derive(params, wf.n, wf.l, E)
-        w = d.epsilon**2 + d.gamma1 / r + d.gamma2 / r**2
+        w = params.epsilon(E) ** 2 + params.gamma1(E) / r + params.gamma2(wf.l) / r**2
     elif wf.model == SCALAR:
-        d = scalar_linear.derive(params, wf.l, E)
-        kappa = -d.epsilon_sq
-        w = d.alpha1**2 * r**2 + d.alpha2 / r**2 - kappa
+        w = params.alpha1**2 * r**2 + params.alpha2(wf.l) / r**2 + params.epsilon_sq(E)
     else:
         raise InvalidParameter(f"unknown model {wf.model!r}")
     h = 0.01 * r

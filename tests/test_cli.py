@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import kgbound
 from kgbound import cli, scalar_linear as sl
 from kgbound import coulomb_mixed as cm
 
@@ -329,6 +333,11 @@ class TestConfigFile:
         assert code == 2
 
 
+# killed the interpreter inside scipy's quad before norm_quadrature was guarded
+_SEGFAULTED = ("wavefunction", "--model", "scalar-linear", "--hbar-c", "9.13116497106425e-118",
+               "--s", "-0.4316035537546634", "--samples", "3")
+
+
 class TestParameterErrors:
     """Out-of-range or non-finite parameters exit 2 with a message."""
 
@@ -353,8 +362,52 @@ class TestParameterErrors:
         ("spectrum", "--model", "scalar-linear", "--s", "1", "--hbar-c", "1e-200"),
         ("wavefunction", "--model", "scalar-linear", "--s", "1e200", "--samples", "2"),
         ("nu-solve", "--model", "scalar-linear", "--s", "1e200"),
+        # u^2 or its integral out of float range (these crashed, printed NaN
+        # samples, divided by zero or overflowed in the closed-form norm)
+        _SEGFAULTED,
+        ("wavefunction", "--model", "scalar-linear", "--s", "1e100", "--samples", "2"),
+        ("wavefunction", "--model", "scalar-linear", "--s=-9.657126897494705e-308",
+         "--length-scale=2.46689211131263e+16", "--hbar-c=6.415311413441338e-97",
+         "--rest-energy=7156334929300054.0", "--n=2", "--l=2"),
+        ("wavefunction", "--model", "mixed", "--q", "0.5", "--b", "-1e94"),
+        # derived quantities whose squares overflow
+        ("nu-solve", "--model", "scalar-linear", "--s", "-3.09e100"),
+        ("nu-solve", "--model", "mixed", "--q=6.770621796783135e+16",
+         "--b=6.770621796783135e+16", "--beta=25.0", "--V0=3.335534877844873e+219",
+         "--energy=25.0", "--hbar-c=6.770621796783135e+16",
+         "--rest-energy=6.770621796783135e+16"),
+        ("nu-solve", "--model", "scalar-linear", "--s=1.832824376787495e-235",
+         "--length-scale=1.832824376787495e-235", "--hbar-c=2.7521900096995868e+16",
+         "--rest-energy=30.0"),
+        # a non-finite energy
+        ("nu-solve", "--model", "mixed", "--q", "0.5", "--energy", "nan"),
     ])
     def test_exit_2(self, capsys, argv):
-        code, out, err = run(capsys, *argv)
+        if argv == _SEGFAULTED:  # a crash must fail this test, not end the run
+            env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kgbound.__file__)))
+            proc = subprocess.run([sys.executable, "-m", "kgbound.cli", *argv],
+                                  capture_output=True, text=True, env=env)
+            code, out, err = proc.returncode, proc.stdout, proc.stderr
+        else:
+            code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == "" and err.startswith("error: ")
+
+
+class TestOptions:
+    """A command accepts only the options it reads."""
+
+    @pytest.mark.parametrize("argv, option", [
+        (("verify", "--model", "mixed"), ("q", "0.5")),
+        # --mode is also a prefix of --model, which must not stand in for it
+        (("nu-solve", "--model", "scalar-linear", "--s", "1"), ("mode", "mixed")),
+    ])
+    def test_unread_option_exit_2(self, capsys, tmp_path, argv, option):
+        key, value = option
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, f"--{key}", value])
+        assert info.value.code == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        code, _, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 2 and f"unknown config key {key!r}" in err

@@ -53,27 +53,26 @@ class TestParams:
         p = cm.MixedCoulombParams(q=0.5)
         assert p.epsilon(0.6) == pytest.approx(0.8, abs=1e-14)
         assert p.epsilon(1.0) == 0.0
-        with pytest.raises(EnergyOutOfWindow):
-            p.epsilon(1.5)
+        for E in (1.5, 1e200, -1e308):  # (E + V0)^2 overflows for the last two
+            with pytest.raises(EnergyOutOfWindow):
+                p.epsilon(E)
 
 
 class TestDerive:
+    """The reduced equation's constants, from the params methods."""
+
     def test_reference_values(self):
         p = cm.MixedCoulombParams(q=0.5)
-        d = cm.derive(p, 0, 0, 0.6)
-        assert d.epsilon == pytest.approx(0.8, abs=1e-14)
-        assert d.gamma1 == pytest.approx(-1.6, abs=1e-14)
-        assert d.gamma2 == 0.0
-        assert d.B == pytest.approx(1.0, abs=1e-14)
-        assert d.E_tilde == 0.6
+        assert p.epsilon(0.6) == pytest.approx(0.8, abs=1e-14)
+        assert p.gamma1(0.6) == pytest.approx(-1.6, abs=1e-14)
+        assert p.gamma2(0) == 0.0
+        assert p.B(0, 0) == pytest.approx(1.0, abs=1e-14)
 
     def test_offset_enters_through_e_tilde(self):
-        base = cm.derive(cm.MixedCoulombParams(q=0.5), 0, 0, 0.6)
-        shifted = cm.derive(
-            cm.MixedCoulombParams(q=0.5, V0=0.1), 0, 0, 0.5
-        )
-        assert shifted.epsilon == pytest.approx(base.epsilon, abs=1e-14)
-        assert shifted.gamma1 == pytest.approx(base.gamma1, abs=1e-14)
+        base = cm.MixedCoulombParams(q=0.5)
+        shifted = cm.MixedCoulombParams(q=0.5, V0=0.1)
+        assert shifted.epsilon(0.5) == pytest.approx(base.epsilon(0.6), abs=1e-14)
+        assert shifted.gamma1(0.5) == pytest.approx(base.gamma1(0.6), abs=1e-14)
 
     def test_nu_problem_coefficients(self):
         p = cm.MixedCoulombParams(q=0.5)

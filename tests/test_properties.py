@@ -1,4 +1,5 @@
-"""Property tests: invariants of the closed-form tables over random parameters."""
+"""Property tests: invariants of the closed-form tables and of the CLI over
+random parameters."""
 
 import contextlib
 import io
@@ -17,6 +18,8 @@ from kgbound.units import PhysicalConstants
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=50)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# a flag that is left at its default or set to any finite float
+maybe_finite = st.none() | finite
 coupling = st.floats(-4.0, 4.0)
 constants = st.builds(PhysicalConstants, hbar_c=st.floats(1e-3, 1e3),
                       rest_energy=st.floats(1e-3, 1e3))
@@ -120,3 +123,52 @@ def test_json_round_trip_scalar(s, length_scale, consts, n_max, l_max, mode):
         [(r.n, r.l, r.branch, r.energy, r.status) for r in rows]
     assert [g["energy_squared"] for g in doc["rows"]] == \
         [sl.energy_squared(params, r.n, r.l, mode) for r in rows]
+
+
+def _flags(**values) -> list[str]:
+    """`--key=value` for each value that is not None (str of a float round-trips)."""
+    return [f"--{key.replace('_', '-')}={value}" for key, value in values.items()
+            if value is not None]
+
+
+def _exits_cleanly(*argv) -> None:
+    """Exit 0, 2 or 3 without raising, and no NaN in a successful report."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 0:
+        assert "nan" not in out.getvalue().lower()
+
+
+mixed_flags = st.builds(_flags, q=finite, b=maybe_finite, beta=maybe_finite, V0=maybe_finite,
+                        hbar_c=maybe_finite, rest_energy=maybe_finite)
+scalar_flags = st.builds(_flags, s=finite, length_scale=maybe_finite, hbar_c=maybe_finite,
+                         rest_energy=maybe_finite)
+wavefunction_flags = st.builds(_flags, n=sizes, l=sizes, samples=st.just(3),
+                               branch=st.sampled_from(("particle", "antiparticle")))
+
+
+@PROPERTY
+@given(model=mixed_flags, level=wavefunction_flags)
+def test_wavefunction_mixed_exits_cleanly(model, level):
+    _exits_cleanly("wavefunction", "--model", "mixed", *model, *level)
+
+
+@PROPERTY
+@given(model=scalar_flags, level=wavefunction_flags, mode=st.sampled_from(sl.MODES))
+def test_wavefunction_scalar_exits_cleanly(model, level, mode):
+    _exits_cleanly("wavefunction", "--model", "scalar-linear", *model, *level, f"--mode={mode}")
+
+
+@PROPERTY
+@given(model=mixed_flags, energy=finite, n=sizes, l=sizes)
+def test_nu_solve_mixed_exits_cleanly(model, energy, n, l):
+    _exits_cleanly("nu-solve", "--model", "mixed", *model, *_flags(energy=energy, n=n, l=l))
+
+
+@PROPERTY
+@given(model=scalar_flags, energy=maybe_finite, n=sizes, l=sizes)
+def test_nu_solve_scalar_exits_cleanly(model, energy, n, l):
+    _exits_cleanly("nu-solve", "--model", "scalar-linear", *model,
+                   *_flags(energy=energy, n=n, l=l))

@@ -36,21 +36,20 @@ class TestParams:
 
 
 class TestDerive:
-    def test_without_energy(self):
-        d = sl.derive(sl.LinearMassParams(s=1.0), 0)
-        assert math.isnan(d.epsilon_sq)
-        assert d.alpha1 == 1.0
+    """The reduced equation's constants, from the params methods."""
 
     def test_signed_epsilon_sq(self):
         p = sl.LinearMassParams(s=1.0)
         E = math.sqrt(sl.energy_squared(p, 0, 0))
-        d = sl.derive(p, 0, E)
         # quantized kappa = -eps_sq = alpha1*(4n + 2 + sqrt(4 alpha2 + 1))
-        assert -d.epsilon_sq == pytest.approx(2.0 + math.sqrt(5.0), abs=1e-12)
+        assert -p.epsilon_sq(E) == pytest.approx(2.0 + math.sqrt(5.0), abs=1e-12)
 
     def test_negative_l_rejected(self):
-        with pytest.raises(ValueError):
-            sl.derive(sl.LinearMassParams(s=1.0), -1)
+        p = sl.LinearMassParams(s=1.0)
+        with pytest.raises(InvalidParameter):
+            sl.nu_problem(p, -1, 1.0)
+        with pytest.raises(InvalidParameter):
+            sl.anharmonic_check(p, 0, -1)
 
     def test_nu_problem_coefficients(self):
         p = sl.LinearMassParams(s=1.0)

@@ -1,13 +1,14 @@
 """Unit tests for eigenfunction construction, normalization, residuals."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
 from kgbound import coulomb_mixed as cm, scalar_linear as sl, wavefunctions as wf
-from kgbound.errors import NonNormalizable, NotBound
+from kgbound.errors import InvalidParameter, NonNormalizable, NotBound
 
 
 def bound_level(params, n, l):
@@ -75,22 +76,36 @@ class TestNormalization:
         params = cm.MixedCoulombParams(q=0.3, b=0.5, beta=-1.0)
         e_minus = cm.candidate_energies(params, 1, 1)[1]
         level = cm.validate(params, 1, 1, e_minus, "antiparticle")
-        u = wf.build_mixed(params, level)
-        peak = (u.power + u.laguerre_n) / u.decay
+        u = replace(wf.build_mixed(params, level), norm=wf.norm_closed_mixed(params, level))
+        peak = (u.power + u.n) / u.decay
         total, _ = integrate.quad(
-            lambda r: u(r) ** 2, 0.0, 1000.0, points=[peak], limit=800
+            lambda r: u.evaluate(r) ** 2, 0.0, 1000.0, points=[peak], limit=800
         )
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_quadrature_rejects_bad_shapes(self):
-        u = wf.RadialWavefunction("mixed", 0, 0, power=1.0, decay=-1.0,
-                                  laguerre_alpha=1.0, laguerre_n=0)
+        for model, n, power, decay, alpha in [
+            ("mixed", 0, 1.0, -1.0, 1.0),  # no decay
+            ("mixed", 0, 0.0, 1.0, 1.0),  # u(0) != 0
+            ("scalar_linear", 0, 1e100, 0.5, 1.0),  # u^2 at its peak is out of range
+            ("scalar_linear", 2, 3.0, 2.2609593981523416e95, 2.5),  # the integral underflows
+        ]:
+            u = wf.RadialWavefunction(model, n, 0, power=power, decay=decay, laguerre_alpha=alpha)
+            with pytest.raises(NonNormalizable):
+                wf.norm_quadrature(u)
+
+    def test_builders_normalize_by_quadrature(self):
+        params = cm.MixedCoulombParams(q=0.5, b=0.5, V0=0.1)
+        u = wf.build_mixed(params, bound_level(params, 1, 1))
+        assert u.norm == wf.norm_quadrature(u)
+        params = sl.LinearMassParams(s=1.3, length_scale=0.7)
+        u = wf.build_scalar(params, 2, 1, math.sqrt(sl.energy_squared(params, 2, 1)))
+        assert u.norm == wf.norm_quadrature(u)
+
+    def test_closed_norm_out_of_range(self):
+        params = cm.MixedCoulombParams(q=0.5, b=-1e94)
         with pytest.raises(NonNormalizable):
-            wf.norm_quadrature(u)
-        u = wf.RadialWavefunction("mixed", 0, 0, power=0.0, decay=1.0,
-                                  laguerre_alpha=1.0, laguerre_n=0)
-        with pytest.raises(NonNormalizable):
-            wf.norm_quadrature(u)
+            wf.norm_closed_mixed(params, bound_level(params, 0, 0))
 
     def test_printed_scalar_norm_only_ground_state(self):
         params = sl.LinearMassParams(s=1.0)
@@ -101,6 +116,13 @@ class TestNormalization:
         )
         assert math.isinf(wf.norm_closed_scalar_printed(params, 1, 0))
         assert math.isinf(wf.norm_closed_scalar_printed(params, 3, 2))
+
+
+class TestBuildScalar:
+    @pytest.mark.parametrize("n, l", [(-1, 0), (0, -1)])
+    def test_negative_quantum_numbers_rejected(self, n, l):
+        with pytest.raises(InvalidParameter):
+            wf.build_scalar(sl.LinearMassParams(s=1.0), n, l, 1.0)
 
 
 class TestResiduals:
