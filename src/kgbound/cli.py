@@ -337,7 +337,8 @@ def _add_physics(sub):
     sub.add_argument("--q", type=float, default=None)
     sub.add_argument("--b", type=float, default=0.0)
     sub.add_argument("--beta", type=float, default=1.0)
-    sub.add_argument("--V0", dest="V0", type=float, default=0.0)
+    sub.add_argument("--V0", dest="V0", type=float, default=0.0,
+                     help="offset of the vector potential V = beta*S - V0 (energy units)")
     # scalar-model couplings
     sub.add_argument("--s", type=float, default=None)
     sub.add_argument("--length-scale", dest="length_scale", type=float, default=1.0)

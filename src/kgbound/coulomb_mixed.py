@@ -1,7 +1,8 @@
 """Mixed vector-scalar Coulomb model with mass m(r) = m0*(1 + lambda0*b/r).
 
 The scalar potential is S(r) = -hbar*c*q/r and the vector one follows the
-mixing V = V0 + beta*S.  The radial problem reduces to
+mixing V = beta*S - V0, so the levels carry the offset as E + V0 (every level
+moves by -V0).  The radial problem reduces to
 
     u'' - (eps^2 + gamma1/r + gamma2/r^2) u = 0,
 
@@ -33,7 +34,7 @@ class MixedCoulombParams:
 
     q     -- dimensionless scalar coupling
     b     -- dimensionless mass-shape constant (b = 0 is constant mass)
-    beta  -- mixing slope of V = V0 + beta*S
+    beta  -- mixing slope of V = beta*S - V0
     V0    -- mixing offset, energy units
     """
 
@@ -61,7 +62,7 @@ class MixedCoulombParams:
     def dual(self) -> "MixedCoulombParams":
         """The q = b/2 duality partner: (q, b=2q, beta) <-> (-q, b=0, -beta).
 
-        m(r)c^2 + S(r) = m0c^2 + hbar*c*(b - q)/r and V - V0 = -beta*q*hbar*c/r
+        m(r)c^2 + S(r) = m0c^2 + hbar*c*(b - q)/r and V + V0 = -beta*q*hbar*c/r
         are the same for both, so the partner has the same levels and the
         same bound/spurious labels.  The printed partner (q, b=0, -beta) shares
         the candidate energies only: its gamma1 has the opposite sign.

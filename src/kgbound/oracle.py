@@ -14,10 +14,15 @@ exponents, where a plain three-point scheme on u stalls; one Richardson step
 then removes the leading h^2 error.  Both model solvers and the textbook
 self-tests (box, hydrogen-like, oscillator; acceptance criterion 8) run on
 this one scheme.  Eigenvalues come from a Sturm-sequence bisection solver
-(LAPACK stebz via scipy).  The mixed model's energy is the root of an
-eigenvalue matching function, bracketed by a scan and narrowed by Brent's
-method (scipy's brentq); every E-independent part of its discretization is
-built once per solve.
+(LAPACK stebz via scipy) in index mode.  The mixed model's energy is the
+root of an eigenvalue matching function, bracketed by a scan and narrowed by
+Brent's method (scipy's brentq); every E-independent part of its
+discretization is built once per solve.  Only the first evaluation of a
+mixed solve bisects: each later eigenvalue is followed from the previous
+eigenvector by Rayleigh-quotient iteration (LAPACK gtsv), and is accepted
+only when two Sturm counts and the Kato-Temple bound certify it to stebz's
+own tolerance (Parlett, The Symmetric Eigenvalue Problem, ch. 4 and 10);
+otherwise it is bisected after all.
 """
 
 from __future__ import annotations
@@ -26,13 +31,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal, lapack
 from scipy.optimize import brentq
 
 from .coulomb_mixed import MixedCoulombParams
 from .errors import ConvergenceFailure, InvalidParameter, NoBracket, UnsupportedRegime
 from .levels import require_quantum_numbers
 from .scalar_linear import LinearMassParams
+from .units import require_finite_square
 
 BISECTION_TOL = 1e-10  # root tolerance on E, in units of the rest energy
 
@@ -157,6 +163,143 @@ class _TransformedScheme:
 
 
 # ---------------------------------------------------------------------------
+# warm-started eigenpairs for the mixed model's matching function
+
+RQI_STEPS = 3  # Rayleigh-quotient solves before a warm eigenpair falls back
+# half-width g of the Sturm-certified interval around mu, relative to |mu|:
+# hydrogen-like levels -c^2/(4(n + p)^2) with n + p < 14 lie further than
+# |mu|/8 from their neighbours.  g stays at 64 ulp*||T|| or more, where a
+# computed Sturm count is reliable.
+GAP_FRACTION = 0.125
+_ULP = float(np.finfo(float).eps)  # LAPACK dlamch('P')
+
+
+def _apply(system: TridiagonalSystem, x: np.ndarray) -> np.ndarray:
+    tx = system.diagonal * x
+    tx[:-1] += system.off_diagonal * x[1:]
+    tx[1:] += system.off_diagonal * x[:-1]
+    return tx
+
+
+def _norm(system: TridiagonalSystem) -> float:
+    """max(|lower|, |upper|) of the Gershgorin interval, stebz's ||T||."""
+    e = np.abs(system.off_diagonal)
+    radius = np.concatenate((e, [0.0])) + np.concatenate(([0.0], e))
+    d = system.diagonal
+    return max(abs(float(np.min(d - radius))), abs(float(np.max(d + radius))))
+
+
+def _sturm_count(system: TridiagonalSystem, x: float) -> int:
+    """Number of eigenvalues at or below x, or -1 if stebz reports an error.
+
+    stebz in value-range mode counts the eigenvalues in (vl, x] before it
+    bisects; an abstol larger than any interval stops it there.  stebz clips
+    vl = -inf to the Gershgorin interval.
+    """
+    m, _, _, _, info = lapack.dstebz(
+        system.diagonal, system.off_diagonal, 1, -math.inf, x, 0, 0, math.inf, b"B"
+    )
+    return int(m) if info == 0 else -1
+
+
+def _shift_solve(system: TridiagonalSystem, shift: float, rhs: np.ndarray):
+    """(T - shift)^-1 rhs scaled to unit length (LAPACK gtsv), or None if singular."""
+    e = system.off_diagonal
+    *_, y, info = lapack.dgtsv(e, system.diagonal - shift, e, rhs)
+    size = float(np.linalg.norm(y))
+    if info != 0 or not 0.0 < size < math.inf:
+        return None
+    return y / size
+
+
+def _certified(system: TridiagonalSystem, seed: np.ndarray, index: int):
+    """(mu, x) for the index-th eigenpair by Rayleigh-quotient iteration from
+    `seed`, or None.
+
+    The Rayleigh quotient mu of a unit x with residual rho = |Tx - mu x| is
+    accepted when the Sturm counts put exactly one eigenvalue, the index-th,
+    in (mu - g, mu + g]: the Kato-Temple bound then puts it within rho^2/g of
+    mu, and that must not exceed stebz's own tolerance ulp*||T||.
+    """
+    tol = _ULP * _norm(system)
+    x = seed / np.linalg.norm(seed)
+    for step in range(RQI_STEPS + 1):
+        if step:
+            x = _shift_solve(system, mu, x)
+            if x is None:
+                return None
+        tx = _apply(system, x)
+        mu = float(x @ tx)
+        rho = float(np.linalg.norm(tx - mu * x))
+        g = max(GAP_FRACTION * abs(mu), 64.0 * tol)
+        if rho * rho <= g * tol:
+            if _sturm_count(system, mu - g) == index and _sturm_count(system, mu + g) == index + 1:
+                return mu, x
+            return None
+    return None
+
+
+class _Eigenpair:
+    """The index-th eigenpair of one operator, followed across one solve.
+
+    With a stored vector the certified warm solve is tried first; the first
+    call, and any warm solve that fails, bisects with `eigen_lowest` and
+    takes the vector by two steps of inverse iteration at that eigenvalue.
+    """
+
+    def __init__(self, operator: _TransformedOperator, index: int):
+        self.operator, self.index = operator, index
+        self.vector: np.ndarray | None = None
+
+    def value(self, c_inv: float) -> float:
+        system = self.operator.system(c_inv)
+        warm = None if self.vector is None else _certified(system, self.vector, self.index)
+        if warm is not None:
+            mu, self.vector = warm
+        else:
+            mu = eigen_lowest(system, self.index + 1, check_nodes=False)[self.index]
+            x = _shift_solve(system, mu, np.ones(system.grid.points))
+            self.vector = None if x is None else _shift_solve(system, mu, x)
+        return mu
+
+
+def _prolong(v: np.ndarray) -> np.ndarray:
+    """A coarse-grid vector on the refined grid: odd fine nodes are the coarse
+    nodes, even ones their midpoints (the Dirichlet walls are 0)."""
+    out = np.empty(2 * len(v) + 1)
+    out[1::2] = v
+    walled = np.concatenate(([0.0], v, [0.0]))
+    out[0::2] = 0.5 * (walled[:-1] + walled[1:])
+    return out
+
+
+class _WarmScheme:
+    """Coarse and refined eigenpairs of one grid for one mixed-model solve."""
+
+    def __init__(self, p: float, grid: RadialGrid, index: int):
+        self.coarse = _Eigenpair(_TransformedOperator(p, 0.0, grid), index)
+        self.fine = _Eigenpair(_TransformedOperator(p, 0.0, grid.refined()), index)
+
+    def eigenvalue(self, c_inv: float) -> float:
+        """Richardson-extrapolated eigenvalue; the first refined seed is the
+        coarse eigenvector prolonged."""
+        coarse = self.coarse.value(c_inv)
+        if self.fine.vector is None and self.coarse.vector is not None:
+            self.fine.vector = _prolong(self.coarse.vector)
+        fine = self.fine.value(c_inv)
+        return (4.0 * fine - coarse) / 3.0
+
+    def check_nodes(self, c_inv: float) -> None:
+        """The coarse eigenvector at c_inv must have `index` interior nodes."""
+        index = self.coarse.index
+        self.coarse.value(c_inv)
+        vector = self.coarse.vector
+        nodes = None if vector is None else _count_nodes(vector)
+        if nodes != index:
+            raise ConvergenceFailure(f"eigenvector {index} has {nodes} interior nodes", index=index)
+
+
+# ---------------------------------------------------------------------------
 # model solvers
 
 
@@ -181,6 +324,7 @@ def solve_modelB(params: LinearMassParams, n: int, l: int) -> float:
     """E^2 for the scalar linear-mass model from the oscillator eigenvalue, on
     the grid `default_grid_scalar` sizes for level (n, l)."""
     require_quantum_numbers(n, l)
+    require_finite_square(alpha1=params.alpha1)
     c = params.constants
     p = params.Lambda(l) + 1.0
     scheme = _TransformedScheme(p, params.alpha1**2, default_grid_scalar(params, n, l))
@@ -207,6 +351,14 @@ def solve_modelA(
     caller's estimate of the level, while a clipped end can sit at the
     continuum, where eps -> 0 would stretch the domain far past the level.
     A midpoint outside the physical window falls back to the clipped one.
+
+    Each evaluation needs mu_n of the coarse and of the refined operator.
+    Only the first coarse one is bisected (stebz in index mode); every other
+    is followed from that operator's previous eigenvector, the first refined
+    one from the coarse eigenvector prolonged, and is used only once Sturm
+    counts and the Kato-Temple bound certify it to stebz's own tolerance.
+    An uncertified one is bisected instead.  The node check at the root runs
+    on the certified coarse eigenvector there.
     """
     require_quantum_numbers(n, l)
     c = params.constants
@@ -227,10 +379,10 @@ def solve_modelA(
     centre = 0.5 * (window[0] + window[1])
     if not lo <= centre <= hi:
         centre = 0.5 * (lo + hi)
-    scheme = _TransformedScheme(p, 0.0, default_grid_mixed(params.epsilon(centre), c))
+    scheme = _WarmScheme(p, default_grid_mixed(params.epsilon(centre), c), n)
 
     def f(E: float) -> float:
-        return scheme.eigenvalue(params.gamma1(E), n) + params.epsilon(E) ** 2
+        return scheme.eigenvalue(params.gamma1(E)) + params.epsilon(E) ** 2
 
     scan = np.linspace(lo, hi, scan_points).tolist()
     values: list[float] = []
@@ -264,5 +416,5 @@ def solve_modelA(
             f"Brent's method stopped unconverged ({info.flag}) after "
             f"{info.iterations} iterations on [{a!r}, {b!r}]"
         )
-    scheme.check_nodes(params.gamma1(root), n)
+    scheme.check_nodes(params.gamma1(root))
     return float(root)

@@ -17,6 +17,7 @@ from scipy import integrate
 from . import coulomb_mixed, scalar_linear
 from .errors import InvalidParameter, NonNormalizable, NotBound
 from .levels import BOUND, EnergyLevel, require_quantum_numbers
+from .units import require_finite_square
 
 MIXED = "mixed"
 SCALAR = "scalar_linear"
@@ -141,9 +142,15 @@ def norm_closed_scalar_printed(params: scalar_linear.LinearMassParams, n: int, l
     binom = 1.0 if n == 0 else 0.0
     if binom == 0.0:
         return math.inf
-    return math.sqrt(
-        2.0 * params.alpha1 ** (half_root + 1.0) / (binom * math.gamma(half_root + 1.0))
-    )
+    alpha1 = params.alpha1
+    try:
+        return math.sqrt(
+            2.0 * alpha1 ** (half_root + 1.0) / (binom * math.gamma(half_root + 1.0))
+        )
+    except OverflowError as exc:
+        raise InvalidParameter(
+            f"alpha1^{half_root + 1.0!r} or its gamma factor overflows at alpha1 = {alpha1!r}"
+        ) from exc
 
 
 def norm_quadrature(wf: RadialWavefunction) -> float:
@@ -194,6 +201,7 @@ def ode_residual(wf: RadialWavefunction, params, E: float, grid) -> float:
     if wf.model == MIXED:
         w = params.epsilon(E) ** 2 + params.gamma1(E) / r + params.gamma2(wf.l) / r**2
     elif wf.model == SCALAR:
+        require_finite_square(alpha1=params.alpha1)
         w = params.alpha1**2 * r**2 + params.alpha2(wf.l) / r**2 + params.epsilon_sq(E)
     else:
         raise InvalidParameter(f"unknown model {wf.model!r}")

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from kgbound import coulomb_mixed as cm, oracle, scalar_linear as sl
-from kgbound.errors import ConvergenceFailure, NoBracket, UnsupportedRegime
+from kgbound.errors import ConvergenceFailure, InvalidParameter, NoBracket, UnsupportedRegime
 from kgbound.levels import BOUND
 
 
@@ -132,6 +133,76 @@ class TestModelB:
         with pytest.raises(ValueError):
             oracle.solve_modelB(sl.LinearMassParams(s=0.0), -1, 0)
 
+    def test_alpha1_square_overflow_rejected(self):
+        # alpha1 = 1e200: its square, the oscillator's c_r2, overflows
+        with pytest.raises(InvalidParameter):
+            oracle.solve_modelB(sl.LinearMassParams(s=1.0, length_scale=1e-200), 0, 0)
+
+
+class TestWarmEigenpairs:
+    """The certified Rayleigh-quotient kernel behind solve_modelA."""
+
+    GRID = oracle.RadialGrid(1e-4, 60.0, 6000)
+
+    @staticmethod
+    def vectors(system, count):
+        _, vecs = scipy.linalg.eigh_tridiagonal(
+            system.diagonal, system.off_diagonal, select="i", select_range=(0, count - 1)
+        )
+        return vecs
+
+    def test_sturm_count(self):
+        system = oracle._TransformedOperator(1.0, 0.0, self.GRID).system(-1.0)
+        vals = oracle.eigen_lowest(system, 4, check_nodes=False)
+        assert oracle._sturm_count(system, vals[0] - 1e-3) == 0
+        for i in range(3):
+            assert oracle._sturm_count(system, 0.5 * (vals[i] + vals[i + 1])) == i + 1
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.7])
+    @pytest.mark.parametrize("c_inv", [-2.0, -0.9, -0.35])
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_warm_matches_bisection(self, p, c_inv, n):
+        # seeded, as within one solve, by the eigenvector at a nearby c_inv
+        operator = oracle._TransformedOperator(p, 0.0, self.GRID)
+        pair = oracle._Eigenpair(operator, n)
+        pair.value(c_inv * (1.0 + 1e-5))
+        system = operator.system(c_inv)
+        mu, x = oracle._certified(system, pair.vector, n)
+        exact = oracle.eigen_lowest(system, n + 1, check_nodes=False)[n]
+        assert abs(mu - exact) <= 4.0 * oracle._ULP * oracle._norm(system)
+        assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-14)
+        assert oracle._count_nodes(x) == n
+
+    @pytest.mark.parametrize("n, wrong", [(0, 1), (1, 0), (1, 2), (2, 3)])
+    def test_neighbour_seed_fails_and_falls_back(self, n, wrong, monkeypatch):
+        operator = oracle._TransformedOperator(1.0, 0.0, self.GRID)
+        system = operator.system(-1.0)
+        near = self.vectors(operator.system(-1.0001), wrong + 1)[:, wrong]
+        assert oracle._certified(system, near, n) is None
+        exact = oracle.eigen_lowest(system, n + 1, check_nodes=False)[n]
+        calls = []
+        original = oracle.eigen_lowest
+        monkeypatch.setattr(oracle, "eigen_lowest", lambda *a, **k: calls.append(1) or original(*a, **k))
+        pair = oracle._Eigenpair(operator, n)
+        pair.vector = near
+        assert pair.value(-1.0) == exact
+        assert len(calls) == 1
+        assert oracle._count_nodes(pair.vector) == n
+
+    def test_prolong_keeps_coarse_nodes(self):
+        grid = oracle.RadialGrid(0.5, 2.0, 400)
+        fine = grid.refined()
+        np.testing.assert_allclose(fine.nodes()[1::2], grid.nodes(), rtol=1e-14)
+
+        def bump(r):  # vanishes at both walls
+            return (r - grid.r_min) * (grid.r_max - r)
+
+        out = oracle._prolong(bump(grid.nodes()))
+        assert len(out) == fine.points
+        np.testing.assert_allclose(out[1::2], bump(grid.nodes()), rtol=1e-12)
+        # linear interpolation of a parabola is off by (h/2)^2 at midpoints
+        assert np.max(np.abs(out - bump(fine.nodes()))) <= grid.h**2
+
 
 class TestModelA:
     def test_ground_state(self):
@@ -181,7 +252,22 @@ class TestModelA:
             )
             assert abs(E - row.energy) / abs(row.energy) < 1e-6
         assert len(rows) >= 8
-        assert len(eigensolves) / len(rows) <= 10.0
+        # one stebz index solve per level; every later eigenvalue is warm
+        assert len(eigensolves) / len(rows) <= 2.0
+
+    def test_node_check_on_warm_vector(self, monkeypatch):
+        calls = []
+
+        def miscount(vec):
+            calls.append(len(vec))
+            return 1
+
+        monkeypatch.setattr(oracle, "_count_nodes", miscount)
+        params = cm.MixedCoulombParams(q=0.5)
+        with pytest.raises(ConvergenceFailure):
+            oracle.solve_modelA(params, 0, 0, window=(0.55, 0.65), scan_points=3)
+        # the coarse vector, not a node-checking eigen_lowest call
+        assert calls == [6000]
 
     def test_first_of_two_sign_changes(self, eigensolves):
         # one window holding both the antiparticle and the particle root of

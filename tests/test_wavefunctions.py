@@ -117,6 +117,13 @@ class TestNormalization:
         assert math.isinf(wf.norm_closed_scalar_printed(params, 1, 0))
         assert math.isinf(wf.norm_closed_scalar_printed(params, 3, 2))
 
+    @pytest.mark.parametrize("s, length_scale", [(1.0, 1e-200), (1e4, 1e-3)])
+    def test_printed_scalar_norm_out_of_range(self, s, length_scale):
+        # alpha1 = 1e200, squared overflow; alpha1 = 1e3 raised to ~1e4
+        params = sl.LinearMassParams(s=s, length_scale=length_scale)
+        with pytest.raises(InvalidParameter):
+            wf.norm_closed_scalar_printed(params, 0, 0)
+
 
 class TestBuildScalar:
     @pytest.mark.parametrize("n, l", [(-1, 0), (0, -1)])
@@ -148,6 +155,14 @@ class TestResiduals:
         u = wf.build_mixed(params, level)
         grid = np.geomspace(0.1, 20.0, 60)
         assert wf.ode_residual(u, params, 0.9, grid) > 1e-2
+
+    def test_scalar_alpha1_square_overflow_rejected(self):
+        params = sl.LinearMassParams(s=1.0)
+        E = math.sqrt(sl.energy_squared(params, 0, 0))
+        u = wf.build_scalar(params, 0, 0, E)
+        grid = np.geomspace(0.1, 10.0, 50)
+        with pytest.raises(InvalidParameter):
+            wf.ode_residual(u, sl.LinearMassParams(s=1.0, length_scale=1e-200), E, grid)
 
     def test_positive_grid_required(self):
         params = cm.MixedCoulombParams(q=0.5)
