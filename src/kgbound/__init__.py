@@ -22,7 +22,6 @@ from .errors import (
     NonNormalizable,
     NotBound,
     UnrealRadicand,
-    UnsupportedRegime,
     UnsupportedSigma,
 )
 from .levels import (
@@ -81,7 +80,6 @@ __all__ = [
     "THRESHOLD",
     "UNREAL",
     "UnrealRadicand",
-    "UnsupportedRegime",
     "UnsupportedSigma",
     "bound_levels",
     "branches",

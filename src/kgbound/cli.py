@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import coulomb_mixed, nu, oracle, scalar_linear, verify, wavefunctions
+from . import coulomb_mixed, nu, scalar_linear, verify, wavefunctions
 from .errors import InvalidParameter, KGBoundError, NoAdmissibleBranch, NotBound
 from .levels import ANTIPARTICLE, BOUND, PARTICLE, require_quantum_numbers
 from .units import PhysicalConstants

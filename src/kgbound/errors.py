@@ -40,10 +40,6 @@ class NonNormalizable(KGBoundError):
 class ConvergenceFailure(KGBoundError):
     """The tridiagonal eigensolver failed or returned a wrongly-indexed mode."""
 
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
-
 
 class NoBracket(KGBoundError):
     """The outer energy scan found no sign change of the matching function."""
@@ -51,10 +47,6 @@ class NoBracket(KGBoundError):
     def __init__(self, message, scan=None):
         super().__init__(message)
         self.scan = scan or []
-
-
-class UnsupportedRegime(KGBoundError):
-    """Effective potential is too singular (fall-to-center); refusing to solve."""
 
 
 class MultipleBranches(UserWarning):

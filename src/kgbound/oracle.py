@@ -14,15 +14,16 @@ exponents, where a plain three-point scheme on u stalls; one Richardson step
 then removes the leading h^2 error.  Both model solvers and the textbook
 self-tests (box, hydrogen-like, oscillator; acceptance criterion 8) run on
 this one scheme.  Eigenvalues come from a Sturm-sequence bisection solver
-(LAPACK stebz via scipy) in index mode.  The mixed model's energy is the
-root of an eigenvalue matching function, bracketed by a scan and narrowed by
-Brent's method (scipy's brentq); every E-independent part of its
-discretization is built once per solve.  Only the first evaluation of a
-mixed solve bisects: each later eigenvalue is followed from the previous
-eigenvector by Rayleigh-quotient iteration (LAPACK gtsv), and is accepted
-only when two Sturm counts and the Kato-Temple bound certify it to stebz's
-own tolerance (Parlett, The Symmetric Eigenvalue Problem, ch. 4 and 10);
-otherwise it is bisected after all.
+(LAPACK stebz via scipy) in index mode.  The mixed model is solved in the
+scale-free variable x = eps(E) r (Rotenberg, Ann. Phys. 19, 262 (1962)) on
+one fixed x-grid: its energy is the root of an eigenvalue matching function,
+bracketed by a scan and narrowed by Brent's method (scipy's brentq); every
+E-independent part of its discretization is built once per solve.  Only the
+first evaluation of a mixed solve bisects: each later eigenvalue is followed
+from the previous eigenvector by Rayleigh-quotient iteration (LAPACK gtsv),
+and is accepted only when two Sturm counts and the Kato-Temple bound certify
+it to stebz's own tolerance (Parlett, The Symmetric Eigenvalue Problem,
+ch. 4 and 10); otherwise it is bisected after all.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from scipy.linalg import LinAlgError, eigh_tridiagonal, lapack
 from scipy.optimize import brentq
 
 from .coulomb_mixed import MixedCoulombParams
-from .errors import ConvergenceFailure, InvalidParameter, NoBracket, UnsupportedRegime
+from .errors import ConvergenceFailure, InvalidParameter, NoBracket
 from .levels import require_quantum_numbers
 from .scalar_linear import LinearMassParams
 from .units import require_finite_square
@@ -104,7 +105,7 @@ def eigen_lowest(system: TridiagonalSystem, count: int, check_nodes: bool = True
         for i in range(count):
             nodes = _count_nodes(vecs[:, i])
             if nodes != i:
-                raise ConvergenceFailure(f"eigenvector {i} has {nodes} interior nodes", index=i)
+                raise ConvergenceFailure(f"eigenvector {i} has {nodes} interior nodes")
     return [float(v) for v in vals]
 
 
@@ -296,7 +297,7 @@ class _WarmScheme:
         vector = self.coarse.vector
         nodes = None if vector is None else _count_nodes(vector)
         if nodes != index:
-            raise ConvergenceFailure(f"eigenvector {index} has {nodes} interior nodes", index=index)
+            raise ConvergenceFailure(f"eigenvector {index} has {nodes} interior nodes")
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +314,8 @@ def default_grid_scalar(params: LinearMassParams, n: int, l: int) -> RadialGrid:
     return RadialGrid(1e-4 * lam0, r_max, 6000)
 
 
-def default_grid_mixed(eps_estimate: float, constants) -> RadialGrid:
-    lam0 = constants.compton_length
-    eps_estimate = max(eps_estimate, 0.01 / lam0)
-    r_max = max(40.0 * lam0, 25.0 / eps_estimate)
-    return RadialGrid(1e-4 * lam0, r_max, 6000)
+# the mixed model's grid in x = eps(E) r, where every bound level has mu = -1
+MIXED_GRID = RadialGrid(1e-5, 25.0, 6000)
 
 
 def solve_modelB(params: LinearMassParams, n: int, l: int) -> float:
@@ -342,15 +340,14 @@ def solve_modelA(
 ) -> float:
     """Bound energy of the mixed model by Brent's method on a scanned bracket.
 
-    The matching function f(E) = mu_n(E) + eps(E)^2 is evaluated along a scan
-    of the (open) energy window up to its first sign change, which Brent's
-    method (scipy's brentq) then narrows to 1e-10 * m0c^2.  `window`
-    restricts the search, e.g. to isolate one of the particle/antiparticle
-    roots.  The grid is sized from eps at the midpoint of the window as
-    requested, before it is clipped to the physical window: that is the
-    caller's estimate of the level, while a clipped end can sit at the
-    continuum, where eps -> 0 would stretch the domain far past the level.
-    A midpoint outside the physical window falls back to the clipped one.
+    In x = eps(E) r the reduced equation u'' = (eps^2 + gamma1/r + gamma2/r^2) u
+    becomes -u_xx + (gamma2/x^2 + c/x) u = -u with c = gamma1(E)/eps(E), so a
+    level is a root of f(E) = mu_n(c(E)) + 1, with mu_n the n-th eigenvalue on
+    the fixed grid MIXED_GRID.  f is evaluated along a scan of the (open)
+    energy window up to its first sign change, which Brent's method (scipy's
+    brentq) then narrows to 1e-10 * m0c^2.  `window` restricts the search,
+    e.g. to isolate one of the particle/antiparticle roots; it does not
+    change the grid.
 
     Each evaluation needs mu_n of the coarse and of the refined operator.
     Only the first coarse one is bisected (stebz in index mode); every other
@@ -361,11 +358,7 @@ def solve_modelA(
     on the certified coarse eigenvector there.
     """
     require_quantum_numbers(n, l)
-    c = params.constants
-    mc2 = c.rest_energy
-    gamma2 = params.gamma2(l)
-    if 1.0 + 4.0 * gamma2 < 0.0:
-        raise UnsupportedRegime(f"1 + 4*gamma2 = {1.0 + 4.0 * gamma2} < 0 (fall to center)")
+    mc2 = params.constants.rest_energy
     p = params.effective_L(l) + 1.0
 
     pad = 1e-9 * mc2
@@ -375,14 +368,13 @@ def solve_modelA(
     lo, hi = max(window[0], lo_phys), min(window[1], hi_phys)
     if not lo < hi:
         raise InvalidParameter("empty energy window")
+    scheme = _WarmScheme(p, MIXED_GRID, n)
 
-    centre = 0.5 * (window[0] + window[1])
-    if not lo <= centre <= hi:
-        centre = 0.5 * (lo + hi)
-    scheme = _WarmScheme(p, default_grid_mixed(params.epsilon(centre), c), n)
+    def c_inv(E: float) -> float:
+        return params.gamma1(E) / params.epsilon(E)
 
     def f(E: float) -> float:
-        return scheme.eigenvalue(params.gamma1(E)) + params.epsilon(E) ** 2
+        return scheme.eigenvalue(c_inv(E)) + 1.0
 
     scan = np.linspace(lo, hi, scan_points).tolist()
     values: list[float] = []
@@ -416,5 +408,5 @@ def solve_modelA(
             f"Brent's method stopped unconverged ({info.flag}) after "
             f"{info.iterations} iterations on [{a!r}, {b!r}]"
         )
-    scheme.check_nodes(params.gamma1(root))
+    scheme.check_nodes(c_inv(root))
     return float(root)

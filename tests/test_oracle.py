@@ -9,8 +9,9 @@ import scipy.linalg
 import scipy.optimize
 
 from kgbound import coulomb_mixed as cm, oracle, scalar_linear as sl
-from kgbound.errors import ConvergenceFailure, InvalidParameter, NoBracket, UnsupportedRegime
-from kgbound.levels import BOUND
+from kgbound.errors import ConvergenceFailure, InvalidParameter, NoBracket, UnrealRadicand
+from kgbound.levels import ANTIPARTICLE, BOUND, PARTICLE
+from kgbound.units import PhysicalConstants
 
 
 class TestRadialGrid:
@@ -289,14 +290,15 @@ class TestModelA:
     @pytest.mark.parametrize("window", [None, (0.0, 1.0), (-2.0, 2.0), (0.5, 5.0)])
     def test_ground_state_any_window(self, window):
         # (-2, 2) clips to the full window; (0.5, 5) has its midpoint outside
-        # the physical window, so the grid is sized at the clipped midpoint
+        # the physical window.  The window only limits the search, never the grid
         E = oracle.solve_modelA(cm.MixedCoulombParams(q=0.5), 0, 0, window=window)
         assert abs(E - 0.6) < 1e-8
 
     @pytest.mark.parametrize("n", [0, 2])
     def test_window_clipped_at_continuum(self, n):
-        # the +/-0.02 window runs past E = -m0c^2; a grid sized at the clipped
-        # window's midpoint gave a 4e-6 deviation (n = 0) and NoBracket (n = 2)
+        # the +/-0.02 window runs past E = -m0c^2, where eps -> 0: a grid in r
+        # sized from the window misses these levels (4e-6 off for n = 0,
+        # NoBracket for n = 2); the grid in x = eps r does not move
         params = cm.MixedCoulombParams(q=0.3, beta=0.5)
         e_minus = cm.candidate_energies(params, n, 2)[1]
         assert cm.validate(params, n, 2, e_minus, "antiparticle").status == BOUND
@@ -305,18 +307,73 @@ class TestModelA:
 
     @pytest.mark.parametrize("q, b", [(0.3, 0.0), (0.5, 0.5)])
     def test_window_clipped_at_continuum_deep_level(self, q, b):
-        # n = 2 particle level 0.02 below the continuum: a grid sized at the
-        # window end nearer the continuum (r_max = 2500 lambda0 on 6000
-        # points) put it 1.3e-6 (q = 0.3) and 4.8e-6 (q = 0.5) off
+        # n = 2 particle level 0.02 below the continuum: a grid in r sized at
+        # the window end nearer the continuum (r_max = 2500 lambda0 on 6000
+        # points) puts it 1.3e-6 (q = 0.3) and 4.8e-6 (q = 0.5) off
         params = cm.MixedCoulombParams(q=q, b=b)
         e_plus = cm.candidate_energies(params, 2, 0)[0]
         assert cm.validate(params, 2, 0, e_plus, "particle").status == BOUND
         E = oracle.solve_modelA(params, 2, 0, window=(e_plus - 0.02, e_plus + 0.02))
         assert abs(E - e_plus) / abs(e_plus) < 1e-6
 
+    def test_bound_level_near_continuum_without_window(self):
+        # antiparticle level 1.3e-3 m0c^2 above E = -m0c^2, where eps ~ 0.05;
+        # the search over the whole physical window must find it
+        params = cm.MixedCoulombParams(q=0.3, b=0.5, beta=-1.0)
+        row = cm.validate(params, 0, 1, cm.candidate_energies(params, 0, 1)[1], ANTIPARTICLE)
+        assert row.status == BOUND
+        assert abs(row.energy - (-0.998738)) < 1e-6
+        E = oracle.solve_modelA(params, 0, 1)
+        assert abs(E - row.energy) < 1e-6
+
+    @staticmethod
+    def half_window(params, row):
+        """The half of the physical window between the branch split and
+        the continuum edge on the row's side."""
+        e_plus, e_minus = cm.candidate_energies(params, row.n, row.l)
+        split = 0.5 * (e_plus + e_minus)
+        edge = params.constants.rest_energy
+        if row.branch == PARTICLE:
+            return split, edge - params.V0
+        return -edge - params.V0, split
+
+    @pytest.mark.parametrize(
+        "params",
+        [cm.MixedCoulombParams(q=0.5, beta=0.5), cm.MixedCoulombParams(q=0.3, b=0.5, beta=-1.0)],
+    )
+    def test_window_independence(self, params):
+        # the same level from a +/-1e-5 window, a +/-0.02 window and half the
+        # physical window; only the search changes, not the grid
+        rows = cm.bound_levels(cm.spectrum(params, 1, 1))
+        assert len(rows) >= 4
+        for row in rows:
+            energies = [
+                oracle.solve_modelA(
+                    params, row.n, row.l, window=(row.energy - 1e-5, row.energy + 1e-5),
+                    scan_points=3,
+                ),
+                oracle.solve_modelA(
+                    params, row.n, row.l, window=(row.energy - 0.02, row.energy + 0.02)
+                ),
+                oracle.solve_modelA(params, row.n, row.l, window=self.half_window(params, row)),
+            ]
+            assert (max(energies) - min(energies)) / abs(row.energy) <= 1e-9
+
+    def test_non_natural_units(self):
+        constants = PhysicalConstants(hbar_c=0.37, rest_energy=2.5)
+        params = cm.MixedCoulombParams(q=0.5, beta=0.5, V0=0.3, constants=constants)
+        half = 0.02 * constants.rest_energy
+        rows = cm.bound_levels(cm.spectrum(params, 1, 1))
+        assert len(rows) >= 4
+        for row in rows:
+            E = oracle.solve_modelA(
+                params, row.n, row.l, window=(row.energy - half, row.energy + half)
+            )
+            assert abs(E - row.energy) / abs(row.energy) < 1e-6
+
     def test_fall_to_center_rejected(self):
         params = cm.MixedCoulombParams(q=3.0, b=1.0)
-        with pytest.raises(UnsupportedRegime):
+        with pytest.raises(UnrealRadicand):
             oracle.solve_modelA(params, 0, 0)
 
     def test_empty_window_rejected(self):
