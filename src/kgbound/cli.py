@@ -168,6 +168,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_wavefunction(args) -> int:
+    if not 0.0 < args.r_min < args.r_max < math.inf:
+        raise InvalidParameter("require finite 0 < --r-min < --r-max")
+    if args.samples < 0:
+        raise InvalidParameter("--samples must not be negative")
     unit = _energy_unit(args)
     if args.model == "mixed":
         params = _mixed_params(args)
@@ -299,7 +303,12 @@ def cmd_sweep(args) -> int:
             f"unknown sweep key {args.key!r} for model {args.model}"
             f" (choose from {', '.join(keys)})"
         )
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip()]
+    except ValueError:
+        raise InvalidParameter(
+            f"--values takes comma-separated numbers, got {args.values!r}"
+        ) from None
     unit = _energy_unit(args)
     if args.model == "mixed" and args.q is None and args.key == "q":
         args.q = 0.0  # placeholder, replaced per sweep value

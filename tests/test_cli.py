@@ -381,6 +381,15 @@ class TestParameterErrors:
          "--rest-energy=30.0"),
         # a non-finite energy
         ("nu-solve", "--model", "mixed", "--q", "0.5", "--energy", "nan"),
+        # a sweep value that is not a number
+        ("sweep", "--model", "mixed", "--q", "0.5", "--key", "q", "--values", "abc"),
+        # a sampling range outside finite 0 < r_min < r_max, or negative samples
+        ("wavefunction", "--model", "mixed", "--q", "0.5", "--r-min", "0"),
+        ("wavefunction", "--model", "mixed", "--q", "0.5", "--r-min", "-1"),
+        ("wavefunction", "--model", "mixed", "--q", "0.5", "--r-min", "30"),
+        ("wavefunction", "--model", "mixed", "--q", "0.5", "--r-max", "nan"),
+        ("wavefunction", "--model", "scalar-linear", "--s", "1", "--r-max", "inf"),
+        ("wavefunction", "--model", "mixed", "--q", "0.5", "--samples", "-3"),
     ])
     def test_exit_2(self, capsys, argv):
         if argv == _SEGFAULTED:  # a crash must fail this test, not end the run

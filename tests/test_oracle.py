@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.optimize
 
 from kgbound import coulomb_mixed as cm, oracle, scalar_linear as sl
@@ -39,7 +38,7 @@ class TestRadialGrid:
 def _lowest(c_inv, c_r2, grid, count, check_nodes=False):
     """Lowest eigenvalues of -u'' + (c_inv/r + c_r2 r^2) u on the solvers' p = 1 operator."""
     system = oracle._TransformedOperator(1.0, c_r2, grid).system(c_inv)
-    return oracle.eigen_lowest(system, count, check_nodes=check_nodes)
+    return [oracle.eigen_lowest(system, i, check_nodes=check_nodes) for i in range(count)]
 
 
 class TestSelfTests:
@@ -82,9 +81,10 @@ class TestSelfTests:
         grid = oracle.RadialGrid(1e-9, 1.0, points=2000)
         system = oracle._TransformedOperator(1.0, 0.0, grid).system(0.0)
         with pytest.raises(ValueError):
-            oracle.eigen_lowest(system, 0)
+            oracle.eigen_lowest(system, -1)
         with pytest.raises(ValueError):
-            oracle.eigen_lowest(system, 500)
+            oracle.eigen_lowest(system, 200)
+        assert oracle.eigen_lowest(system, 199, check_nodes=False) > 0.0
 
 
 class TestTransformedOperator:
@@ -100,8 +100,8 @@ class TestTransformedOperator:
             + c_inv * r ** (tp - 1.0)
             + c_r2 * r ** (tp + 2.0)
         )
-        c1 = c_inv / (2.0 * p)
-        diagonal[0] -= face_left[0] * (1.0 + c1 * grid.r_min) / (1.0 + c1 * r[0]) / (h * h)
+        # the wall value folded in through w(r_min)/w(r_0) ~ 1 - c_inv h/(2p)
+        diagonal[0] -= face_left[0] * (1.0 - c_inv * h / (2.0 * p)) / (h * h)
         sw = np.sqrt(weight)
         return diagonal / weight, -face_right[:-1] / (h * h) / (sw[:-1] * sw[1:])
 
@@ -140,69 +140,23 @@ class TestModelB:
             oracle.solve_modelB(sl.LinearMassParams(s=1.0, length_scale=1e-200), 0, 0)
 
 
-class TestWarmEigenpairs:
-    """The certified Rayleigh-quotient kernel behind solve_modelA."""
-
-    GRID = oracle.RadialGrid(1e-4, 60.0, 6000)
-
-    @staticmethod
-    def vectors(system, count):
-        _, vecs = scipy.linalg.eigh_tridiagonal(
-            system.diagonal, system.off_diagonal, select="i", select_range=(0, count - 1)
-        )
-        return vecs
-
-    def test_sturm_count(self):
-        system = oracle._TransformedOperator(1.0, 0.0, self.GRID).system(-1.0)
-        vals = oracle.eigen_lowest(system, 4, check_nodes=False)
-        assert oracle._sturm_count(system, vals[0] - 1e-3) == 0
-        for i in range(3):
-            assert oracle._sturm_count(system, 0.5 * (vals[i] + vals[i + 1])) == i + 1
+class TestSturmian:
+    """The E-independent eigenproblem behind solve_modelA: on a fixed grid the
+    coupling c_inv at which -1 is the n-th eigenvalue is -lam_n."""
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.7])
-    @pytest.mark.parametrize("c_inv", [-2.0, -0.9, -0.35])
     @pytest.mark.parametrize("n", [0, 2])
-    def test_warm_matches_bisection(self, p, c_inv, n):
-        # seeded, as within one solve, by the eigenvector at a nearby c_inv
-        operator = oracle._TransformedOperator(p, 0.0, self.GRID)
-        pair = oracle._Eigenpair(operator, n)
-        pair.value(c_inv * (1.0 + 1e-5))
-        system = operator.system(c_inv)
-        mu, x = oracle._certified(system, pair.vector, n)
-        exact = oracle.eigen_lowest(system, n + 1, check_nodes=False)[n]
-        assert abs(mu - exact) <= 4.0 * oracle._ULP * oracle._norm(system)
-        assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-14)
-        assert oracle._count_nodes(x) == n
+    def test_coupling_has_eigenvalue_minus_one(self, p, n):
+        operator = oracle._TransformedOperator(p, 0.0, oracle.MIXED_GRID)
+        lam = oracle.eigen_lowest(operator.sturmian(-1.0), n)
+        assert abs(oracle.eigen_lowest(operator.system(-lam), n) + 1.0) <= 1e-9
 
-    @pytest.mark.parametrize("n, wrong", [(0, 1), (1, 0), (1, 2), (2, 3)])
-    def test_neighbour_seed_fails_and_falls_back(self, n, wrong, monkeypatch):
-        operator = oracle._TransformedOperator(1.0, 0.0, self.GRID)
-        system = operator.system(-1.0)
-        near = self.vectors(operator.system(-1.0001), wrong + 1)[:, wrong]
-        assert oracle._certified(system, near, n) is None
-        exact = oracle.eigen_lowest(system, n + 1, check_nodes=False)[n]
-        calls = []
-        original = oracle.eigen_lowest
-        monkeypatch.setattr(oracle, "eigen_lowest", lambda *a, **k: calls.append(1) or original(*a, **k))
-        pair = oracle._Eigenpair(operator, n)
-        pair.vector = near
-        assert pair.value(-1.0) == exact
-        assert len(calls) == 1
-        assert oracle._count_nodes(pair.vector) == n
-
-    def test_prolong_keeps_coarse_nodes(self):
-        grid = oracle.RadialGrid(0.5, 2.0, 400)
-        fine = grid.refined()
-        np.testing.assert_allclose(fine.nodes()[1::2], grid.nodes(), rtol=1e-14)
-
-        def bump(r):  # vanishes at both walls
-            return (r - grid.r_min) * (grid.r_max - r)
-
-        out = oracle._prolong(bump(grid.nodes()))
-        assert len(out) == fine.points
-        np.testing.assert_allclose(out[1::2], bump(grid.nodes()), rtol=1e-12)
-        # linear interpolation of a parabola is off by (h/2)^2 at midpoints
-        assert np.max(np.abs(out - bump(fine.nodes()))) <= grid.h**2
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_richardson_matches_rotenberg(self, p, n):
+        # -u'' + (p(p-1)/x^2 + c/x) u = -u is bound for c = -2(n + p)
+        lam = oracle._TransformedScheme(p, 0.0, oracle.MIXED_GRID).sturmian(-1.0, n)
+        assert abs(lam - 2.0 * (n + p)) <= 1e-9 * 2.0 * (n + p)
 
 
 class TestModelA:
@@ -253,8 +207,8 @@ class TestModelA:
             )
             assert abs(E - row.energy) / abs(row.energy) < 1e-6
         assert len(rows) >= 8
-        # one stebz index solve per level; every later eigenvalue is warm
-        assert len(eigensolves) / len(rows) <= 2.0
+        # one stebz index solve per grid and level, none per scan point
+        assert eigensolves == [6000, 12001] * len(rows)
 
     def test_node_check_on_warm_vector(self, monkeypatch):
         calls = []
@@ -267,17 +221,18 @@ class TestModelA:
         params = cm.MixedCoulombParams(q=0.5)
         with pytest.raises(ConvergenceFailure):
             oracle.solve_modelA(params, 0, 0, window=(0.55, 0.65), scan_points=3)
-        # the coarse vector, not a node-checking eigen_lowest call
+        # once per solve, on the coarse Sturmian eigenvector
         assert calls == [6000]
 
     def test_first_of_two_sign_changes(self, eigensolves):
         # one window holding both the antiparticle and the particle root of
-        # n = 0; the scan stops at the first sign change, next to its start
+        # n = 0; Brent narrows the first sign change of the scan.  The 33 scan
+        # points cost no eigensolve
         params = cm.MixedCoulombParams(q=0.5, beta=0.5)
         e_plus, e_minus = cm.candidate_energies(params, 0, 0)
         E = oracle.solve_modelA(params, 0, 0, window=(e_minus - 0.015, e_plus + 0.012))
         assert abs(E - e_minus) / abs(e_minus) < 1e-6
-        assert len(eigensolves) < 33
+        assert eigensolves == [6000, 12001]
 
     def test_brent_nonconvergence_is_convergence_failure(self, monkeypatch):
         monkeypatch.setattr(
@@ -370,6 +325,20 @@ class TestModelA:
                 params, row.n, row.l, window=(row.energy - half, row.energy + half)
             )
             assert abs(E - row.energy) / abs(row.energy) < 1e-6
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="Richardson's h^2 step leaves 6.9e-6 at p = 0.58: "
+        "the frozen 1e-6 is missed for 0.51 <~ p <~ 0.8",
+    )
+    def test_fractional_exponent_level(self):
+        # q = 0.5, b = 0.42, beta = 1, l = 0: p = L + 1 = 0.58
+        params = cm.MixedCoulombParams(q=0.5, b=0.42, beta=1.0)
+        assert params.effective_L(0) + 1.0 == pytest.approx(0.58)
+        e_plus = cm.candidate_energies(params, 0, 0)[0]
+        assert cm.validate(params, 0, 0, e_plus, PARTICLE).status == BOUND
+        E = oracle.solve_modelA(params, 0, 0, window=(e_plus - 0.02, e_plus + 0.02))
+        assert abs(E - e_plus) / abs(e_plus) < 1e-6
 
     def test_fall_to_center_rejected(self):
         params = cm.MixedCoulombParams(q=3.0, b=1.0)

@@ -189,7 +189,8 @@ mixed_flags = st.builds(_flags, q=finite, b=maybe_finite, beta=maybe_finite, V0=
                         hbar_c=maybe_finite, rest_energy=maybe_finite)
 scalar_flags = st.builds(_flags, s=finite, length_scale=maybe_finite, hbar_c=maybe_finite,
                          rest_energy=maybe_finite)
-wavefunction_flags = st.builds(_flags, n=sizes, l=sizes, samples=st.just(3),
+wavefunction_flags = st.builds(_flags, n=sizes, l=sizes, samples=st.none() | st.integers(-3, 3),
+                               r_min=st.none() | st.floats(), r_max=st.none() | st.floats(),
                                branch=st.sampled_from(("particle", "antiparticle")))
 
 
