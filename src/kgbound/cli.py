@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import json
 import math
+import signal
 import sys
 
 import numpy as np
@@ -458,6 +459,8 @@ def main(argv=None) -> int:
         if args.config is not None:
             # argv[0] is the subcommand: the top-level parser has no options
             args = parser.parse_args(argv[:1] + _config_tokens(args) + argv[1:])
+        if args.model == "mixed" and vars(args).get("mode", "corrected") != "corrected":
+            raise InvalidParameter("--mode applies to the scalar-linear model only")
         return args.func(args)
     except NotBound as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -468,6 +471,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # a reader that closes the pipe early (`| head`) ends the process quietly
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -19,14 +19,17 @@ this one scheme.  Eigenvalues come from a Sturm-sequence bisection solver
 model is solved in the scale-free variable x = eps(E) r (Rotenberg, Ann.
 Phys. 19, 262 (1962)) on one fixed x-grid, where its levels solve one
 E-independent Sturmian eigenproblem: the coupling c = gamma1(E)/eps(E) is the
-eigenvalue, so each grid takes one eigensolve per level, and the energy is the
-root of a scalar matching function, bracketed by a scan and narrowed by
+eigenvalue, which depends only on the origin exponent p and the index n, so it
+is solved once per (p, n) per process (`sturmian_eigenvalue`), and the energy
+is the root of a scalar matching function, bracketed by a scan and narrowed by
 Brent's method (scipy's brentq).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +43,7 @@ from .scalar_linear import LinearMassParams
 from .units import require_finite_square
 
 BISECTION_TOL = 1e-10  # root tolerance on E, in units of the rest energy
+STURMIAN_CACHE_SIZE = 4096  # memoized (p, n) keys; each holds one float
 
 
 @dataclass(frozen=True)
@@ -191,6 +195,16 @@ def default_grid_scalar(params: LinearMassParams, n: int, l: int) -> RadialGrid:
 MIXED_GRID = RadialGrid(1e-5, 25.0, 6000)
 
 
+@functools.lru_cache(maxsize=STURMIAN_CACHE_SIZE)
+def sturmian_eigenvalue(p: float, n: int) -> float:
+    """lam_n(p): the Richardson-extrapolated n-th eigenvalue of the Sturmian
+    problem (-d^2/dx^2 + p(p-1)/x^2 + 1) u = lam u/x on MIXED_GRID (the coarse
+    eigenvector checked to have n nodes).  It depends on nothing else, so it
+    is memoized per (p, n) for the life of the process; a failed solve raises
+    again on every call."""
+    return _TransformedScheme(p, 0.0, MIXED_GRID).sturmian(-1.0, n)
+
+
 def solve_modelB(params: LinearMassParams, n: int, l: int) -> float:
     """E^2 for the scalar linear-mass model from the oscillator eigenvalue, on
     the grid `default_grid_scalar` sizes for level (n, l)."""
@@ -218,15 +232,19 @@ def solve_modelA(
     the fixed grid MIXED_GRID that is one E-independent Sturmian problem
     (A + 1) w = lam W w with lam = -c: its n-th eigenvalue lam_n, bisected on
     the grid and on its refinement (the coarse eigenvector checked to have n
-    nodes) and Richardson-extrapolated, gives a level as a root of
+    nodes) and Richardson-extrapolated once per (p, n) per process by
+    `sturmian_eigenvalue`, gives a level as a root of
     f(E) = gamma1(E)/eps(E) + lam_n.  f has the signs and roots of
     mu_n(c(E)) + 1, mu_n the n-th eigenvalue at fixed c, since mu_n increases
     with c.  f is evaluated on a scan of the (open) energy window, and Brent's
     method (scipy's brentq) narrows the first sign change to 1e-10 * m0c^2.
     `window` restricts the search, e.g. to isolate one of the
-    particle/antiparticle roots; it does not change the grid.
+    particle/antiparticle roots; it does not change the grid.  `scan_points`
+    must be an integer of at least 2.
     """
     require_quantum_numbers(n, l)
+    if not isinstance(scan_points, numbers.Integral) or scan_points < 2:
+        raise InvalidParameter("scan_points must be an integer of at least 2")
     mc2 = params.constants.rest_energy
     p = params.effective_L(l) + 1.0
 
@@ -237,7 +255,7 @@ def solve_modelA(
     lo, hi = max(window[0], lo_phys), min(window[1], hi_phys)
     if not lo < hi:
         raise InvalidParameter("empty energy window")
-    lam = _TransformedScheme(p, 0.0, MIXED_GRID).sturmian(-1.0, n)
+    lam = sturmian_eigenvalue(p, n)
 
     def f(E: float) -> float:
         return params.gamma1(E) / params.epsilon(E) + lam

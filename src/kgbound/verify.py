@@ -128,6 +128,67 @@ def _nu_engine(fx, mode):
 
 
 # ---------------------------------------------------------------------------
+# reduction against the physical fields
+#
+# k^2(r) = [(E - V)^2 - (m(r)c^2 + S)^2]/(hbar c)^2 - l(l+1)/r^2, rebuilt point
+# by point from V, S and m, must equal each model's reduced form.  The
+# mismatch is taken relative to the sum of the magnitudes of the terms, which
+# bounds the rounding of either side.
+
+
+def mixed_field_mismatch(params: MixedCoulombParams, E: float, l: int, r: float) -> float:
+    """S = -hbar*c*q/r, V = beta*S - V0, m c^2 = m0c^2 (1 + lambda0*b/r):
+    k^2 against -(eps^2 + gamma1/r + gamma2/r^2)."""
+    c = params.constants
+    Q, mc2 = c.hbar_c, c.rest_energy
+    S = -Q * params.q / r
+    V = params.beta * S - params.V0
+    mass = mc2 * (1.0 + c.compton_length * params.b / r)
+    centrifugal = l * (l + 1) / r**2
+    fields = ((E - V) ** 2 - (mass + S) ** 2) / Q**2 - centrifugal
+    reduced = -(params.epsilon(E) ** 2 + params.gamma1(E) / r + params.gamma2(l) / r**2)
+    scale = ((abs(E) + abs(params.beta * S) + abs(params.V0)) ** 2
+             + (mc2 + abs(Q * params.b / r) + abs(S)) ** 2) / Q**2 + centrifugal
+    return abs(fields - reduced) / scale
+
+
+def scalar_field_mismatch(params: scalar_linear.LinearMassParams, E: float, l: int,
+                          r: float) -> float:
+    """S = s/r, V = 0, m = m0 r/L: k^2 against kappa - alpha1^2 r^2 - alpha2/r^2,
+    with kappa = (E^2 - 2 m0c^2 s/L)/(hbar c)^2 = -epsilon_sq(E)."""
+    c = params.constants
+    Q = c.hbar_c
+    S = params.s / r
+    mass = c.rest_energy * r / params.length_scale
+    centrifugal = l * (l + 1) / r**2
+    fields = (E**2 - (mass + S) ** 2) / Q**2 - centrifugal
+    reduced = -params.epsilon_sq(E) - params.alpha1**2 * r**2 - params.alpha2(l) / r**2
+    scale = (E**2 + (mass + abs(S)) ** 2) / Q**2 + centrifugal
+    return abs(fields - reduced) / scale
+
+
+def _mixed_fields(fx, mode):
+    """Every params of the set at E = -V0 + m0c^2 cos(theta), l <= l_max."""
+    worst, count = 0.0, 0
+    for params, theta, l, r in itertools.product(fx.params, fx.thetas, range(fx.l_max + 1),
+                                                 fx.radii):
+        E = -params.V0 + params.constants.rest_energy * math.cos(theta)
+        worst = max(worst, mixed_field_mismatch(params, E, l, r))
+        count += 1
+    return [_upper("mixed-field-reduction", 1e-12, worst, count, in_verify=False)]
+
+
+def _scalar_fields(fx, mode):
+    worst, count = 0.0, 0
+    for s, L, E, l, r in itertools.product(fx.s_values, fx.length_scales, fx.energies,
+                                           range(fx.l_max + 1), fx.radii):
+        params = scalar_linear.LinearMassParams(s=s, length_scale=L)
+        worst = max(worst, scalar_field_mismatch(params, E, l, r))
+        count += 1
+    return [_upper("scalar-field-reduction", 1e-12, worst, count, in_verify=False)]
+
+
+# ---------------------------------------------------------------------------
 # mixed model
 
 
@@ -283,10 +344,16 @@ _ACCEPTANCE_GRID = tuple(
     )
 )
 _NU = Fixtures(q=0.5, energy=0.6, s=1.0)
+_MIXED_FIELDS = Fixtures(params=_ACCEPTANCE_GRID, l_max=2, thetas=(0.3, 1.2, 2.5),
+                         radii=(0.05, 1.0, 20.0))
+_SCALAR_FIELDS = Fixtures(s_values=(-1.0, 0.0, 0.5, 2.0), length_scales=(0.5, 1.0, 2.0),
+                          energies=(-3.0, 0.5, 4.0), l_max=3, radii=(0.05, 1.0, 20.0))
 _DUALITY = Fixtures(qs=(0.25, 0.5), betas=(1.0, -1.0), n_max=3, l_max=3)
 
 REGISTRY = (
     CheckDef(7, None, _nu_engine, quick=_NU, full=_NU),
+    CheckDef(7, "mixed", _mixed_fields, quick=_MIXED_FIELDS, full=_MIXED_FIELDS),
+    CheckDef(7, "scalar-linear", _scalar_fields, quick=_SCALAR_FIELDS, full=_SCALAR_FIELDS),
     CheckDef(
         1, "mixed", _constant_mass,
         quick=Fixtures(qs=(0.3, 0.5), n_max=2, l_max=2),

@@ -390,6 +390,12 @@ class TestParameterErrors:
         ("wavefunction", "--model", "mixed", "--q", "0.5", "--r-max", "nan"),
         ("wavefunction", "--model", "scalar-linear", "--s", "1", "--r-max", "inf"),
         ("wavefunction", "--model", "mixed", "--q", "0.5", "--samples", "-3"),
+        # the mixed model has no printed variant
+        ("spectrum", "--model", "mixed", "--q", "0.5", "--mode", "as_printed"),
+        ("sweep", "--model", "mixed", "--q", "0.5", "--key", "b", "--values", "0",
+         "--mode", "as_printed"),
+        ("wavefunction", "--model", "mixed", "--q", "0.5", "--mode", "as_printed"),
+        ("verify", "--model", "mixed", "--mode", "as_printed"),
     ])
     def test_exit_2(self, capsys, argv):
         if argv == _SEGFAULTED:  # a crash must fail this test, not end the run
@@ -401,6 +407,22 @@ class TestParameterErrors:
             code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == "" and err.startswith("error: ")
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_is_quiet(self):
+        # more output than a pipe buffers, so the writer meets the closed pipe
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kgbound.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kgbound.cli", "spectrum", "--model", "mixed", "--q", "0.5",
+             "--n-max", "3000", "--l-max", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"# schema=1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+        assert err == b""
 
 
 class TestOptions:

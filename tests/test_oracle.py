@@ -185,7 +185,9 @@ class TestModelA:
 
     @pytest.fixture
     def eigensolves(self, monkeypatch):
-        """Grid sizes of every oracle.eigen_lowest call, in order."""
+        """Grid sizes of every oracle.eigen_lowest call, in order, from a cold
+        lam_n memo."""
+        oracle.sturmian_eigenvalue.cache_clear()
         calls = []
         original = oracle.eigen_lowest
 
@@ -207,10 +209,17 @@ class TestModelA:
             )
             assert abs(E - row.energy) / abs(row.energy) < 1e-6
         assert len(rows) >= 8
-        # one stebz index solve per grid and level, none per scan point
-        assert eigensolves == [6000, 12001] * len(rows)
+        # one stebz index solve per grid and distinct (p, n), none per scan
+        # point: lam_n(p) is memoized, and both branches of a level share it
+        keys = {(params.effective_L(row.l) + 1.0, row.n) for row in rows}
+        assert len(keys) < len(rows)
+        assert eigensolves == [6000, 12001] * len(keys)
 
-    def test_node_check_on_warm_vector(self, monkeypatch):
+    @pytest.fixture
+    def miscounted_nodes(self, monkeypatch):
+        """Lengths of the vectors whose nodes are counted, each miscounted as
+        1, from a cold lam_n memo."""
+        oracle.sturmian_eigenvalue.cache_clear()
         calls = []
 
         def miscount(vec):
@@ -218,11 +227,48 @@ class TestModelA:
             return 1
 
         monkeypatch.setattr(oracle, "_count_nodes", miscount)
+        return calls
+
+    def test_node_check_on_warm_vector(self, miscounted_nodes):
         params = cm.MixedCoulombParams(q=0.5)
         with pytest.raises(ConvergenceFailure):
             oracle.solve_modelA(params, 0, 0, window=(0.55, 0.65), scan_points=3)
         # once per solve, on the coarse Sturmian eigenvector
-        assert calls == [6000]
+        assert miscounted_nodes == [6000]
+
+    def test_memo_hit_skips_eigensolves(self, eigensolves):
+        # lam_n(p) is solved once per (p, n): a second call with the same key
+        # costs no eigensolve and gets the identical float
+        params = cm.MixedCoulombParams(q=0.5)
+        first = oracle.solve_modelA(params, 0, 0, window=(0.55, 0.65), scan_points=3)
+        again = oracle.solve_modelA(params, 0, 0, window=(0.55, 0.65), scan_points=3)
+        assert eigensolves == [6000, 12001]
+        assert again == first
+        # the memo holds exactly what the scheme computes
+        p = params.effective_L(0) + 1.0
+        scheme = oracle._TransformedScheme(p, 0.0, oracle.MIXED_GRID)
+        assert oracle.sturmian_eigenvalue(p, 0) == scheme.sturmian(-1.0, 0)
+
+    def test_failures_not_memoized(self, miscounted_nodes):
+        params = cm.MixedCoulombParams(q=0.5)
+        for _ in range(2):
+            with pytest.raises(ConvergenceFailure):
+                oracle.solve_modelA(params, 0, 0, window=(0.55, 0.65), scan_points=3)
+        # a failed node check raises again: the second call solves again
+        assert miscounted_nodes == [6000, 6000]
+
+    @pytest.mark.parametrize("scan_points", [-1, 0, 1, 2.5, 3.0, "3", None])
+    def test_scan_points_validated(self, eigensolves, scan_points):
+        params = cm.MixedCoulombParams(q=0.5)
+        with pytest.raises(InvalidParameter, match="scan_points"):
+            oracle.solve_modelA(params, 0, 0, window=(0.55, 0.65), scan_points=scan_points)
+        # refused before any eigensolve
+        assert eigensolves == []
+
+    def test_two_scan_points(self):
+        params = cm.MixedCoulombParams(q=0.5)
+        E = oracle.solve_modelA(params, 0, 0, window=(0.55, 0.65), scan_points=2)
+        assert abs(E - 0.6) < 1e-8
 
     def test_first_of_two_sign_changes(self, eigensolves):
         # one window holding both the antiparticle and the particle root of

@@ -8,7 +8,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from kgbound import cli, coulomb_mixed as cm, scalar_linear as sl
+from kgbound import cli, coulomb_mixed as cm, scalar_linear as sl, verify
 from kgbound.errors import InvalidParameter, UnrealRadicand
 from kgbound.levels import BOUND
 from kgbound.units import PhysicalConstants
@@ -85,10 +85,10 @@ def test_spectrum_raises_only_invalid_parameter(q, b, beta, V0, s, length_scale,
         pass
 
 
-# The reduction against the physical fields: k^2(r) rebuilt point by point,
-#   k^2 = [(E - V)^2 - (m(r)c^2 + S)^2]/(hbar c)^2 - l(l+1)/r^2,
-# must equal each model's reduced form.  The tolerance is relative to the sum
-# of the magnitudes of the terms, which bounds the rounding of either side.
+# The reduction against the physical fields: k^2(r) rebuilt point by point
+# from V, S and m must equal each model's reduced form, to 1e-12 of the sum of
+# the magnitudes of the terms (verify.mixed_field_mismatch and
+# verify.scalar_field_mismatch, which the registry runs on fixed fixtures).
 angular = st.integers(0, 5)
 radius = st.floats(1e-3, 1e3)
 
@@ -96,37 +96,16 @@ radius = st.floats(1e-3, 1e3)
 @PROPERTY
 @given(params=mixed_params, cos_theta=st.floats(-1.0, 1.0), l=angular, r=radius)
 def test_mixed_reduction_matches_fields(params, cos_theta, l, r):
-    """S = -hbar*c*q/r, V = beta*S - V0, m c^2 = m0c^2 (1 + lambda0*b/r):
-    k^2 = -(eps^2 + gamma1/r + gamma2/r^2)."""
-    c = params.constants
-    Q, mc2 = c.hbar_c, c.rest_energy
-    E = -params.V0 + mc2 * cos_theta
-    S = -Q * params.q / r
-    V = params.beta * S - params.V0
-    mass = mc2 * (1.0 + c.compton_length * params.b / r)
-    centrifugal = l * (l + 1) / r**2
-    fields = ((E - V) ** 2 - (mass + S) ** 2) / Q**2 - centrifugal
-    reduced = -(params.epsilon(E) ** 2 + params.gamma1(E) / r + params.gamma2(l) / r**2)
-    scale = ((abs(E) + abs(params.beta * S) + abs(params.V0)) ** 2
-             + (mc2 + abs(Q * params.b / r) + abs(S)) ** 2) / Q**2 + centrifugal
-    assert abs(fields - reduced) <= 1e-12 * scale
+    E = -params.V0 + params.constants.rest_energy * cos_theta
+    assert verify.mixed_field_mismatch(params, E, l, r) <= 1e-12
 
 
 @PROPERTY
 @given(s=coupling, length_scale=st.floats(0.1, 10.0), consts=constants,
        E=st.floats(-10.0, 10.0), l=angular, r=radius)
 def test_scalar_reduction_matches_fields(s, length_scale, consts, E, l, r):
-    """S = s/r, V = 0, m = m0 r/L: k^2 = kappa - alpha1^2 r^2 - alpha2/r^2,
-    with kappa = (E^2 - 2 m0c^2 s/L)/(hbar c)^2 = -epsilon_sq(E)."""
     params = sl.LinearMassParams(s=s, length_scale=length_scale, constants=consts)
-    Q = consts.hbar_c
-    S = s / r
-    mass = consts.rest_energy * r / length_scale
-    centrifugal = l * (l + 1) / r**2
-    fields = (E**2 - (mass + S) ** 2) / Q**2 - centrifugal
-    reduced = -params.epsilon_sq(E) - params.alpha1**2 * r**2 - params.alpha2(l) / r**2
-    scale = (E**2 + (mass + abs(S)) ** 2) / Q**2 + centrifugal
-    assert abs(fields - reduced) <= 1e-12 * scale
+    assert verify.scalar_field_mismatch(params, E, l, r) <= 1e-12
 
 
 def _spectrum_json(*argv) -> dict:
