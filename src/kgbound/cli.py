@@ -307,9 +307,9 @@ def cmd_sweep(args) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
-        raise InvalidParameter(
-            f"--values takes comma-separated numbers, got {args.values!r}"
-        ) from None
+        values = []
+    if not values:
+        raise InvalidParameter(f"--values takes comma-separated numbers, got {args.values!r}")
     unit = _energy_unit(args)
     if args.model == "mixed" and args.q is None and args.key == "q":
         args.q = 0.0  # placeholder, replaced per sweep value

@@ -33,8 +33,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
-from scipy.optimize import brentq
 
 from .coulomb_mixed import MixedCoulombParams
 from .errors import ConvergenceFailure, InvalidParameter, NoBracket
@@ -93,6 +91,9 @@ def eigen_lowest(system: TridiagonalSystem, index: int, check_nodes: bool = True
         raise InvalidParameter("index must not be negative")
     if index >= system.grid.points // 10:
         raise InvalidParameter("index must be below points/10")
+    # imported on first use, so the closed-form commands never load scipy
+    from scipy.linalg import eigh_tridiagonal
+
     try:
         result = eigh_tridiagonal(
             system.diagonal,
@@ -101,7 +102,7 @@ def eigen_lowest(system: TridiagonalSystem, index: int, check_nodes: bool = True
             select="i",
             select_range=(index, index),
         )
-    except LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     vals = result
     if check_nodes:
@@ -273,6 +274,8 @@ def solve_modelA(
             f"no sign change of the matching function on the scanned window: {table}",
             scan=list(zip(scan, values)),
         )
+
+    from scipy.optimize import brentq
 
     a, b = scan[i - 1], scan[i]
     root, info = brentq(f, a, b, xtol=BISECTION_TOL * mc2, full_output=True, disp=False)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
 
 from . import coulomb_mixed, scalar_linear
 from .errors import InvalidParameter, NonNormalizable, NotBound
@@ -164,6 +163,9 @@ def norm_quadrature(wf: RadialWavefunction) -> float:
         raise NonNormalizable("decay rate must be positive")
     if wf.power <= 0.0:
         raise NonNormalizable("power must be positive for u(0) = 0")
+    # imported on first use, so the closed-form commands never load scipy
+    from scipy.integrate import quad
+
     shape = replace(wf, norm=1.0)
 
     def integrand(r):
@@ -180,7 +182,7 @@ def norm_quadrature(wf: RadialWavefunction) -> float:
         r_cut = 4.0 * r_star
         while integrand(r_cut) > 1e-14 * peak:
             r_cut *= 2.0
-        value, _ = integrate.quad(
+        value, _ = quad(
             integrand, 0.0, r_cut, epsabs=0.0, epsrel=1e-12, limit=400, points=[r_star]
         )
     if not 0.0 < value < math.inf:

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import kgbound
-from kgbound import cli, scalar_linear as sl
+from kgbound import cli, oracle, scalar_linear as sl, wavefunctions
 from kgbound import coulomb_mixed as cm
 
 
@@ -261,12 +261,6 @@ class TestSweep:
                            "--values", "1,2", "--q", "0.5")
         assert code == 2 and "sweep key" in err
 
-    def test_empty_values_header_only(self, capsys):
-        code, out, _ = run(capsys, "sweep", "--model", "scalar-linear",
-                           "--key", "s", "--values", "")
-        assert code == 0
-        assert out.splitlines()[-1].startswith("s,n,l,")
-
 
 class TestNegativeExponentValues:
     """A dash-led number in exponent notation is a value, in either spelling."""
@@ -396,6 +390,10 @@ class TestParameterErrors:
          "--mode", "as_printed"),
         ("wavefunction", "--model", "mixed", "--q", "0.5", "--mode", "as_printed"),
         ("verify", "--model", "mixed", "--mode", "as_printed"),
+        # an empty value list
+        ("sweep", "--model", "mixed", "--q", "0.5", "--key", "q", "--values", ","),
+        ("sweep", "--model", "mixed", "--q", "0.5", "--key", "q", "--values", ""),
+        ("sweep", "--model", "scalar-linear", "--key", "s", "--values", ""),
     ])
     def test_exit_2(self, capsys, argv):
         if argv == _SEGFAULTED:  # a crash must fail this test, not end the run
@@ -423,6 +421,54 @@ class TestClosedPipe:
         err = proc.stderr.read()
         proc.wait(timeout=60)
         assert err == b""
+
+
+_SOLVERS_PROBE = """
+import contextlib, io, json, sys
+from kgbound import cli, coulomb_mixed as cm, oracle, wavefunctions
+
+SOLVERS = ("scipy.linalg", "scipy.optimize", "scipy.integrate")
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+before = [name for name in SOLVERS if name in sys.modules]
+params = cm.MixedCoulombParams(q=0.5)
+energy = oracle.solve_modelA(params, 0, 0)
+level = cm.validate(params, 0, 0, cm.candidate_energies(params, 0, 0)[0], "particle")
+norm = wavefunctions.norm_quadrature(wavefunctions.build_mixed(params, level))
+after = [name for name in SOLVERS if name in sys.modules]
+print(json.dumps({"codes": codes, "before": before, "after": after,
+                  "energy": energy, "norm": norm}))
+"""
+
+
+class TestStartUp:
+    """The closed-form commands never load scipy's solvers; the oracle and
+    the quadrature load them on first use."""
+
+    CLOSED_FORM = [
+        ["spectrum", "--model", "mixed", "--q", "0.5"],
+        ["spectrum", "--model", "scalar-linear", "--s", "1"],
+        ["sweep", "--model", "mixed", "--q", "0.5", "--key", "b", "--values", "0,0.2"],
+        ["sweep", "--model", "scalar-linear", "--s", "1", "--key", "s", "--values", "0.5,1"],
+        ["nu-solve", "--model", "mixed", "--q", "0.5", "--energy", "0.6"],
+        ["nu-solve", "--model", "scalar-linear", "--s", "1"],
+    ]
+
+    def test_solvers_load_on_first_use(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kgbound.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", _SOLVERS_PROBE, json.dumps(self.CLOSED_FORM)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["codes"] == [0] * len(self.CLOSED_FORM)
+        assert report["before"] == []
+        assert report["after"] == ["scipy.linalg", "scipy.optimize", "scipy.integrate"]
+        params = cm.MixedCoulombParams(q=0.5)
+        level = cm.validate(params, 0, 0, cm.candidate_energies(params, 0, 0)[0], "particle")
+        assert report["energy"] == oracle.solve_modelA(params, 0, 0)
+        assert report["norm"] == wavefunctions.norm_quadrature(wavefunctions.build_mixed(params, level))
 
 
 class TestOptions:

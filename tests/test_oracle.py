@@ -282,7 +282,7 @@ class TestModelA:
 
     def test_brent_nonconvergence_is_convergence_failure(self, monkeypatch):
         monkeypatch.setattr(
-            oracle, "brentq", functools.partial(scipy.optimize.brentq, maxiter=1)
+            scipy.optimize, "brentq", functools.partial(scipy.optimize.brentq, maxiter=1)
         )
         params = cm.MixedCoulombParams(q=0.5)
         with pytest.raises(ConvergenceFailure):
