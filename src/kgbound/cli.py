@@ -191,13 +191,13 @@ def cmd_wavefunction(args) -> int:
         params = _scalar_params(args)
         e = math.sqrt(scalar_linear.energy_squared(params, args.n, args.l, args.mode))
         energy = e if args.branch == PARTICLE else -e
-        wf = wavefunctions.build_scalar(params, args.n, args.l, energy)
-    meta = {
-        "command": "wavefunction", "model": args.model, "units": args.units,
-        "params": _param_meta(params),
-        "level": {"n": args.n, "l": args.l, "branch": args.branch,
-                  "energy": energy / unit},
-    }
+        wf = wavefunctions.build_scalar(params, args.n, args.l, energy,
+                                        as_printed=args.mode == "as_printed")
+    meta = {"command": "wavefunction", "model": args.model, "units": args.units,
+            "params": _param_meta(params)}
+    if args.model == "scalar-linear":
+        meta["mode"] = args.mode
+    meta["level"] = {"n": args.n, "l": args.l, "branch": args.branch, "energy": energy / unit}
     rows = []
     if args.samples > 0:
         grid = np.geomspace(args.r_min, args.r_max, args.samples)

@@ -1,9 +1,11 @@
 """Radial eigenfunctions: power * exponential * generalized Laguerre.
 
-Every built wavefunction is normalized by adaptive quadrature; the
-closed-form norm of the mixed model is a check on it.  An independent
-finite-difference residual check verifies that a constructed u(r) actually
-solves its radial equation.
+Every built wavefunction is normalized by a generalized Gauss-Laguerre rule
+in t = 2 decay r^m, which integrates its u^2 (a weight t^a e^(-t) times a
+squared Laguerre polynomial) exactly with numpy alone; the closed-form norm
+of the mixed model is a check on it.  An independent finite-difference
+residual check verifies that a constructed u(r) actually solves its radial
+equation.
 """
 
 from __future__ import annotations
@@ -20,6 +22,13 @@ from .units import require_finite_square
 
 MIXED = "mixed"
 SCALAR = "scalar_linear"
+# The envelope exp(-t/2), t = 2 decay r^m, is last nonzero near t = 1489;
+# past the largest zero of L_n^alpha (about 4n) r^power and |L_n^alpha| only
+# grow, so if either overflows out there, it overflows at T_EDGE
+T_EDGE = 1488.0
+# L_n^alpha(T_EDGE) overflows from n of about 310 on, so larger n never pass
+# that check; above MAX_N they are rejected before the (n + 2)^2 rule is built
+MAX_N = 400
 
 
 def laguerre(n: int, alpha: float, x):
@@ -73,7 +82,7 @@ class RadialWavefunction:
 
 
 def build_mixed(params: coulomb_mixed.MixedCoulombParams, level: EnergyLevel) -> RadialWavefunction:
-    """Eigenfunction of a bound mixed-model level, quadrature normalized."""
+    """Eigenfunction of a bound mixed-model level, normalized by norm_quadrature."""
     if level.status != BOUND:
         raise NotBound(f"level (n={level.n}, l={level.l}) has status {level.status!r}")
     L = params.effective_L(level.l)
@@ -95,7 +104,7 @@ def build_scalar(
     E: float,
     as_printed: bool = False,
 ) -> RadialWavefunction:
-    """Eigenfunction of a scalar-model level, quadrature normalized.
+    """Eigenfunction of a scalar-model level, normalized by norm_quadrature.
 
     The default exponent of r is Lambda + 1, which the residual check
     confirms; `as_printed` selects the published (Lambda + 1)/2 instead so
@@ -152,39 +161,65 @@ def norm_closed_scalar_printed(params: scalar_linear.LinearMassParams, n: int, l
         ) from exc
 
 
+def gauss_laguerre(count: int, a: float):
+    """Nodes t_i and first eigenvector components v_i of the generalized
+    Gauss-Laguerre rule for the weight t^a e^(-t) on (0, inf).
+
+    The rule, sum_i Gamma(a + 1) v_i^2 f(t_i), is exact for every polynomial
+    f of degree below 2 * count.  The nodes are the eigenvalues of the Jacobi
+    matrix (Golub-Welsch): diagonal 2k + a + 1, off-diagonal sqrt(k (k + a)).
+    The eigenvector of node t is (p_0(t), ..., p_{count-1}(t)), the
+    orthonormal polynomials, which the rows of (J - t) p = 0 give from
+    p_0 = 1; v is built that way, because the eigenvectors of a dense eigh
+    carry an absolute error near 1e-16, which swamps the small v_i of the
+    outer nodes once count exceeds about 25.
+    """
+    k = np.arange(count, dtype=float)
+    diag = 2.0 * k + a + 1.0
+    off = np.sqrt(k[1:]) * np.sqrt(k[1:] + a)
+    t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1), UPLO="U")
+    p = np.empty((count, count))
+    p[0] = 1.0
+    p[1] = (t - diag[0]) / off[0]
+    for j in range(1, count - 1):
+        p[j + 1] = ((t - diag[j]) * p[j] - off[j - 1] * p[j - 1]) / off[j]
+    # hypot scales, so a p_k(t) beyond 1e154 does not overflow the norm
+    return t, 1.0 / np.array([math.hypot(*column) for column in p.T])
+
+
 def norm_quadrature(wf: RadialWavefunction) -> float:
     """N such that the integral of u^2 over (0, inf) equals one.
 
-    Adaptive quadrature on (0, r_cut); r_cut is grown until the integrand
-    tail is below 1e-14 of its peak.  A peak or integral that is not a
-    finite positive float (u^2 overflows or underflows) is NonNormalizable.
+    With t = 2 decay r^m, u^2 dr is (1/m) (2 decay)^(-e) t^(e-1) e^(-t)
+    L_n^alpha(t)^2 dt, e = (2 power + 1)/m: a weight times a polynomial of
+    degree 2n, which the (n + 2)-node Gauss-Laguerre rule integrates exactly.
+    A shape (u with norm 1) whose u^2 is not finite at a node or at T_EDGE,
+    or whose integral overflows or underflows, is NonNormalizable.
     """
     if wf.decay <= 0.0:
         raise NonNormalizable("decay rate must be positive")
     if wf.power <= 0.0:
         raise NonNormalizable("power must be positive for u(0) = 0")
-    # imported on first use, so the closed-form commands never load scipy
-    from scipy.integrate import quad
-
-    shape = replace(wf, norm=1.0)
-
-    def integrand(r):
-        return shape.evaluate(r) ** 2
-
+    if wf.n > MAX_N:
+        raise NonNormalizable(f"n = {wf.n} > {MAX_N}: L_n^alpha overflows near its largest zero")
     m = wf.radial_exponent
-    r_star = (wf.power / (m * wf.decay)) ** (1.0 / m)
-    probe = np.linspace(r_star / 8.0, 8.0 * r_star, 257)
+    e = (2.0 * wf.power + 1.0) / m
     # out-of-range values are rejected below, so numpy's warnings add nothing
-    with np.errstate(over="ignore", invalid="ignore"):
-        peak = float(np.max(integrand(probe)))
-        if not 0.0 < peak < math.inf:
-            raise NonNormalizable(f"the peak of u^2 near r = {r_star!r} is {peak!r}")
-        r_cut = 4.0 * r_star
-        while integrand(r_cut) > 1e-14 * peak:
-            r_cut *= 2.0
-        value, _ = quad(
-            integrand, 0.0, r_cut, epsabs=0.0, epsrel=1e-12, limit=400, points=[r_star]
-        )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            log_gamma = math.lgamma(e)
+            t, v = gauss_laguerre(wf.n + 2, e - 1.0)
+        except (OverflowError, np.linalg.LinAlgError) as exc:
+            raise NonNormalizable(f"no quadrature rule for the weight t^{e - 1.0!r} e^(-t)") from exc
+        probe = np.append(t, T_EDGE)
+        u2 = replace(wf, norm=1.0).evaluate((probe / (2.0 * wf.decay)) ** (1.0 / m)) ** 2
+        total = np.sum((v * laguerre(wf.n, wf.laguerre_alpha, t)) ** 2)
+        value = float(np.exp(
+            log_gamma - math.log(m) - e * math.log(2.0 * wf.decay) + np.log(total)
+        ))
+    bad = ~np.isfinite(u2)
+    if bad.any():
+        raise NonNormalizable(f"u^2 at t = {float(probe[bad][0])!r} is {float(u2[bad][0])!r}")
     if not 0.0 < value < math.inf:
         raise NonNormalizable(f"the integral of u^2 is {value!r}")
     return 1.0 / math.sqrt(value)

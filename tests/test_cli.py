@@ -135,6 +135,22 @@ class TestWavefunction:
             assert float(b) == pytest.approx(norm2 * r * math.exp(-0.5 * r * r),
                                              rel=1e-8, abs=1e-12)
 
+    @pytest.mark.parametrize("mode", sl.MODES)
+    def test_scalar_mode_labels_and_samples_one_variant(self, capsys, mode):
+        code, out, _ = run(capsys, "wavefunction", "--model", "scalar-linear", "--s", "1",
+                           "--n", "1", "--samples", "5", "--mode", mode)
+        assert code == 0
+        lines = out.splitlines()
+        assert f"# mode={mode}" in lines
+        params = sl.LinearMassParams(s=1.0)
+        energy = math.sqrt(sl.energy_squared(params, 1, 0, mode))
+        assert f"# level: n=1 l=0 branch=particle energy={cli.fmt(energy)}" in lines
+        u = wavefunctions.build_scalar(params, 1, 0, energy, as_printed=mode == "as_printed")
+        rows = [ln.split(",") for ln in lines if not ln.startswith(("#", "r,"))]
+        assert len(rows) == 5
+        for r, v in rows:
+            assert float(v) == pytest.approx(u.evaluate(float(r)), rel=1e-10, abs=1e-300)
+
 
 class TestVerify:
     def test_scalar_corrected_passes(self, capsys):
@@ -425,50 +441,54 @@ class TestClosedPipe:
 
 _SOLVERS_PROBE = """
 import contextlib, io, json, sys
-from kgbound import cli, coulomb_mixed as cm, oracle, wavefunctions
+from kgbound import cli, coulomb_mixed as cm, oracle, scalar_linear as sl, wavefunctions
 
 SOLVERS = ("scipy.linalg", "scipy.optimize", "scipy.integrate")
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-before = [name for name in SOLVERS if name in sys.modules]
 params = cm.MixedCoulombParams(q=0.5)
-energy = oracle.solve_modelA(params, 0, 0)
 level = cm.validate(params, 0, 0, cm.candidate_energies(params, 0, 0)[0], "particle")
 norm = wavefunctions.norm_quadrature(wavefunctions.build_mixed(params, level))
+scalar_norm = wavefunctions.build_scalar(sl.LinearMassParams(s=1.0), 2, 1, 1.0).norm
+before = [name for name in SOLVERS if name in sys.modules]
+energy = oracle.solve_modelA(params, 0, 0)
 after = [name for name in SOLVERS if name in sys.modules]
 print(json.dumps({"codes": codes, "before": before, "after": after,
-                  "energy": energy, "norm": norm}))
+                  "energy": energy, "norm": norm, "scalar_norm": scalar_norm}))
 """
 
 
 class TestStartUp:
-    """The closed-form commands never load scipy's solvers; the oracle and
-    the quadrature load them on first use."""
+    """The closed-form commands, `wavefunction` and the normalization never
+    load scipy's solvers; the oracle loads them on first use."""
 
-    CLOSED_FORM = [
+    NO_SOLVERS = [
         ["spectrum", "--model", "mixed", "--q", "0.5"],
         ["spectrum", "--model", "scalar-linear", "--s", "1"],
         ["sweep", "--model", "mixed", "--q", "0.5", "--key", "b", "--values", "0,0.2"],
         ["sweep", "--model", "scalar-linear", "--s", "1", "--key", "s", "--values", "0.5,1"],
         ["nu-solve", "--model", "mixed", "--q", "0.5", "--energy", "0.6"],
         ["nu-solve", "--model", "scalar-linear", "--s", "1"],
+        ["wavefunction", "--model", "mixed", "--q", "0.5"],
+        ["wavefunction", "--model", "scalar-linear", "--s", "1"],
     ]
 
     def test_solvers_load_on_first_use(self):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kgbound.__file__)))
         proc = subprocess.run(
-            [sys.executable, "-c", _SOLVERS_PROBE, json.dumps(self.CLOSED_FORM)],
+            [sys.executable, "-c", _SOLVERS_PROBE, json.dumps(self.NO_SOLVERS)],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
-        assert report["codes"] == [0] * len(self.CLOSED_FORM)
+        assert report["codes"] == [0] * len(self.NO_SOLVERS)
         assert report["before"] == []
-        assert report["after"] == ["scipy.linalg", "scipy.optimize", "scipy.integrate"]
+        assert report["after"] == ["scipy.linalg", "scipy.optimize"]
         params = cm.MixedCoulombParams(q=0.5)
         level = cm.validate(params, 0, 0, cm.candidate_energies(params, 0, 0)[0], "particle")
         assert report["energy"] == oracle.solve_modelA(params, 0, 0)
         assert report["norm"] == wavefunctions.norm_quadrature(wavefunctions.build_mixed(params, level))
+        assert report["scalar_norm"] == wavefunctions.build_scalar(sl.LinearMassParams(s=1.0), 2, 1, 1.0).norm
 
 
 class TestOptions:

@@ -5,15 +5,59 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate, special
 
 from kgbound import coulomb_mixed as cm, scalar_linear as sl, wavefunctions as wf
-from kgbound.errors import InvalidParameter, NonNormalizable, NotBound
+from kgbound.errors import InvalidParameter, KGBoundError, NonNormalizable, NotBound
 
 
 def bound_level(params, n, l):
     e_plus, _ = cm.candidate_energies(params, n, l)
     return cm.validate(params, n, l, e_plus, "particle")
+
+
+def norm_by_quad(u):
+    """Reference normalization: scipy's adaptive quadrature on (0, r_cut),
+    r_cut grown until the integrand is below 1e-14 of its peak."""
+    shape = replace(u, norm=1.0)
+
+    def integrand(r):
+        return shape.evaluate(r) ** 2
+
+    m = u.radial_exponent
+    r_star = (u.power / (m * u.decay)) ** (1.0 / m)
+    peak = float(np.max(integrand(np.linspace(r_star / 8.0, 8.0 * r_star, 257))))
+    r_cut = 4.0 * r_star
+    while integrand(r_cut) > 1e-14 * peak:
+        r_cut *= 2.0
+    value, _ = integrate.quad(
+        integrand, 0.0, r_cut, epsabs=0.0, epsrel=1e-12, limit=400, points=[r_star]
+    )
+    return 1.0 / math.sqrt(value)
+
+
+def rule_integral(u, count):
+    """The integral of u^2 by the count-node Gauss-Laguerre rule in t = 2 decay r^m."""
+    m = u.radial_exponent
+    e = (2.0 * u.power + 1.0) / m
+    t, v = wf.gauss_laguerre(count, e - 1.0)
+    total = float(np.sum((v * wf.laguerre(u.n, u.laguerre_alpha, t)) ** 2))
+    return u.norm**2 * math.gamma(e) / m * (2.0 * u.decay) ** -e * total
+
+
+def shapes(n_values):
+    """Built wavefunctions of both models, the scalar one in both modes."""
+    mixed = cm.MixedCoulombParams(q=0.5, b=0.5, beta=-1.0, V0=0.1)
+    for n in n_values:
+        for l in (0, 3):
+            for branch, energy in zip(("particle", "antiparticle"), cm.candidate_energies(mixed, n, l)):
+                level = cm.validate(mixed, n, l, energy, branch)
+                if level.status == "bound":
+                    yield wf.build_mixed(mixed, level)
+            for params in (sl.LinearMassParams(s=1.0), sl.LinearMassParams(s=-0.4, length_scale=2.5)):
+                for as_printed in (False, True):
+                    yield wf.build_scalar(params, n, l, 1.0, as_printed=as_printed)
 
 
 class TestLaguerre:
@@ -83,6 +127,34 @@ class TestNormalization:
         )
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_rule_is_exact(self):
+        # n + 2 nodes integrate the degree-2n polynomial exactly, so ten more change nothing
+        for u in shapes((0, 1, 4, 17, 40)):
+            assert rule_integral(u, u.n + 2) == pytest.approx(rule_integral(u, u.n + 12), rel=1e-13)
+            assert rule_integral(u, u.n + 2) == pytest.approx(1.0, rel=1e-13)
+
+    def test_agrees_with_adaptive_quadrature(self):
+        for u in shapes((0, 3, 40)):
+            assert u.norm == pytest.approx(norm_by_quad(u), rel=1e-12)
+
+    def test_outer_overflow_rejected(self):
+        # n = 340 passes at every node, but L_n^alpha overflows between the
+        # last node and the end of the envelope, where `wavefunction` samples
+        params = sl.LinearMassParams(s=1.0)
+        u = wf.build_scalar(params, 300, 0, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.all(np.isfinite(u.evaluate(np.geomspace(1e-3, 1e4, 2001))))
+        for n in (340, wf.MAX_N, wf.MAX_N + 1, 10**9):
+            with pytest.raises(NonNormalizable):
+                wf.build_scalar(params, n, 0, 1.0)
+
+    @pytest.mark.parametrize("power", [math.nan, math.inf, 1e308, 1e306])
+    def test_weight_out_of_range_rejected(self, power):
+        for model in ("mixed", "scalar_linear"):
+            u = wf.RadialWavefunction(model, 2, 0, power=power, decay=1.0, laguerre_alpha=1.0)
+            with pytest.raises(NonNormalizable):
+                wf.norm_quadrature(u)
+
     def test_quadrature_rejects_bad_shapes(self):
         for model, n, power, decay, alpha in [
             ("mixed", 0, 1.0, -1.0, 1.0),  # no decay
@@ -101,6 +173,21 @@ class TestNormalization:
         params = sl.LinearMassParams(s=1.3, length_scale=0.7)
         u = wf.build_scalar(params, 2, 1, math.sqrt(sl.energy_squared(params, 2, 1)))
         assert u.norm == wf.norm_quadrature(u)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=50)
+    @given(q=st.floats(0.01, 2.0), b=st.floats(-2.0, 2.0), beta=st.floats(-2.0, 2.0),
+           V0=st.floats(-1.0, 1.0), n=st.integers(0, 30), l=st.integers(0, 8),
+           branch=st.sampled_from(("particle", "antiparticle")))
+    def test_closed_equals_quadrature_random_levels(self, q, b, beta, V0, n, l, branch):
+        params = cm.MixedCoulombParams(q=q, b=b, beta=beta, V0=V0)
+        try:
+            e_plus, e_minus = cm.candidate_energies(params, n, l)
+            level = cm.validate(params, n, l, e_plus if branch == "particle" else e_minus, branch)
+        except KGBoundError:
+            level = None
+        assume(level is not None and level.status == "bound")
+        u = wf.build_mixed(params, level)
+        assert wf.norm_closed_mixed(params, level) == pytest.approx(u.norm, rel=1e-12)
 
     def test_closed_norm_out_of_range(self):
         params = cm.MixedCoulombParams(q=0.5, b=-1e94)
