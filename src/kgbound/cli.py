@@ -21,16 +21,14 @@ import numpy as np
 
 from . import coulomb_mixed, nu, scalar_linear, verify, wavefunctions
 from .errors import InvalidParameter, KGBoundError, NoAdmissibleBranch, NotBound
-from .levels import ANTIPARTICLE, BOUND, PARTICLE, require_quantum_numbers
+from .levels import ANTIPARTICLE, PARTICLE, require_quantum_numbers
 from .units import PhysicalConstants
 
 SCHEMA = 1
 
-_MIXED_SWEEP_KEYS = ("q", "b", "beta", "V0")
-_SCALAR_SWEEP_KEYS = ("s", "length_scale")
-_COLUMNS = {
-    "mixed": ("n", "l", "branch", "energy", "status", "residual"),
-    "scalar-linear": ("n", "l", "branch", "energy", "energy_squared", "status"),
+_PARAMS = {
+    "mixed": coulomb_mixed.MixedCoulombParams,
+    "scalar-linear": scalar_linear.LinearMassParams,
 }
 
 
@@ -77,20 +75,22 @@ def _constants(args) -> PhysicalConstants:
     return PhysicalConstants(hbar_c=args.hbar_c, rest_energy=args.rest_energy)
 
 
-def _mixed_params(args) -> coulomb_mixed.MixedCoulombParams:
-    if args.q is None:
-        raise KGBoundError("--q is required for the mixed model")
-    return coulomb_mixed.MixedCoulombParams(
-        q=args.q, b=args.b, beta=args.beta, V0=args.V0, constants=_constants(args)
-    )
+def _couplings(model: str) -> list[dataclasses.Field]:
+    """The model's coupling fields, each the name of its flag; the one
+    without a default (q or s) is the required flag."""
+    return [f for f in dataclasses.fields(_PARAMS[model]) if f.name != "constants"]
 
 
-def _scalar_params(args) -> scalar_linear.LinearMassParams:
-    if args.s is None:
-        raise KGBoundError("--s is required for the scalar-linear model")
-    return scalar_linear.LinearMassParams(
-        s=args.s, length_scale=args.length_scale, constants=_constants(args)
-    )
+def _params(args, **override):
+    """The parameters of `--model` from its coupling flags, with `override`
+    values in place of the flags they name."""
+    values = {}
+    for field in _couplings(args.model):
+        value = override.get(field.name, getattr(args, field.name))
+        if value is None and field.default is dataclasses.MISSING:
+            raise KGBoundError(f"--{field.name} is required for the {args.model} model")
+        values[field.name] = value
+    return _PARAMS[args.model](**values, constants=_constants(args))
 
 
 def _energy_unit(args) -> float:
@@ -117,14 +117,18 @@ def _emit(args, meta: dict, columns: list[str], rows: list[dict]) -> None:
         print(",".join(fmt(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns))
 
 
-def _param_meta(params) -> dict:
-    d = dataclasses.asdict(params)
-    d.pop("constants", None)
-    return d
+def _meta(args, command: str, params, **before_params) -> dict:
+    """The header of a table: command, model, units, `before_params`, the
+    couplings and, for the scalar-linear model, its spectrum mode."""
+    meta = {"command": command, "model": args.model, "units": args.units, **before_params,
+            "params": {f.name: getattr(params, f.name) for f in _couplings(args.model)}}
+    if args.model == "scalar-linear":
+        meta["mode"] = args.mode
+    return meta
 
 
-def _spectrum_rows(args, model: str, params, unit: float) -> list[dict]:
-    if model == "mixed":
+def _spectrum_rows(args, params, unit: float) -> list[dict]:
+    if args.model == "mixed":
         return [
             {
                 "n": lv.n,
@@ -157,14 +161,9 @@ def _spectrum_rows(args, model: str, params, unit: float) -> list[dict]:
 
 
 def cmd_spectrum(args) -> int:
-    params = _mixed_params(args) if args.model == "mixed" else _scalar_params(args)
-    unit = _energy_unit(args)
-    rows = _spectrum_rows(args, args.model, params, unit)
-    meta = {"command": "spectrum", "model": args.model, "units": args.units,
-            "params": _param_meta(params)}
-    if args.model == "scalar-linear":
-        meta["mode"] = args.mode
-    _emit(args, meta, _COLUMNS[args.model], rows)
+    params = _params(args)
+    rows = _spectrum_rows(args, params, _energy_unit(args))
+    _emit(args, _meta(args, "spectrum", params), list(rows[0]), rows)
     return 0
 
 
@@ -174,29 +173,18 @@ def cmd_wavefunction(args) -> int:
     if args.samples < 0:
         raise InvalidParameter("--samples must not be negative")
     unit = _energy_unit(args)
+    params = _params(args)
     if args.model == "mixed":
-        params = _mixed_params(args)
         e_plus, e_minus = coulomb_mixed.candidate_energies(params, args.n, args.l)
         energy = e_plus if args.branch == PARTICLE else e_minus
         level = coulomb_mixed.validate(params, args.n, args.l, energy, args.branch)
-        if level.status != BOUND:
-            print(
-                f"level n={args.n} l={args.l} branch={args.branch} is "
-                f"{level.status}, not bound",
-                file=sys.stderr,
-            )
-            return 3
         wf = wavefunctions.build_mixed(params, level)
     else:
-        params = _scalar_params(args)
         e = math.sqrt(scalar_linear.energy_squared(params, args.n, args.l, args.mode))
         energy = e if args.branch == PARTICLE else -e
         wf = wavefunctions.build_scalar(params, args.n, args.l, energy,
                                         as_printed=args.mode == "as_printed")
-    meta = {"command": "wavefunction", "model": args.model, "units": args.units,
-            "params": _param_meta(params)}
-    if args.model == "scalar-linear":
-        meta["mode"] = args.mode
+    meta = _meta(args, "wavefunction", params)
     meta["level"] = {"n": args.n, "l": args.l, "branch": args.branch, "energy": energy / unit}
     rows = []
     if args.samples > 0:
@@ -253,14 +241,13 @@ def cmd_nu_solve(args) -> int:
     require_quantum_numbers(args.n, args.l)
     if args.energy is not None and not math.isfinite(args.energy):
         raise InvalidParameter("--energy must be finite")
+    params = _params(args)
     if args.model == "mixed":
-        params = _mixed_params(args)
         if args.energy is None:
             raise KGBoundError("--energy is required for the mixed model")
         energy = args.energy
         problem = coulomb_mixed.nu_problem(params, args.l, energy)
     else:
-        params = _scalar_params(args)
         energy = args.energy
         if energy is None:
             energy = math.sqrt(scalar_linear.energy_squared(params, 0, args.l))
@@ -291,14 +278,12 @@ def cmd_nu_solve(args) -> int:
         report["selected"] = _branch_dict(selected)
         lam, lam_n = nu.quantize(selected, problem, args.n)
         report["quantization"] = {"n": args.n, "lambda": lam, "lambda_n": lam_n}
-        if selected.tau_prime == 0:
-            report["note"] = "no bound state: branch is marginal (tau' = 0)"
     print(json.dumps(report, indent=2))
     return 0
 
 
 def cmd_sweep(args) -> int:
-    keys = _MIXED_SWEEP_KEYS if args.model == "mixed" else _SCALAR_SWEEP_KEYS
+    keys = [f.name for f in _couplings(args.model)]
     if args.key not in keys:
         raise KGBoundError(
             f"unknown sweep key {args.key!r} for model {args.model}"
@@ -311,21 +296,13 @@ def cmd_sweep(args) -> int:
     if not values:
         raise InvalidParameter(f"--values takes comma-separated numbers, got {args.values!r}")
     unit = _energy_unit(args)
-    if args.model == "mixed" and args.q is None and args.key == "q":
-        args.q = 0.0  # placeholder, replaced per sweep value
-    if args.model == "scalar-linear" and args.s is None and args.key == "s":
-        args.s = 0.0
-    base = _mixed_params(args) if args.model == "mixed" else _scalar_params(args)
-    all_rows: list[dict] = []
-    for value in values:
-        params = dataclasses.replace(base, **{args.key: value})
-        for row in _spectrum_rows(args, args.model, params, unit):
-            all_rows.append({args.key: value, **row})
-    meta = {"command": "sweep", "model": args.model, "units": args.units,
-            "sweep_key": args.key, "params": _param_meta(base)}
-    if args.model == "scalar-linear":
-        meta["mode"] = args.mode
-    _emit(args, meta, (args.key, *_COLUMNS[args.model]), all_rows)
+    # an unset swept coupling reads 0 in the header; each row carries its value
+    placeholder = {args.key: 0.0} if getattr(args, args.key) is None else {}
+    base = _params(args, **placeholder)
+    rows = [{args.key: value, **row}
+            for value in values
+            for row in _spectrum_rows(args, dataclasses.replace(base, **{args.key: value}), unit)]
+    _emit(args, _meta(args, "sweep", base, sweep_key=args.key), list(rows[0]), rows)
     return 0
 
 

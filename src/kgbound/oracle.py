@@ -147,11 +147,11 @@ class _TransformedOperator:
     def system(self, c_inv: float) -> TridiagonalSystem:
         return TridiagonalSystem(self._base + c_inv * self._w, self._off, self.grid)
 
-    def sturmian(self, mu: float) -> TridiagonalSystem:
-        """W^-1/2 (base - mu) W^-1/2: its index-th eigenvalue lam is the c_inv =
-        -lam at which system(c_inv) has mu as its index-th eigenvalue."""
+    def sturmian(self) -> TridiagonalSystem:
+        """W^-1/2 (base + 1) W^-1/2: its index-th eigenvalue lam is the c_inv =
+        -lam at which system(c_inv) has -1 as its index-th eigenvalue."""
         s = 1.0 / np.sqrt(self._w)
-        return TridiagonalSystem((self._base - mu) * s * s, self._off * s[:-1] * s[1:], self.grid)
+        return TridiagonalSystem((self._base + 1.0) * s * s, self._off * s[:-1] * s[1:], self.grid)
 
 
 class _TransformedScheme:
@@ -170,11 +170,11 @@ class _TransformedScheme:
     def check_nodes(self, c_inv: float, index: int) -> None:
         eigen_lowest(self.coarse.system(c_inv), index, check_nodes=True)
 
-    def sturmian(self, mu: float, index: int) -> float:
-        """Richardson-extrapolated index-th eigenvalue of sturmian(mu); the
+    def sturmian(self, index: int) -> float:
+        """Richardson-extrapolated index-th eigenvalue of sturmian(); the
         coarse eigenvector must have `index` interior nodes."""
-        coarse = eigen_lowest(self.coarse.sturmian(mu), index)
-        fine = eigen_lowest(self.fine.sturmian(mu), index, check_nodes=False)
+        coarse = eigen_lowest(self.coarse.sturmian(), index)
+        fine = eigen_lowest(self.fine.sturmian(), index, check_nodes=False)
         return (4.0 * fine - coarse) / 3.0
 
 
@@ -203,7 +203,7 @@ def sturmian_eigenvalue(p: float, n: int) -> float:
     eigenvector checked to have n nodes).  It depends on nothing else, so it
     is memoized per (p, n) for the life of the process; a failed solve raises
     again on every call."""
-    return _TransformedScheme(p, 0.0, MIXED_GRID).sturmian(-1.0, n)
+    return _TransformedScheme(p, 0.0, MIXED_GRID).sturmian(n)
 
 
 def solve_modelB(params: LinearMassParams, n: int, l: int) -> float:

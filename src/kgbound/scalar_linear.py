@@ -112,16 +112,3 @@ def spectrum(
             rows.append(EnergyLevel(n, l, ANTIPARTICLE, -e, BOUND, 0.0))
             rows.append(EnergyLevel(n, l, PARTICLE, e, BOUND, 0.0))
     return rows
-
-
-def anharmonic_check(params: LinearMassParams, n: int, l: int) -> tuple[float, float]:
-    """(ladder energy alpha1*(2n + 2*Lambda + 3), quantized -epsilon_sq).
-
-    The difference rhs - lhs = 2n*alpha1 quantifies the internal
-    n-coefficient inconsistency between the two published forms.
-    """
-    require_quantum_numbers(n, l)
-    alpha1, Lambda = params.alpha1, params.Lambda(l)
-    lhs = alpha1 * (2 * n + 2.0 * Lambda + 3.0)
-    rhs = alpha1 * (4 * n + 2.0 * Lambda + 3.0)
-    return lhs, rhs

@@ -84,7 +84,8 @@ class RadialWavefunction:
 def build_mixed(params: coulomb_mixed.MixedCoulombParams, level: EnergyLevel) -> RadialWavefunction:
     """Eigenfunction of a bound mixed-model level, normalized by norm_quadrature."""
     if level.status != BOUND:
-        raise NotBound(f"level (n={level.n}, l={level.l}) has status {level.status!r}")
+        raise NotBound(f"level n={level.n} l={level.l} branch={level.branch} is "
+                       f"{level.status}, not bound")
     L = params.effective_L(level.l)
     wf = RadialWavefunction(
         model=MIXED,
@@ -127,7 +128,8 @@ def build_scalar(
 def norm_closed_mixed(params: coulomb_mixed.MixedCoulombParams, level: EnergyLevel) -> float:
     """Closed-form normalization from the Laguerre orthogonality relation."""
     if level.status != BOUND:
-        raise NotBound(f"level (n={level.n}, l={level.l}) has status {level.status!r}")
+        raise NotBound(f"level n={level.n} l={level.l} branch={level.branch} is "
+                       f"{level.status}, not bound")
     n, L, eps = level.n, params.effective_L(level.l), params.epsilon(level.energy)
     try:
         return math.sqrt(

@@ -64,9 +64,10 @@ class TestSpectrum:
         assert body and all(ln.split(",")[4] == "threshold" for ln in body)
 
     def test_missing_coupling_exit_2(self, capsys):
-        code, _, err = run(capsys, "spectrum", "--model", "mixed")
-        assert code == 2
-        assert "--q" in err
+        for model, flag in (("mixed", "q"), ("scalar-linear", "s")):
+            code, _, err = run(capsys, "spectrum", "--model", model)
+            assert code == 2
+            assert err == f"error: --{flag} is required for the {model} model\n"
 
     def test_absolute_units(self, capsys):
         _, out, _ = run(capsys, "spectrum", "--model", "mixed", "--q", "0.5",
@@ -114,7 +115,7 @@ class TestWavefunction:
         code, _, err = run(capsys, "wavefunction", "--model", "mixed",
                            "--q", "0.5", "--branch", "antiparticle")
         assert code == 3
-        assert "not bound" in err
+        assert err == "error: level n=0 l=0 branch=antiparticle is threshold, not bound\n"
 
     def test_empty_sampling_header_only(self, capsys):
         code, out, _ = run(capsys, "wavefunction", "--model", "mixed",
@@ -246,6 +247,8 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "--model", "mixed", "--key", "q",
                            "--values", values, "--n-max", "0", "--l-max", "0")
         assert code == 0
+        # no --q: the header shows the placeholder, the rows the swept values
+        assert "# params: q=0 b=0 beta=1 V0=0" in out.splitlines()
         got = {}
         for line in out.splitlines():
             if line.startswith("#") or line.startswith("q,"):
@@ -273,9 +276,12 @@ class TestSweep:
         assert status[1.0] == (1.0, "threshold")
 
     def test_unknown_key_exit_2(self, capsys):
-        code, _, err = run(capsys, "sweep", "--model", "mixed", "--key", "mass",
-                           "--values", "1,2", "--q", "0.5")
-        assert code == 2 and "sweep key" in err
+        for model, choices in ((("--model", "mixed", "--q", "0.5"), "q, b, beta, V0"),
+                               (("--model", "scalar-linear", "--s", "1"), "s, length_scale")):
+            code, _, err = run(capsys, "sweep", *model, "--key", "mass", "--values", "1,2")
+            assert code == 2
+            assert err == (f"error: unknown sweep key 'mass' for model {model[1]}"
+                           f" (choose from {choices})\n")
 
 
 class TestNegativeExponentValues:

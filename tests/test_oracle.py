@@ -148,14 +148,14 @@ class TestSturmian:
     @pytest.mark.parametrize("n", [0, 2])
     def test_coupling_has_eigenvalue_minus_one(self, p, n):
         operator = oracle._TransformedOperator(p, 0.0, oracle.MIXED_GRID)
-        lam = oracle.eigen_lowest(operator.sturmian(-1.0), n)
+        lam = oracle.eigen_lowest(operator.sturmian(), n)
         assert abs(oracle.eigen_lowest(operator.system(-lam), n) + 1.0) <= 1e-9
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_richardson_matches_rotenberg(self, p, n):
         # -u'' + (p(p-1)/x^2 + c/x) u = -u is bound for c = -2(n + p)
-        lam = oracle._TransformedScheme(p, 0.0, oracle.MIXED_GRID).sturmian(-1.0, n)
+        lam = oracle._TransformedScheme(p, 0.0, oracle.MIXED_GRID).sturmian(n)
         assert abs(lam - 2.0 * (n + p)) <= 1e-9 * 2.0 * (n + p)
 
 
@@ -247,7 +247,7 @@ class TestModelA:
         # the memo holds exactly what the scheme computes
         p = params.effective_L(0) + 1.0
         scheme = oracle._TransformedScheme(p, 0.0, oracle.MIXED_GRID)
-        assert oracle.sturmian_eigenvalue(p, 0) == scheme.sturmian(-1.0, 0)
+        assert oracle.sturmian_eigenvalue(p, 0) == scheme.sturmian(0)
 
     def test_failures_not_memoized(self, miscounted_nodes):
         params = cm.MixedCoulombParams(q=0.5)

@@ -48,8 +48,6 @@ class TestDerive:
         p = sl.LinearMassParams(s=1.0)
         with pytest.raises(InvalidParameter):
             sl.nu_problem(p, -1, 1.0)
-        with pytest.raises(InvalidParameter):
-            sl.anharmonic_check(p, 0, -1)
 
     def test_nu_problem_coefficients(self):
         p = sl.LinearMassParams(s=1.0)
@@ -129,10 +127,3 @@ class TestSpectrum:
     def test_negative_bounds_rejected(self):
         with pytest.raises(ValueError):
             sl.spectrum(sl.LinearMassParams(s=1.0), 1, -1)
-
-
-def test_anharmonic_check_gap():
-    p = sl.LinearMassParams(s=1.0)
-    for n in range(4):
-        lhs, rhs = sl.anharmonic_check(p, n, 0)
-        assert rhs - lhs == pytest.approx(2.0 * n * p.alpha1, abs=1e-13)
