@@ -22,7 +22,8 @@ E-independent Sturmian eigenproblem: the coupling c = gamma1(E)/eps(E) is the
 eigenvalue, which depends only on the origin exponent p and the index n, so it
 is solved once per (p, n) per process (`sturmian_eigenvalue`), and the energy
 is the root of a scalar matching function, bracketed by a scan and narrowed by
-Brent's method (scipy's brentq).
+Brent's method (`_brent`, which follows the brentq C loop step for step, so
+the oracle loads scipy.linalg only).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +43,7 @@ from .scalar_linear import LinearMassParams
 from .units import require_finite_square
 
 BISECTION_TOL = 1e-10  # root tolerance on E, in units of the rest energy
+BRENT_MAX_ITERATIONS = 100  # Brent steps per root before ConvergenceFailure
 STURMIAN_CACHE_SIZE = 4096  # memoized (p, n) keys; each holds one float
 
 
@@ -178,6 +181,59 @@ class _TransformedScheme:
         return (4.0 * fine - coarse) / 3.0
 
 
+def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
+    """A root of f on [a, b] by Brent's method (Brent 1973, ch. 4), given
+    fa = f(a) and fb = f(b) of opposite signs (or one of them zero).
+
+    It follows scipy's brentq C loop step for step, with the same float
+    operations in the same order: rtol = 4 eps, the same interpolate /
+    extrapolate / bisect rule and the same minimum step delta.  So it returns
+    brentq's float, without evaluating f at a and b again.  After
+    BRENT_MAX_ITERATIONS steps it raises ConvergenceFailure.
+    """
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    rtol = 4.0 * sys.float_info.epsilon
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAX_ITERATIONS):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    raise ConvergenceFailure(
+        f"Brent's method stopped unconverged after {BRENT_MAX_ITERATIONS} "
+        f"iterations on [{a!r}, {b!r}]"
+    )
+
+
 # ---------------------------------------------------------------------------
 # model solvers
 
@@ -238,7 +294,8 @@ def solve_modelA(
     f(E) = gamma1(E)/eps(E) + lam_n.  f has the signs and roots of
     mu_n(c(E)) + 1, mu_n the n-th eigenvalue at fixed c, since mu_n increases
     with c.  f is evaluated on a scan of the (open) energy window, and Brent's
-    method (scipy's brentq) narrows the first sign change to 1e-10 * m0c^2.
+    method (`_brent`, starting from the two scan values) narrows the first
+    sign change to 1e-10 * m0c^2.
     `window` restricts the search, e.g. to isolate one of the
     particle/antiparticle roots; it does not change the grid.  `scan_points`
     must be an integer of at least 2.
@@ -275,13 +332,4 @@ def solve_modelA(
             scan=list(zip(scan, values)),
         )
 
-    from scipy.optimize import brentq
-
-    a, b = scan[i - 1], scan[i]
-    root, info = brentq(f, a, b, xtol=BISECTION_TOL * mc2, full_output=True, disp=False)
-    if not info.converged:
-        raise ConvergenceFailure(
-            f"Brent's method stopped unconverged ({info.flag}) after "
-            f"{info.iterations} iterations on [{a!r}, {b!r}]"
-        )
-    return float(root)
+    return float(_brent(f, scan[i - 1], scan[i], values[i - 1], values[i], BISECTION_TOL * mc2))

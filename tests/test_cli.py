@@ -459,14 +459,19 @@ scalar_norm = wavefunctions.build_scalar(sl.LinearMassParams(s=1.0), 2, 1, 1.0).
 before = [name for name in SOLVERS if name in sys.modules]
 energy = oracle.solve_modelA(params, 0, 0)
 after = [name for name in SOLVERS if name in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    verify_code = cli.main(["verify", "--model", "mixed"])
+after_verify = [name for name in SOLVERS if name in sys.modules]
 print(json.dumps({"codes": codes, "before": before, "after": after,
+                  "verify_code": verify_code, "after_verify": after_verify,
                   "energy": energy, "norm": norm, "scalar_norm": scalar_norm}))
 """
 
 
 class TestStartUp:
     """The closed-form commands, `wavefunction` and the normalization never
-    load scipy's solvers; the oracle loads them on first use."""
+    load scipy's solvers; the oracle loads scipy.linalg on first use, and
+    nothing else."""
 
     NO_SOLVERS = [
         ["spectrum", "--model", "mixed", "--q", "0.5"],
@@ -489,7 +494,10 @@ class TestStartUp:
         report = json.loads(proc.stdout)
         assert report["codes"] == [0] * len(self.NO_SOLVERS)
         assert report["before"] == []
-        assert report["after"] == ["scipy.linalg", "scipy.optimize"]
+        assert report["after"] == ["scipy.linalg"]
+        # the whole mixed verify, oracle included, needs no other solver
+        assert report["verify_code"] == 0
+        assert report["after_verify"] == ["scipy.linalg"]
         params = cm.MixedCoulombParams(q=0.5)
         level = cm.validate(params, 0, 0, cm.candidate_energies(params, 0, 0)[0], "particle")
         assert report["energy"] == oracle.solve_modelA(params, 0, 0)

@@ -1,13 +1,14 @@
 """Self-tests and model checks for the finite-difference verifier."""
 
-import functools
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import assume, given, settings, strategies as st
 
-from kgbound import coulomb_mixed as cm, oracle, scalar_linear as sl
+from kgbound import coulomb_mixed as cm, oracle, scalar_linear as sl, verify
 from kgbound.errors import ConvergenceFailure, InvalidParameter, NoBracket, UnrealRadicand
 from kgbound.levels import ANTIPARTICLE, BOUND, PARTICLE
 from kgbound.units import PhysicalConstants
@@ -281,11 +282,12 @@ class TestModelA:
         assert eigensolves == [6000, 12001]
 
     def test_brent_nonconvergence_is_convergence_failure(self, monkeypatch):
-        monkeypatch.setattr(
-            scipy.optimize, "brentq", functools.partial(scipy.optimize.brentq, maxiter=1)
-        )
+        # one Brent step does not reach 1e-10; the message names the step
+        # count and the scanned bracket
+        monkeypatch.setattr(oracle, "BRENT_MAX_ITERATIONS", 1)
         params = cm.MixedCoulombParams(q=0.5)
-        with pytest.raises(ConvergenceFailure):
+        message = re.escape("after 1 iterations on [0.55, 0.6000000000000001]")
+        with pytest.raises(ConvergenceFailure, match=message):
             oracle.solve_modelA(params, 0, 0, window=(0.55, 0.65), scan_points=3)
 
     @pytest.mark.parametrize("window", [None, (0.0, 1.0), (-2.0, 2.0), (0.5, 5.0)])
@@ -396,3 +398,71 @@ class TestModelA:
         with pytest.raises(ValueError):
             oracle.solve_modelA(params, 0, 0, window=(2.0, 3.0))
 
+
+class TestBrent:
+    """`_brent` returns scipy's brentq float, bit for bit."""
+
+    @pytest.fixture
+    def brent_calls(self, monkeypatch):
+        """(f, a, b, xtol, root) of every `_brent` call made by solve_modelA."""
+        calls = []
+        original = oracle._brent
+
+        def recorded(f, a, b, fa, fb, xtol):
+            root = original(f, a, b, fa, fb, xtol)
+            calls.append((f, a, b, xtol, root))
+            return root
+
+        monkeypatch.setattr(oracle, "_brent", recorded)
+        return calls
+
+    @pytest.mark.parametrize("half_width, scan_points", [(1e-5, 3), (0.02, 33)])
+    def test_criterion_2_levels(self, brent_calls, half_width, scan_points):
+        fx = next(spec.full for spec in verify.REGISTRY if spec.measure is verify._mixed_oracle)
+        levels = [
+            (params, row)
+            for params in fx.params
+            for row in cm.bound_levels(cm.spectrum(params, fx.n_max, fx.l_max))
+        ]
+        assert len(levels) == 234
+        for params, row in levels:
+            half = half_width * params.constants.rest_energy
+            E = oracle.solve_modelA(
+                params, row.n, row.l, window=(row.energy - half, row.energy + half),
+                scan_points=scan_points,
+            )
+            assert E == brent_calls[-1][-1]
+        # no scan point hit a root: every level went through _brent
+        assert len(brent_calls) == len(levels)
+        for f, a, b, xtol, root in brent_calls:
+            assert root == scipy.optimize.brentq(f, a, b, xtol=xtol)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(
+        shape=st.sampled_from(["cubic", "tanh"]),
+        root=st.floats(-10.0, 10.0),
+        left=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+        right=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+        slope=st.floats(0.0, 3.0),
+        sign=st.sampled_from([1.0, -1.0]),
+        xtol=st.floats(1e-14, 1e-3),
+    )
+    def test_smooth_brackets(self, shape, root, left, right, slope, sign, xtol):
+        # a shifted cubic or tanh with its root in [a, b]; left = 0 or
+        # right = 0 puts an exact root on an endpoint
+        if shape == "cubic":
+            def f(x):
+                return sign * ((x - root) ** 3 + slope * (x - root))
+        else:
+            def f(x):
+                return sign * math.tanh((0.1 + slope) * (x - root))
+        a, b = root - left, root + right
+        assume(a < b)
+        fa, fb = f(a), f(b)
+        assume(fa == 0.0 or fb == 0.0 or (fa < 0.0) != (fb < 0.0))
+        expected, info = scipy.optimize.brentq(f, a, b, xtol=xtol, full_output=True, disp=False)
+        if info.converged:
+            assert oracle._brent(f, a, b, fa, fb, xtol) == expected
+        else:
+            with pytest.raises(ConvergenceFailure):
+                oracle._brent(f, a, b, fa, fb, xtol)
