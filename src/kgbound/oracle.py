@@ -15,24 +15,29 @@ then removes the leading h^2 error (for 0.51 <~ p <~ 0.8 it leaves enough
 behind that a mixed level misses 1e-6).  Both model solvers and the textbook
 self-tests (box, hydrogen-like, oscillator; acceptance criterion 8) run on
 this one scheme.  Eigenvalues come from a Sturm-sequence bisection solver
-(LAPACK stebz via scipy) in index mode, one eigenvalue per call.  The mixed
-model is solved in the scale-free variable x = eps(E) r (Rotenberg, Ann.
-Phys. 19, 262 (1962)) on one fixed x-grid, where its levels solve one
-E-independent Sturmian eigenproblem: the coupling c = gamma1(E)/eps(E) is the
-eigenvalue, which depends only on the origin exponent p and the index n, so it
-is solved once per (p, n) per process (`sturmian_eigenvalue`), and the energy
-is the root of a scalar matching function, bracketed by a scan and narrowed by
-Brent's method (`_brent`, which follows the brentq C loop step for step, so
-the oracle loads scipy.linalg only).
+(LAPACK stebz, through scipy's f2py wrapper) in index mode, one eigenvalue
+per call.  The mixed model is solved in the scale-free variable x = eps(E) r
+(Rotenberg, Ann. Phys. 19, 262 (1962)) on one fixed x-grid, where its levels
+solve one E-independent Sturmian eigenproblem: the coupling
+c = gamma1(E)/eps(E) is the eigenvalue, which depends only on the origin
+exponent p and the index n, so it is solved once per (p, n) per process
+(`sturmian_eigenvalue`), and the energy is the root of a scalar matching
+function, bracketed by a scan and narrowed by Brent's method (`_brent`, which
+follows the brentq C loop step for step).  The oracle imports no scipy
+subpackage: it loads the LAPACK extension module on its own
+(`_tridiagonal_lapack`).
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
@@ -86,30 +91,68 @@ def _count_nodes(vec: np.ndarray) -> int:
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
+@functools.cache
+def _tridiagonal_lapack():
+    """LAPACK's dstebz and dstein, as scipy.linalg.lapack wraps them.
+
+    Importing the scipy.linalg package loads over 300 modules (its array-API
+    layer pulls in numpy.testing, numpy.random, numpy.f2py, email, ...) and
+    adds about 18000 objects that every later full garbage collection walks;
+    the two routines need none of that.  So unless scipy.linalg is loaded
+    already, the extension module that holds them, scipy/linalg/_flapack, is
+    loaded on its own from scipy's directory, and left out of sys.modules.
+    Where that fails, the public scipy.linalg.lapack is imported instead.
+    Both routes reach the same f2py wrapper of the same LAPACK, so no float
+    depends on the route.
+    """
+    scipy_spec = None if "scipy.linalg" in sys.modules else importlib.util.find_spec("scipy")
+    if scipy_spec is not None and scipy_spec.submodule_search_locations:
+        linalg = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+        finder = FileFinder(linalg, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec("scipy.linalg._flapack")
+        if spec is not None:
+            try:
+                flapack = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(flapack)
+                return flapack.dstebz, flapack.dstein
+            except (ImportError, AttributeError):
+                pass
+            finally:
+                # CPython registers the module as it creates it; without the
+                # entry, a later import of scipy.linalg builds the package
+                # (and its _flapack attribute) as usual
+                sys.modules.pop(spec.name, None)
+    from scipy.linalg.lapack import dstebz, dstein
+
+    return dstebz, dstein
+
+
 def eigen_lowest(system: TridiagonalSystem, index: int, check_nodes: bool = True) -> float:
     """The index-th algebraically smallest eigenvalue, by Sturm-sequence
-    bisection (stebz in index mode); with `check_nodes`, its eigenvector must
-    have `index` interior nodes."""
+    bisection (stebz in index mode, the call scipy's eigh_tridiagonal makes
+    for select="i"); with `check_nodes`, its eigenvector (stein) must have
+    `index` interior nodes."""
     if index < 0:
         raise InvalidParameter("index must not be negative")
     if index >= system.grid.points // 10:
         raise InvalidParameter("index must be below points/10")
-    # imported on first use, so the closed-form commands never load scipy
-    from scipy.linalg import eigh_tridiagonal
-
-    try:
-        result = eigh_tridiagonal(
-            system.diagonal,
-            system.off_diagonal,
-            eigvals_only=not check_nodes,
-            select="i",
-            select_range=(index, index),
-        )
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    vals = result
+    d, e = system.diagonal, system.off_diagonal
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    # loaded on first use, so the closed-form commands never load LAPACK
+    stebz, stein = _tridiagonal_lapack()
+    # range 2 (by index), unused value bounds 0 and 1, absolute tolerance 0
+    # (LAPACK's default); order "B" (by block) is what stein takes
+    m, vals, iblock, isplit, info = stebz(
+        d, e, 2, 0.0, 1.0, index + 1, index + 1, 0.0, "B" if check_nodes else "E"
+    )
+    if info != 0:
+        raise ConvergenceFailure(f"stebz exited with info = {info}")
+    vals = vals[:m]
     if check_nodes:
-        vals, vecs = result
+        vecs, info = stein(d, e, vals, iblock, isplit)
+        if info != 0:
+            raise ConvergenceFailure(f"stein: {info} eigenvectors failed to converge")
         nodes = _count_nodes(vecs[:, 0])
         if nodes != index:
             raise ConvergenceFailure(f"eigenvector {index} has {nodes} interior nodes")

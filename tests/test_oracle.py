@@ -1,11 +1,16 @@
 """Self-tests and model checks for the finite-difference verifier."""
 
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy.linalg import eigh_tridiagonal
 from hypothesis import assume, given, settings, strategies as st
 
 from kgbound import coulomb_mixed as cm, oracle, scalar_linear as sl, verify
@@ -86,6 +91,69 @@ class TestSelfTests:
         with pytest.raises(ValueError):
             oracle.eigen_lowest(system, 200)
         assert oracle.eigen_lowest(system, 199, check_nodes=False) > 0.0
+
+
+def _route_system(p, c_r2, level, c_inv):
+    operator = getattr(oracle._TransformedScheme(p, c_r2, oracle.MIXED_GRID), level)
+    return operator.sturmian() if c_inv is None else operator.system(c_inv)
+
+
+class TestLapackRoute:
+    """eigen_lowest calls LAPACK's stebz (and stein) as scipy's
+    eigh_tridiagonal does, whether it loaded scipy's LAPACK module on its own
+    or through scipy.linalg, so both routes return eigh_tridiagonal's floats."""
+
+    # (p, c_r2, coarse/fine, c_inv or None for the Sturmian system, index, node check)
+    CASES = [
+        (p, c_r2, level, c_inv, n, level == "coarse")
+        for p, c_r2, c_inv in ((0.5, 0.0, None), (1.37, 0.0, None), (2.0, 0.0, -1.3), (1.0, 0.04, 0.0))
+        for level in ("coarse", "fine")
+        for n in (0, 2)
+    ]
+
+    def _reference(self):
+        out = []
+        for p, c_r2, level, c_inv, n, nodes in self.CASES:
+            system = _route_system(p, c_r2, level, c_inv)
+            result = eigh_tridiagonal(system.diagonal, system.off_diagonal, eigvals_only=not nodes,
+                                      select="i", select_range=(n, n))
+            out.append(float((result[0] if nodes else result)[0]))
+        return out
+
+    def test_fresh_interpreter_matches_eigh_tridiagonal(self):
+        probe = (
+            "import json, sys\n"
+            "from kgbound import oracle\n"
+            f"cases = {self.CASES!r}\n"
+            "vals = []\n"
+            "for p, c_r2, level, c_inv, n, nodes in cases:\n"
+            "    op = getattr(oracle._TransformedScheme(p, c_r2, oracle.MIXED_GRID), level)\n"
+            "    system = op.sturmian() if c_inv is None else op.system(c_inv)\n"
+            "    vals.append(oracle.eigen_lowest(system, n, check_nodes=nodes))\n"
+            "print(json.dumps({'vals': [repr(v) for v in vals],\n"
+            "                  'loaded': sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')}))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oracle.__file__)))
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        # LAPACK was loaded on its own: no scipy module is registered
+        assert report["loaded"] == []
+        assert [float(v) for v in report["vals"]] == self._reference()
+
+    def test_in_process_matches_eigh_tridiagonal(self):
+        got = [oracle.eigen_lowest(_route_system(p, c_r2, level, c_inv), n, check_nodes=nodes)
+               for p, c_r2, level, c_inv, n, nodes in self.CASES]
+        assert got == self._reference()
+
+    def test_non_finite_rejected(self):
+        system = _route_system(1.0, 0.0, "coarse", 0.0)
+        for bad in (math.nan, math.inf):
+            diagonal = system.diagonal.copy()
+            diagonal[7] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                oracle.eigen_lowest(oracle.TridiagonalSystem(diagonal, system.off_diagonal, system.grid), 0)
 
 
 class TestTransformedOperator:
