@@ -122,6 +122,10 @@ class MixedCoulombParams:
             arg = 0.0
         return math.sqrt(arg) / c.hbar_c
 
+    def reduced_w(self, E: float, l: int, r):
+        """W(r) of the reduced equation u'' = W(r) u at energy E."""
+        return self.epsilon(E) ** 2 + self.gamma1(E) / r + self.gamma2(l) / r**2
+
 
 def nu_problem(params: MixedCoulombParams, l: int, E: float) -> nu.NUProblem:
     """The hypergeometric-type reduction in the variable z = r."""

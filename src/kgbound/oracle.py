@@ -16,16 +16,18 @@ behind that a mixed level misses 1e-6).  Both model solvers and the textbook
 self-tests (box, hydrogen-like, oscillator; acceptance criterion 8) run on
 this one scheme.  Eigenvalues come from a Sturm-sequence bisection solver
 (LAPACK stebz, through scipy's f2py wrapper) in index mode, one eigenvalue
-per call.  The mixed model is solved in the scale-free variable x = eps(E) r
-(Rotenberg, Ann. Phys. 19, 262 (1962)) on one fixed x-grid, where its levels
-solve one E-independent Sturmian eigenproblem: the coupling
-c = gamma1(E)/eps(E) is the eigenvalue, which depends only on the origin
-exponent p and the index n, so it is solved once per (p, n) per process
+per call.  Each model is solved in a scale-free variable (Rotenberg, Ann.
+Phys. 19, 262 (1962)), so its eigenvalue depends only on the origin exponent
+p and the index n.  The scalar model, in y = sqrt(alpha1) r, is the oscillator
+-u_yy + (p(p-1)/y^2 + y^2) u = sigma u on a grid sized from (p, n) alone.
+The mixed model is solved in x = eps(E) r on one fixed x-grid, where its
+levels solve one E-independent Sturmian eigenproblem: the coupling
+c = gamma1(E)/eps(E) is the eigenvalue, solved once per (p, n) per process
 (`sturmian_eigenvalue`), and the energy is the root of a scalar matching
 function, bracketed by a scan and narrowed by Brent's method (`_brent`, which
-follows the brentq C loop step for step).  The oracle imports no scipy
-subpackage: it loads the LAPACK extension module on its own
-(`_tridiagonal_lapack`).
+follows the brentq C loop step for step).  Each solver rejects the (p, n) its
+grid does not serve.  The oracle imports no scipy subpackage: it loads the
+LAPACK extension module on its own (`_tridiagonal_lapack`).
 """
 
 from __future__ import annotations
@@ -281,16 +283,6 @@ def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
 # model solvers
 
 
-def default_grid_scalar(params: LinearMassParams, n: int, l: int) -> RadialGrid:
-    """Domain sized from the oscillator turning point of level (n, l)."""
-    lam0 = params.constants.compton_length
-    a1 = params.alpha1
-    p = params.Lambda(l) + 1.0
-    turning = math.sqrt((4.0 * n + 2.0 * p + 1.0) / a1)
-    r_max = max(8.0 * lam0, turning + 7.0 / math.sqrt(a1))
-    return RadialGrid(1e-4 * lam0, r_max, 6000)
-
-
 # the mixed model's grid in x = eps(E) r, where every bound level has mu = -1
 MIXED_GRID = RadialGrid(1e-5, 25.0, 6000)
 
@@ -301,19 +293,55 @@ def sturmian_eigenvalue(p: float, n: int) -> float:
     problem (-d^2/dx^2 + p(p-1)/x^2 + 1) u = lam u/x on MIXED_GRID (the coarse
     eigenvector checked to have n nodes).  It depends on nothing else, so it
     is memoized per (p, n) for the life of the process; a failed solve raises
-    again on every call."""
+    again on every call.
+
+    MIXED_GRID ends at x = 25, so (p, n) is served only where the level's
+    outer turning point, n + p + sqrt((n + p)^2 - p(p - 1)), is at most 12;
+    there lam_n(p) is within 2e-7 of 2(n + p) for p >= 1.  Beyond it the wall
+    shows: 8.8e-7 at (p, n) = (10, 0), 3.7e-4 at (4, 6).  Anything else is
+    rejected before any eigensolve.  (For p < 1 the Richardson step leaves
+    more behind, inside the region too: up to 1.7e-6 at p = 1/2 and 2e-5 for
+    0.55 <= p <= 0.7.)
+    """
+    turning = n + p + math.sqrt((n + p) ** 2 - p * (p - 1.0))
+    if turning > 12.0:
+        raise InvalidParameter(
+            f"(p, n) = ({p!r}, {n}) has its turning point at x = {turning:.4g} > 12: "
+            "MIXED_GRID ends at x = 25"
+        )
     return _TransformedScheme(p, 0.0, MIXED_GRID).sturmian(n)
 
 
 def solve_modelB(params: LinearMassParams, n: int, l: int) -> float:
-    """E^2 for the scalar linear-mass model from the oscillator eigenvalue, on
-    the grid `default_grid_scalar` sizes for level (n, l)."""
+    """E^2 for the scalar linear-mass model from the oscillator eigenvalue.
+
+    In y = sqrt(alpha1) r the reduced equation -u'' + (alpha1^2 r^2 +
+    alpha2/r^2) u = kappa u becomes -u_yy + (p(p-1)/y^2 + y^2) u = sigma u,
+    with kappa = alpha1 sigma and p = Lambda + 1, so sigma_n(p) depends on
+    (p, n) alone and E^2 = alpha1 sigma (hbar c)^2 + 2 m0c^2 s/L.  sigma_n(p)
+    is bisected on the grid (1e-4, sqrt(4n + 2p + 1) + 7) of 6000 points and
+    on its refinement, Richardson-extrapolated, and the coarse eigenvector is
+    checked to have n nodes.
+
+    The grid serves p <= 12 and n <= 200: there sigma_n(p) is within 3.2e-8
+    of 4n + 2p + 1 for n <= 40 and within 2.1e-7 up to n = 200.  Past them
+    the error grows (1.8e-6 at p = 18, 2.7e-4 at p = 25, ConvergenceFailure
+    at p = 30; 2.4e-6 at n = 400), so anything else is rejected before any
+    eigensolve.  The relative error of E^2 is that of sigma times
+    sigma/(sigma + 2s/(hbar c)), which exceeds 1 for s < 0: about 12 at
+    p = 12, n = 0.
+    """
     require_quantum_numbers(n, l)
     require_finite_square(alpha1=params.alpha1)
     c = params.constants
     p = params.Lambda(l) + 1.0
-    scheme = _TransformedScheme(p, params.alpha1**2, default_grid_scalar(params, n, l))
-    kappa = scheme.eigenvalue(0.0, n)
+    if p > 12.0 or n > 200:
+        raise InvalidParameter(
+            f"(p, n) = ({p!r}, {n}): the oscillator grid serves p = Lambda + 1 <= 12 and n <= 200"
+        )
+    grid = RadialGrid(1e-4, math.sqrt(4.0 * n + 2.0 * p + 1.0) + 7.0, 6000)
+    scheme = _TransformedScheme(p, 1.0, grid)
+    kappa = params.alpha1 * scheme.eigenvalue(0.0, n)
     scheme.check_nodes(0.0, n)
     return kappa * c.hbar_c**2 + 2.0 * c.rest_energy * params.s / params.length_scale
 

@@ -64,6 +64,11 @@ class LinearMassParams:
         c = self.constants
         return (2.0 * c.rest_energy * self.s / self.length_scale - E * E) / c.hbar_c**2
 
+    def reduced_w(self, E: float, l: int, r):
+        """W(r) of the reduced equation u'' = W(r) u at energy E."""
+        require_finite_square(alpha1=self.alpha1)
+        return self.alpha1**2 * r**2 + self.alpha2(l) / r**2 + self.epsilon_sq(E)
+
 
 def nu_problem(params: LinearMassParams, l: int, E: float) -> nu.NUProblem:
     """The hypergeometric-type reduction in the variable z = r^2."""

@@ -131,14 +131,15 @@ def _nu_engine(fx, mode):
 # reduction against the physical fields
 #
 # k^2(r) = [(E - V)^2 - (m(r)c^2 + S)^2]/(hbar c)^2 - l(l+1)/r^2, rebuilt point
-# by point from V, S and m, must equal each model's reduced form.  The
-# mismatch is taken relative to the sum of the magnitudes of the terms, which
-# bounds the rounding of either side.
+# by point from V, S and m, must equal -W(r) of each model's reduced equation
+# u'' = W(r) u: the params' `reduced_w`, which wavefunctions.ode_residual uses
+# too.  The mismatch is taken relative to the sum of the magnitudes of the
+# terms, which bounds the rounding of either side.
 
 
 def mixed_field_mismatch(params: MixedCoulombParams, E: float, l: int, r: float) -> float:
     """S = -hbar*c*q/r, V = beta*S - V0, m c^2 = m0c^2 (1 + lambda0*b/r):
-    k^2 against -(eps^2 + gamma1/r + gamma2/r^2)."""
+    k^2 against -reduced_w = -(eps^2 + gamma1/r + gamma2/r^2)."""
     c = params.constants
     Q, mc2 = c.hbar_c, c.rest_energy
     S = -Q * params.q / r
@@ -146,7 +147,7 @@ def mixed_field_mismatch(params: MixedCoulombParams, E: float, l: int, r: float)
     mass = mc2 * (1.0 + c.compton_length * params.b / r)
     centrifugal = l * (l + 1) / r**2
     fields = ((E - V) ** 2 - (mass + S) ** 2) / Q**2 - centrifugal
-    reduced = -(params.epsilon(E) ** 2 + params.gamma1(E) / r + params.gamma2(l) / r**2)
+    reduced = -params.reduced_w(E, l, r)
     scale = ((abs(E) + abs(params.beta * S) + abs(params.V0)) ** 2
              + (mc2 + abs(Q * params.b / r) + abs(S)) ** 2) / Q**2 + centrifugal
     return abs(fields - reduced) / scale
@@ -154,15 +155,15 @@ def mixed_field_mismatch(params: MixedCoulombParams, E: float, l: int, r: float)
 
 def scalar_field_mismatch(params: scalar_linear.LinearMassParams, E: float, l: int,
                           r: float) -> float:
-    """S = s/r, V = 0, m = m0 r/L: k^2 against kappa - alpha1^2 r^2 - alpha2/r^2,
-    with kappa = (E^2 - 2 m0c^2 s/L)/(hbar c)^2 = -epsilon_sq(E)."""
+    """S = s/r, V = 0, m = m0 r/L: k^2 against -reduced_w = kappa - alpha1^2 r^2
+    - alpha2/r^2, with kappa = (E^2 - 2 m0c^2 s/L)/(hbar c)^2 = -epsilon_sq(E)."""
     c = params.constants
     Q = c.hbar_c
     S = params.s / r
     mass = c.rest_energy * r / params.length_scale
     centrifugal = l * (l + 1) / r**2
     fields = (E**2 - (mass + S) ** 2) / Q**2 - centrifugal
-    reduced = -params.epsilon_sq(E) - params.alpha1**2 * r**2 - params.alpha2(l) / r**2
+    reduced = -params.reduced_w(E, l, r)
     scale = (E**2 + (mass + abs(S)) ** 2) / Q**2 + centrifugal
     return abs(fields - reduced) / scale
 

@@ -18,7 +18,6 @@ import numpy as np
 from . import coulomb_mixed, scalar_linear
 from .errors import InvalidParameter, NonNormalizable, NotBound
 from .levels import BOUND, EnergyLevel, require_quantum_numbers
-from .units import require_finite_square
 
 MIXED = "mixed"
 SCALAR = "scalar_linear"
@@ -231,19 +230,13 @@ def ode_residual(wf: RadialWavefunction, params, E: float, grid) -> float:
     """max |u'' - W(r) u| / max |u| over the grid.
 
     u'' is a 5-point central difference with a radius-proportional step; W is
-    the effective potential minus the eigenvalue term of the model's radial
-    equation.
+    `params.reduced_w`, the effective potential minus the eigenvalue term of
+    the model's radial equation.
     """
     r = np.asarray(grid, dtype=float)
     if np.any(r <= 0.0):
         raise InvalidParameter("grid points must be strictly positive")
-    if wf.model == MIXED:
-        w = params.epsilon(E) ** 2 + params.gamma1(E) / r + params.gamma2(wf.l) / r**2
-    elif wf.model == SCALAR:
-        require_finite_square(alpha1=params.alpha1)
-        w = params.alpha1**2 * r**2 + params.alpha2(wf.l) / r**2 + params.epsilon_sq(E)
-    else:
-        raise InvalidParameter(f"unknown model {wf.model!r}")
+    w = params.reduced_w(E, wf.l, r)
     h = 0.01 * r
     u = wf.evaluate(r)
     u2 = (

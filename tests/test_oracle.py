@@ -1,5 +1,6 @@
 """Self-tests and model checks for the finite-difference verifier."""
 
+import itertools
 import json
 import math
 import os
@@ -204,9 +205,66 @@ class TestModelB:
             oracle.solve_modelB(sl.LinearMassParams(s=0.0), -1, 0)
 
     def test_alpha1_square_overflow_rejected(self):
-        # alpha1 = 1e200: its square, the oscillator's c_r2, overflows
+        # alpha1 = 1e200: the oscillator term alpha1^2 r^2 of the model's own
+        # equation overflows, so solve_modelB rejects the alpha1 that
+        # scalar_linear.nu_problem and wavefunctions.ode_residual reject
         with pytest.raises(InvalidParameter):
             oracle.solve_modelB(sl.LinearMassParams(s=1.0, length_scale=1e-200), 0, 0)
+
+    @pytest.fixture
+    def eigen_calls(self, monkeypatch):
+        """(grid, check_nodes) of every oracle.eigen_lowest call, in order."""
+        calls = []
+        original = oracle.eigen_lowest
+
+        def recorded(system, index, check_nodes=True):
+            calls.append((system.grid, check_nodes))
+            return original(system, index, check_nodes)
+
+        monkeypatch.setattr(oracle, "eigen_lowest", recorded)
+        return calls
+
+    def test_eigensolves_depend_on_p_and_n_only(self, eigen_calls):
+        # Richardson coarse and fine, then the node check on the coarse grid;
+        # L and the constants scale y = sqrt(alpha1) r, not the grid
+        oracle.solve_modelB(sl.LinearMassParams(s=0.5), 2, 1)
+        assert [(g.points, check) for g, check in eigen_calls] == [
+            (6000, False), (12001, False), (6000, True)]
+        first = list(eigen_calls)
+        eigen_calls.clear()
+        constants = PhysicalConstants(hbar_c=0.2, rest_energy=3.0)
+        oracle.solve_modelB(sl.LinearMassParams(s=0.1, length_scale=1e-4, constants=constants),
+                            2, 1)
+        assert eigen_calls == first
+
+    @pytest.mark.parametrize("length_scale, constants", [
+        (1e-4, PhysicalConstants()),
+        (1e3, PhysicalConstants()),
+        (1e-4, PhysicalConstants(hbar_c=0.2, rest_energy=3.0)),
+    ])
+    def test_scale_invariance(self, length_scale, constants):
+        # in y = sqrt(alpha1) r neither L nor the constants enter the grid,
+        # so L << hbar/(m0 c) is served as well as L = 1
+        params = sl.LinearMassParams(s=0.5, length_scale=length_scale, constants=constants)
+        for n, l in itertools.product(range(3), range(3)):
+            e2 = sl.energy_squared(params, n, l)
+            assert abs(oracle.solve_modelB(params, n, l) - e2) / e2 < 1e-6
+
+    @pytest.mark.parametrize("s, n, l", [(0.0, 200, 11), (-11.48, 0, 0)])
+    def test_range_edge_served(self, s, n, l):
+        # p = 12 at the largest n, and p just below 12 with s < 0, where
+        # E^2 amplifies sigma's error twelvefold
+        params = sl.LinearMassParams(s=s)
+        assert 11.9 < params.Lambda(l) + 1.0 <= 12.0
+        e2 = sl.energy_squared(params, n, l)
+        assert abs(oracle.solve_modelB(params, n, l) - e2) / e2 < 1e-6
+
+    @pytest.mark.parametrize("s, n, l", [(0.5, 0, 11), (0.0, 201, 0)])
+    def test_range_rejected(self, eigen_calls, s, n, l):
+        # p = 12.01, and n = 201: refused before any eigensolve
+        with pytest.raises(InvalidParameter, match="serves p"):
+            oracle.solve_modelB(sl.LinearMassParams(s=s), n, l)
+        assert eigen_calls == []
 
 
 class TestSturmian:
@@ -332,6 +390,27 @@ class TestModelA:
         with pytest.raises(InvalidParameter, match="scan_points"):
             oracle.solve_modelA(params, 0, 0, window=(0.55, 0.65), scan_points=scan_points)
         # refused before any eigensolve
+        assert eigensolves == []
+
+    @pytest.mark.parametrize("p, n", [(9.0, 0), (1.0, 5), (2.0, 4), (3.5, 2)])
+    def test_sturmian_range_served(self, p, n):
+        # turning points 12, 12, 11.8 and 10.1 (criterion 2's widest key)
+        assert abs(oracle.sturmian_eigenvalue(p, n) - 2.0 * (n + p)) <= 2e-7 * 2.0 * (n + p)
+
+    @pytest.mark.parametrize("p, n", [(9.05, 0), (1.0, 6), (2.0, 5)])
+    def test_sturmian_range_rejected(self, eigensolves, p, n):
+        # turning points 12.06, 14 and 13.9: the wall at x = 25 shows
+        with pytest.raises(InvalidParameter, match="turning point"):
+            oracle.sturmian_eigenvalue(p, n)
+        assert eigensolves == []
+
+    def test_truncated_level_rejected(self, eigensolves):
+        # p = 4, n = 6 (turning point 19.4): the wall at x = 25 would put
+        # the level 3.7e-6 off its closed form; refused before any eigensolve
+        params = cm.MixedCoulombParams(q=0.5)
+        e_plus = cm.candidate_energies(params, 6, 3)[0]
+        with pytest.raises(InvalidParameter, match="turning point"):
+            oracle.solve_modelA(params, 6, 3, window=(e_plus - 0.02, e_plus + 0.02))
         assert eigensolves == []
 
     def test_two_scan_points(self):

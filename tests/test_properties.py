@@ -86,7 +86,8 @@ def test_spectrum_raises_only_invalid_parameter(q, b, beta, V0, s, length_scale,
 
 
 # The reduction against the physical fields: k^2(r) rebuilt point by point
-# from V, S and m must equal each model's reduced form, to 1e-12 of the sum of
+# from V, S and m must equal -reduced_w, the W(r) of u'' = W(r) u that
+# wavefunctions.ode_residual uses, to 1e-12 of the sum of
 # the magnitudes of the terms (verify.mixed_field_mismatch and
 # verify.scalar_field_mismatch, which the registry runs on fixed fixtures).
 angular = st.integers(0, 5)
