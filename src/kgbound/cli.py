@@ -35,13 +35,13 @@ _PARAMS = {
 def fmt(x: float) -> str:
     """Deterministic float formatting: 12 significant digits, scientific
     notation below 1e-3 in magnitude."""
+    if abs(x) >= 1e-3:  # the common case; true for inf, false for nan
+        return f"{x:.12g}"
     if isinstance(x, float) and math.isnan(x):
         return "nan"
     if x == 0:
         return "0"
-    if abs(x) < 1e-3:
-        return f"{x:.11e}"
-    return f"{x:.12g}"
+    return f"{x:.11e}"
 
 
 # ---------------------------------------------------------------------------
@@ -102,19 +102,31 @@ def _energy_unit(args) -> float:
 
 
 def _emit(args, meta: dict, columns: list[str], rows: list[dict]) -> None:
+    """Write the table to stdout in one piece."""
     if args.output == "json":
-        print(json.dumps({"schema": SCHEMA, **meta, "rows": rows}, indent=2))
+        text = json.dumps({"schema": SCHEMA, **meta, "rows": []}, indent=2)
+        if rows:
+            # The C encoder with indent=2's separators writes each row's items
+            # one per line; only the breaks between rows need re-indenting.
+            # `},\n      {` marks them alone: a JSON string holds no raw
+            # newline, and a row holds scalars only.
+            body = json.dumps(rows, separators=(",\n      ", ": "))
+            body = body[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+            text = text.removesuffix("[]\n}") + f"[\n    {{\n      {body}\n    }}\n  ]\n}}"
+        sys.stdout.write(text + "\n")
         return
-    print(f"# schema={SCHEMA}")
+    lines = [f"# schema={SCHEMA}"]
     for key, val in meta.items():
         if isinstance(val, dict):
             pairs = " ".join(f"{k}={fmt(v) if isinstance(v, float) else v}" for k, v in val.items())
-            print(f"# {key}: {pairs}")
+            lines.append(f"# {key}: {pairs}")
         else:
-            print(f"# {key}={val}")
-    print(",".join(columns))
+            lines.append(f"# {key}={val}")
+    lines.append(",".join(columns))
     for row in rows:
-        print(",".join(fmt(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns))
+        lines.append(",".join([fmt(v) if isinstance(v, float) else str(v)
+                               for v in map(row.__getitem__, columns)]))
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _meta(args, command: str, params, **before_params) -> dict:
@@ -140,20 +152,21 @@ def _spectrum_rows(args, params, unit: float) -> list[dict]:
             }
             for lv in coulomb_mixed.spectrum(params, args.n_max, args.l_max)
         ]
-    rows = []
-    for lv in scalar_linear.spectrum(params, args.n_max, args.l_max, args.mode):
-        e2 = scalar_linear.energy_squared(params, lv.n, lv.l, args.mode)
-        rows.append(
-            {
-                "n": lv.n,
-                "l": lv.l,
-                "branch": lv.branch,
-                "energy": lv.energy / unit,
-                "energy_squared": e2 / unit**2,
-                "status": lv.status,
-            }
-        )
-    return rows
+    levels = scalar_linear.spectrum(params, args.n_max, args.l_max, args.mode)
+    # both branches of a level share its E^2
+    e2 = {key: scalar_linear.energy_squared(params, *key, args.mode) / unit**2
+          for key in {(lv.n, lv.l) for lv in levels}}
+    return [
+        {
+            "n": lv.n,
+            "l": lv.l,
+            "branch": lv.branch,
+            "energy": lv.energy / unit,
+            "energy_squared": e2[lv.n, lv.l],
+            "status": lv.status,
+        }
+        for lv in levels
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +358,9 @@ def _add_table(sub):
     _add_report(sub)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: `parse_args` leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="kgbound",
         description="Bound-state spectra of the radial Klein-Gordon equation "

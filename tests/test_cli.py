@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import kgbound
 from kgbound import cli, oracle, scalar_linear as sl, wavefunctions
@@ -35,6 +36,30 @@ class TestFmt:
 
     def test_nan(self):
         assert cli.fmt(math.nan) == "nan"
+
+    @staticmethod
+    def reference(x) -> str:
+        """The specification: nan, then zero, then the cut-off at 1e-3."""
+        if isinstance(x, float) and math.isnan(x):
+            return "nan"
+        if x == 0:
+            return "0"
+        if abs(x) < 1e-3:
+            return f"{x:.11e}"
+        return f"{x:.12g}"
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=1000)
+    @given(x=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+           | st.integers(-10**6, 10**6))
+    @example(x=1e-3)
+    @example(x=-1e-3)
+    @example(x=math.nextafter(1e-3, 0))
+    @example(x=-math.nextafter(1e-3, 0))
+    @example(x=-0.0)
+    @example(x=5e-324)
+    @example(x=-math.inf)
+    def test_matches_specification(self, x):
+        assert cli.fmt(x) == self.reference(x)
 
 
 class TestSpectrum:
@@ -94,6 +119,28 @@ class TestSpectrum:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+class TestJsonTables:
+    """JSON tables are the bytes of `json.dumps(..., indent=2)`."""
+
+    @pytest.mark.parametrize("argv", [
+        # unreal rows carry NaN energies
+        ("spectrum", "--model", "mixed", "--q", "1", "--b", "1", "--l-max", "1"),
+        ("sweep", "--model", "mixed", "--q", "0.5", "--key", "b", "--values", "0,0.5"),
+        ("sweep", "--model", "scalar-linear", "--key", "s", "--values", "0.5,1"),
+        ("wavefunction", "--model", "mixed", "--q", "0.5", "--samples", "0"),
+        ("wavefunction", "--model", "mixed", "--q", "0.5", "--samples", "3"),
+    ])
+    def test_indent_2_bytes(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--output", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_nan_rows_present(self, capsys):
+        _, out, _ = run(capsys, "spectrum", "--model", "mixed", "--q", "1", "--b", "1",
+                        "--l-max", "1", "--output", "json")
+        assert any(math.isnan(row["energy"]) for row in json.loads(out)["rows"])
 
 
 class TestWavefunction:
@@ -427,6 +474,40 @@ class TestParameterErrors:
             code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == "" and err.startswith("error: ")
+
+
+class TestCachedParser:
+    """One parser serves every call of the process."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reuse_leaks_no_state(self, capsys, monkeypatch, tmp_path):
+        # argparse wraps its usage line at COLUMNS; give both sides the same width
+        monkeypatch.setenv("COLUMNS", "80")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("q = 0.3\nn_max = 1\nl_max = 0\n")
+        calls = [
+            ("spectrum", "--model", "mixed", "--config", str(cfg)),
+            ("spectrum", "--model", "mixed", "--q", "abc"),  # argparse rejects it
+            ("spectrum", "--model", "mixed", "--q", "0.5", "--n-max", "-1"),
+            ("spectrum", "--model", "mixed", "--q", "0.5"),
+        ]
+        in_process = []
+        for argv in calls:
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        assert [code for code, _, _ in in_process] == [0, 2, 2, 0]
+        env = dict(os.environ, COLUMNS="80",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(kgbound.__file__)))
+        for argv, got in zip(calls, in_process):
+            proc = subprocess.run([sys.executable, "-m", "kgbound.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert got == (proc.returncode, proc.stdout, proc.stderr), argv
 
 
 class TestClosedPipe:
