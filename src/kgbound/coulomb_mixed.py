@@ -78,13 +78,13 @@ class MixedCoulombParams:
         return (
             (l + 0.5) ** 2
             + self.b * (self.b - 2.0 * self.q)
-            + self.q**2 * (1.0 - self.beta**2)
+            + self.q * self.q * (1.0 - self.beta * self.beta)
         )
 
     def gamma2(self, l: int) -> float:
         return (
             self.b * (self.b - 2.0 * self.q)
-            + self.q**2 * (1.0 - self.beta**2)
+            + self.q * self.q * (1.0 - self.beta * self.beta)
             + l * (l + 1)
         )
 
@@ -112,12 +112,13 @@ class MixedCoulombParams:
         """Binding wavenumber sqrt(m0^2 c^4 - E_tilde^2)/(hbar c)."""
         c = self.constants
         e_tilde = E + self.V0
-        # the check below raises here too; comparing first keeps e_tilde**2 finite
+        # the check below raises here too; comparing first keeps e_tilde^2 finite
         if abs(e_tilde) > (1.0 + 1e-6) * c.rest_energy:
             raise EnergyOutOfWindow(f"|E + V0| = {abs(e_tilde)} > m0c^2")
-        arg = c.rest_energy**2 - e_tilde**2
+        mc2_sq = c.rest_energy * c.rest_energy
+        arg = mc2_sq - e_tilde * e_tilde
         if arg < 0.0:
-            if arg < -1e-12 * c.rest_energy**2:
+            if arg < -1e-12 * mc2_sq:
                 raise EnergyOutOfWindow(f"|E + V0| = {abs(e_tilde)} > m0c^2")
             arg = 0.0
         return math.sqrt(arg) / c.hbar_c

@@ -343,7 +343,7 @@ def solve_modelB(params: LinearMassParams, n: int, l: int) -> float:
     scheme = _TransformedScheme(p, 1.0, grid)
     kappa = params.alpha1 * scheme.eigenvalue(0.0, n)
     scheme.check_nodes(0.0, n)
-    return kappa * c.hbar_c**2 + 2.0 * c.rest_energy * params.s / params.length_scale
+    return kappa * (c.hbar_c * c.hbar_c) + 2.0 * c.rest_energy * params.s / params.length_scale
 
 
 def solve_modelA(

@@ -50,19 +50,19 @@ class LinearMassParams:
 
     def alpha2(self, l: int) -> float:
         Q = self.constants.hbar_c
-        return (self.s**2 + l * (l + 1) * Q * Q) / (Q * Q)
+        return (self.s * self.s + l * (l + 1) * Q * Q) / (Q * Q)
 
     def Lambda(self, l: int) -> float:
         """Effective angular momentum absorbing the coupling."""
         Q = self.constants.hbar_c
         two_s_over_hbar_c = 2.0 * self.s / Q
         require_finite_square(two_s_over_hbar_c=two_s_over_hbar_c)
-        return 0.5 * (math.sqrt((2 * l + 1) ** 2 + two_s_over_hbar_c**2) - 1.0)
+        return 0.5 * (math.sqrt((2 * l + 1) ** 2 + two_s_over_hbar_c * two_s_over_hbar_c) - 1.0)
 
     def epsilon_sq(self, E: float) -> float:
         """Signed (2 m0c^2 s/L - E^2)/(hbar c)^2, never rooted."""
         c = self.constants
-        return (2.0 * c.rest_energy * self.s / self.length_scale - E * E) / c.hbar_c**2
+        return (2.0 * c.rest_energy * self.s / self.length_scale - E * E) / (c.hbar_c * c.hbar_c)
 
     def reduced_w(self, E: float, l: int, r):
         """W(r) of the reduced equation u'' = W(r) u at energy E."""
@@ -93,7 +93,7 @@ def energy_squared(params: LinearMassParams, n: int, l: int, mode: str = "correc
     require_quantum_numbers(n, l)
     c = params.constants
     Q, mc2, L = c.hbar_c, c.rest_energy, params.length_scale
-    root = math.sqrt((2 * l + 1) ** 2 + 4.0 * params.s**2 / (Q * Q))
+    root = math.sqrt((2 * l + 1) ** 2 + 4.0 * (params.s * params.s) / (Q * Q))
     coef = 4 * n + 2 if mode == "corrected" else 2 * n + 1
     if params.s < 0.0:
         # 2s/Q + root cancels for s << 0; its rationalized form keeps E^2 > 0

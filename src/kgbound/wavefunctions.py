@@ -147,7 +147,8 @@ def norm_closed_scalar_printed(params: scalar_linear.LinearMassParams, n: int, l
     infinite there; it is reported for auditing, not used.
     """
     Q = params.constants.hbar_c
-    half_root = 0.5 * math.sqrt((2 * l + 1) ** 2 + (2.0 * params.s / Q) ** 2)
+    two_s_over_hbar_c = 2.0 * params.s / Q
+    half_root = 0.5 * math.sqrt((2 * l + 1) ** 2 + two_s_over_hbar_c * two_s_over_hbar_c)
     binom = 1.0 if n == 0 else 0.0
     if binom == 0.0:
         return math.inf

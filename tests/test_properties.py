@@ -5,7 +5,9 @@ import contextlib
 import io
 import json
 import math
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgbound import cli, coulomb_mixed as cm, scalar_linear as sl, verify
@@ -26,6 +28,21 @@ constants = st.builds(PhysicalConstants, hbar_c=st.floats(1e-3, 1e3),
 mixed_params = st.builds(cm.MixedCoulombParams, q=coupling, b=coupling, beta=coupling,
                          V0=coupling, constants=constants)
 sizes = st.integers(0, 3)
+
+
+# x**2 goes through the C library's pow, which need not round correctly; at
+# this x glibc's differs from x*x.  The closed forms square by multiplying, so
+# their floats do not depend on the platform's pow.
+UNEVEN_SQUARE = 1.7637640404080193
+
+
+@pytest.mark.parametrize("square", [
+    lambda x: cm.MixedCoulombParams(q=x, beta=0.0).gamma2(0),
+    lambda x: sl.LinearMassParams(s=x).alpha2(0),
+    lambda x: 1.0 / sl.LinearMassParams(s=0.5, constants=PhysicalConstants(hbar_c=x)).epsilon_sq(0.0),
+], ids=["mixed-gamma2", "scalar-alpha2", "scalar-hbar-c"])
+def test_squares_are_correctly_rounded(square):
+    assert square(UNEVEN_SQUARE) == float(Fraction(UNEVEN_SQUARE) ** 2)
 
 
 def _same(a, b) -> bool:
