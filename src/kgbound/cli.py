@@ -12,15 +12,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import signal
 import sys
+import warnings
 
 import numpy as np
 
 from . import coulomb_mixed, nu, scalar_linear, verify, wavefunctions
-from .errors import InvalidParameter, KGBoundError, NoAdmissibleBranch, NotBound
+from .errors import InvalidParameter, KGBoundError, MultipleBranches, NoAdmissibleBranch, NotBound
 from .levels import ANTIPARTICLE, PARTICLE, require_quantum_numbers
 from .units import PhysicalConstants
 
@@ -101,10 +103,12 @@ def _energy_unit(args) -> float:
 # table emission
 
 
-def _emit(args, meta: dict, columns: list[str], rows: list[dict]) -> None:
-    """Write the table to stdout in one piece."""
+def _emit(args, meta: dict, columns: dict[str, list]) -> None:
+    """Write the table, given as named columns of equal length, to stdout in
+    one piece."""
     if args.output == "json":
         text = json.dumps({"schema": SCHEMA, **meta, "rows": []}, indent=2)
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
         if rows:
             # The C encoder with indent=2's separators writes each row's items
             # one per line; only the breaks between rows need re-indenting.
@@ -123,10 +127,11 @@ def _emit(args, meta: dict, columns: list[str], rows: list[dict]) -> None:
         else:
             lines.append(f"# {key}={val}")
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join([fmt(v) if isinstance(v, float) else str(v)
-                               for v in map(row.__getitem__, columns)]))
-    sys.stdout.write("\n".join(lines) + "\n")
+    # cells are formatted as their line is joined, so no column of strings is kept
+    cells = (map(fmt if col and isinstance(col[0], float) else str, col)
+             for col in columns.values())
+    body = map(",".join, zip(*cells))
+    sys.stdout.write("\n".join(itertools.chain(lines, body, [""])))
 
 
 def _meta(args, command: str, params, **before_params) -> dict:
@@ -139,34 +144,19 @@ def _meta(args, command: str, params, **before_params) -> dict:
     return meta
 
 
-def _spectrum_rows(args, params, unit: float) -> list[dict]:
+def _spectrum_columns(args, params_seq: list, unit: float) -> dict[str, list]:
+    """The `spectrum` table of each params in `params_seq`, one after another,
+    with energies in `unit`."""
     if args.model == "mixed":
-        return [
-            {
-                "n": lv.n,
-                "l": lv.l,
-                "branch": lv.branch,
-                "energy": lv.energy / unit,
-                "status": lv.status,
-                "residual": lv.residual / unit,
-            }
-            for lv in coulomb_mixed.spectrum(params, args.n_max, args.l_max)
-        ]
-    levels = scalar_linear.spectrum(params, args.n_max, args.l_max, args.mode)
-    # both branches of a level share its E^2
-    e2 = {key: scalar_linear.energy_squared(params, *key, args.mode) / unit**2
-          for key in {(lv.n, lv.l) for lv in levels}}
-    return [
-        {
-            "n": lv.n,
-            "l": lv.l,
-            "branch": lv.branch,
-            "energy": lv.energy / unit,
-            "energy_squared": e2[lv.n, lv.l],
-            "status": lv.status,
-        }
-        for lv in levels
-    ]
+        cols = coulomb_mixed.spectrum_columns(params_seq, args.n_max, args.l_max)
+        names = ("n", "l", "branch", "energy", "status", "residual")
+        cols["residual"] = cols["residual"] / unit
+    else:
+        cols = scalar_linear.spectrum_columns(params_seq, args.n_max, args.l_max, args.mode)
+        names = ("n", "l", "branch", "energy", "energy_squared", "status")
+        cols["energy_squared"] = cols["energy_squared"] / (unit * unit)
+    cols["energy"] = cols["energy"] / unit
+    return {name: cols[name].tolist() for name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +165,8 @@ def _spectrum_rows(args, params, unit: float) -> list[dict]:
 
 def cmd_spectrum(args) -> int:
     params = _params(args)
-    rows = _spectrum_rows(args, params, _energy_unit(args))
-    _emit(args, _meta(args, "spectrum", params), list(rows[0]), rows)
+    columns = _spectrum_columns(args, [params], _energy_unit(args))
+    _emit(args, _meta(args, "spectrum", params), columns)
     return 0
 
 
@@ -199,14 +189,11 @@ def cmd_wavefunction(args) -> int:
                                         as_printed=args.mode == "as_printed")
     meta = _meta(args, "wavefunction", params)
     meta["level"] = {"n": args.n, "l": args.l, "branch": args.branch, "energy": energy / unit}
-    rows = []
-    if args.samples > 0:
-        grid = np.geomspace(args.r_min, args.r_max, args.samples)
-        # far from the function's scale a factor overflows; evaluate handles it
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = wf.evaluate(grid)
-        rows = [{"r": float(r), "u": float(v)} for r, v in zip(grid, u)]
-    _emit(args, meta, ["r", "u"], rows)
+    grid = np.geomspace(args.r_min, args.r_max, args.samples)
+    # far from the function's scale a factor overflows; evaluate handles it
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = wf.evaluate(grid)
+    _emit(args, meta, {"r": grid.tolist(), "u": u.tolist()})
     return 0
 
 
@@ -265,6 +252,7 @@ def cmd_nu_solve(args) -> int:
         if energy is None:
             energy = math.sqrt(scalar_linear.energy_squared(params, 0, args.l))
         problem = scalar_linear.nu_problem(params, args.l, energy)
+    branches = nu.branches(problem)
     report = {
         "schema": SCHEMA,
         "command": "nu-solve",
@@ -280,10 +268,15 @@ def cmd_nu_solve(args) -> int:
             ],
         },
         "k_roots": nu.solve_k(problem),
-        "branches": [_branch_dict(b) for b in nu.branches(problem)],
+        "branches": [_branch_dict(b) for b in branches],
     }
     try:
-        selected = nu.select(nu.branches(problem), problem)
+        # a tie is reported like an error line, without a source location
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", MultipleBranches)
+            selected = nu.select(branches, problem)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
     except NoAdmissibleBranch as exc:
         report["selected"] = None
         report["error"] = str(exc)
@@ -312,10 +305,11 @@ def cmd_sweep(args) -> int:
     # an unset swept coupling reads 0 in the header; each row carries its value
     placeholder = {args.key: 0.0} if getattr(args, args.key) is None else {}
     base = _params(args, **placeholder)
-    rows = [{args.key: value, **row}
-            for value in values
-            for row in _spectrum_rows(args, dataclasses.replace(base, **{args.key: value}), unit)]
-    _emit(args, _meta(args, "sweep", base, sweep_key=args.key), list(rows[0]), rows)
+    table = _spectrum_columns(
+        args, [dataclasses.replace(base, **{args.key: value}) for value in values], unit)
+    per_value = len(table["n"]) // len(values)
+    columns = {args.key: [value for value in values for _ in range(per_value)], **table}
+    _emit(args, _meta(args, "sweep", base, sweep_key=args.key), columns)
     return 0
 
 

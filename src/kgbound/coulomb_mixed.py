@@ -15,17 +15,29 @@ bound.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from . import levels, nu
 from .errors import EnergyOutOfWindow, InvalidParameter, UnrealRadicand
-from .levels import ANTIPARTICLE, BOUND, PARTICLE, SPURIOUS, THRESHOLD, UNREAL, EnergyLevel
+from .levels import BOUND, BRANCHES, SPURIOUS, THRESHOLD, UNREAL, EnergyLevel
 from .units import NATURAL, PhysicalConstants, require_finite_square
 
 # epsilon below this (in units of m0*c^2/hbar*c) counts as a continuum edge
 THRESHOLD_TOL = 1e-12
 # unsquared-condition residual below this (in units of m0*c^2) counts as bound
 RESIDUAL_TOL = 1e-10
+
+# statuses by the codes `_classify` gives them, and the branches of a level
+_STATUSES = np.array([UNREAL, THRESHOLD, BOUND, SPURIOUS], dtype=object)
+_BRANCHES = np.array(BRANCHES, dtype=object)
+
+
+def _radicand(q, b, beta, l):
+    """(l + 1/2)^2 + b(b - 2q) + q^2(1 - beta^2), for floats or arrays."""
+    return (l + 0.5) * (l + 0.5) + b * (b - 2.0 * q) + q * q * (1.0 - beta * beta)
 
 
 @dataclass(frozen=True)
@@ -75,11 +87,7 @@ class MixedCoulombParams:
 
     def ell_radicand(self, l: int) -> float:
         """(l + 1/2)^2 + b(b - 2q) + q^2(1 - beta^2)."""
-        return (
-            (l + 0.5) ** 2
-            + self.b * (self.b - 2.0 * self.q)
-            + self.q * self.q * (1.0 - self.beta * self.beta)
-        )
+        return _radicand(self.q, self.b, self.beta, l)
 
     def gamma2(self, l: int) -> float:
         return (
@@ -138,38 +146,105 @@ def nu_problem(params: MixedCoulombParams, l: int, E: float) -> nu.NUProblem:
     )
 
 
+def _candidates(q, b, beta, V0, mc2, B):
+    """The radicand of the squared condition and its energy pair (E+, E-),
+    NaN where the radicand is negative.  Floats or broadcasting arrays."""
+    with np.errstate(all="ignore"):
+        inner = B * B - q * q * (1.0 - beta * beta) - b * (b - 2.0 * q)
+        num = q * (b - q) * beta
+        den = q * q * beta * beta + B * B
+        spread = B * np.sqrt(inner)
+        return inner, -V0 + mc2 * (num + spread) / den, -V0 + mc2 * (num - spread) / den
+
+
+def _outside(e_tilde, mc2):
+    """|E + V0| beyond m0c^2: the energy is unreal whatever B is."""
+    return abs(e_tilde) > mc2 * (1.0 + 1e-12)
+
+
+def _classify(q, b, beta, V0, mc2, Q, B, E):
+    """Status codes (indices into _STATUSES) and residuals of the energies E
+    at B, by back-substituting the unsquared condition 2*B*eps = -gamma1.
+    Floats or broadcasting arrays; the energies and their flattened order
+    set the result's.  An in-window energy whose eps^2 is below
+    -1e-12 m0^2c^4 raises EnergyOutOfWindow, the first in that order."""
+    with np.errstate(all="ignore"):
+        e_tilde = E + V0
+        outside = _outside(e_tilde, mc2)
+        # eps(E), as MixedCoulombParams.epsilon gives it inside the window
+        inside = np.where(outside, 0.0, e_tilde)
+        mc2_sq = mc2 * mc2
+        arg = mc2_sq - inside * inside
+        far = arg < -1e-12 * mc2_sq
+        if far.any():
+            first = np.extract(far, np.broadcast_to(e_tilde, far.shape))[0]
+            raise EnergyOutOfWindow(f"|E + V0| = {float(abs(first))} > m0c^2")
+        eps = np.sqrt(np.maximum(arg, 0.0)) / Q
+        gamma1 = (2.0 * (b - q) * mc2 - 2.0 * q * beta * e_tilde) / Q
+        residual = abs(2.0 * B * eps + gamma1) * Q
+        code = np.select(
+            [outside, eps <= THRESHOLD_TOL * mc2 / Q, residual < RESIDUAL_TOL * mc2], [0, 1, 2], 3
+        )
+        return code, np.where(outside, math.inf, residual)
+
+
+def _couplings(params: MixedCoulombParams):
+    c = params.constants
+    return params.q, params.b, params.beta, params.V0, c.rest_energy, c.hbar_c
+
+
 def candidate_energies(params: MixedCoulombParams, n: int, l: int):
     """The squared-condition energy pair (E_plus, E_minus)."""
     levels.require_quantum_numbers(n, l)
-    c = params.constants
-    B = params.B(n, l)
-    q, b, beta = params.q, params.b, params.beta
-    inner = B * B - q * q * (1.0 - beta * beta) - b * (b - 2.0 * q)
+    q, b, beta, V0, mc2, _ = _couplings(params)
+    inner, e_plus, e_minus = _candidates(q, b, beta, V0, mc2, params.B(n, l))
     if inner < 0.0:
         raise UnrealRadicand(f"B^2 - q^2(1-beta^2) - b(b-2q) = {inner} < 0")
-    num = q * (b - q) * beta
-    den = q * q * beta * beta + B * B
-    spread = B * math.sqrt(inner)
-    e_plus = -params.V0 + c.rest_energy * (num + spread) / den
-    e_minus = -params.V0 + c.rest_energy * (num - spread) / den
-    return e_plus, e_minus
+    return float(e_plus), float(e_minus)
 
 
 def validate(params: MixedCoulombParams, n: int, l: int, E: float, branch: str) -> EnergyLevel:
     """Classify a candidate energy by back-substituting the unsquared condition."""
     levels.require_quantum_numbers(n, l)
-    c = params.constants
-    mc2, Q = c.rest_energy, c.hbar_c
-    e_tilde = E + params.V0
-    if abs(e_tilde) > mc2 * (1.0 + 1e-12):
-        return EnergyLevel(n, l, branch, E, UNREAL, math.inf)
-    eps = params.epsilon(E)
-    residual = abs(2.0 * params.B(n, l) * eps + params.gamma1(E)) * Q
-    if eps <= THRESHOLD_TOL * mc2 / Q:
-        return EnergyLevel(n, l, branch, E, THRESHOLD, residual)
-    if residual < RESIDUAL_TOL * mc2:
-        return EnergyLevel(n, l, branch, E, BOUND, residual)
-    return EnergyLevel(n, l, branch, E, SPURIOUS, residual)
+    couplings = _couplings(params)
+    B = math.nan if _outside(E + params.V0, params.constants.rest_energy) else params.B(n, l)
+    code, residual = _classify(*couplings, B, E)
+    return EnergyLevel(n, l, branch, E, _STATUSES[code], float(residual))
+
+
+def spectrum_columns(
+    params_seq: Sequence[MixedCoulombParams], n_max: int, l_max: int
+) -> dict[str, np.ndarray]:
+    """The `spectrum` tables of every params in `params_seq`, one after
+    another, as columns named after the EnergyLevel fields.
+
+    One array pass: rows run over (params, l, n, branch), and B, with its
+    effective L, is computed once per (params, l, n).
+    """
+    if n_max < 0 or l_max < 0:
+        raise InvalidParameter("n_max and l_max must be nonnegative")
+    # axes (params, l, n, branch)
+    q, b, beta, V0, mc2, Q = (
+        np.array([_couplings(p) for p in params_seq]).reshape(-1, 6).T[:, :, None, None, None]
+    )
+    l = np.arange(l_max + 1).reshape(-1, 1, 1)
+    n = np.arange(n_max + 1).reshape(-1, 1)
+    with np.errstate(all="ignore"):
+        rad = _radicand(q, b, beta, l)
+        B = n + 1.0 + (np.sqrt(rad) - 0.5)
+    inner, e_plus, e_minus = _candidates(q, b, beta, V0, mc2, B)
+    unreal = (rad < 0.0) | (inner < 0.0)
+    energy = np.where(unreal, math.nan, np.concatenate((e_minus, e_plus), axis=-1))
+    code, residual = _classify(q, b, beta, V0, mc2, Q, B, energy)
+    shape = energy.shape
+    return {
+        "n": np.broadcast_to(n, shape).ravel(),
+        "l": np.broadcast_to(l, shape).ravel(),
+        "branch": np.broadcast_to(_BRANCHES, shape).ravel(),
+        "energy": energy.ravel(),
+        "status": _STATUSES[np.where(unreal, 0, code)].ravel(),
+        "residual": np.where(unreal, math.nan, residual).ravel(),
+    }
 
 
 def spectrum(params: MixedCoulombParams, n_max: int, l_max: int) -> list[EnergyLevel]:
@@ -179,20 +254,7 @@ def spectrum(params: MixedCoulombParams, n_max: int, l_max: int) -> list[EnergyL
     energies, never aborting the table.  Rows come in (l, n, branch) order:
     antiparticle sorts before particle.
     """
-    if n_max < 0 or l_max < 0:
-        raise InvalidParameter("n_max and l_max must be nonnegative")
-    rows = []
-    for l in range(l_max + 1):
-        for n in range(n_max + 1):
-            try:
-                e_plus, e_minus = candidate_energies(params, n, l)
-            except UnrealRadicand:
-                for branch in (ANTIPARTICLE, PARTICLE):
-                    rows.append(EnergyLevel(n, l, branch, math.nan, UNREAL, math.nan))
-                continue
-            rows.append(validate(params, n, l, e_minus, ANTIPARTICLE))
-            rows.append(validate(params, n, l, e_plus, PARTICLE))
-    return rows
+    return levels.from_columns(spectrum_columns([params], n_max, l_max))
 
 
 def bound_levels(rows: list[EnergyLevel]) -> list[EnergyLevel]:

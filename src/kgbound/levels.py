@@ -1,6 +1,6 @@
 """Validated energy levels as emitted by the spectrum tables."""
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 from .errors import InvalidParameter
 
@@ -11,6 +11,8 @@ UNREAL = "unreal"
 
 PARTICLE = "particle"
 ANTIPARTICLE = "antiparticle"
+# the order of a level's two rows in a table
+BRANCHES = (ANTIPARTICLE, PARTICLE)
 
 
 @dataclass(frozen=True)
@@ -36,3 +38,8 @@ def require_quantum_numbers(n: int, l: int) -> None:
     """Reject a negative radial or orbital quantum number."""
     if n < 0 or l < 0:
         raise InvalidParameter("n and l must be nonnegative")
+
+
+def from_columns(columns: dict) -> list[EnergyLevel]:
+    """The rows of a level table given as columns named after the fields."""
+    return list(map(EnergyLevel, *(columns[f.name].tolist() for f in fields(EnergyLevel))))

@@ -14,11 +14,14 @@ silently fixed.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from . import nu
+import numpy as np
+
+from . import levels, nu
 from .errors import InvalidParameter
-from .levels import ANTIPARTICLE, BOUND, PARTICLE, EnergyLevel, require_quantum_numbers
+from .levels import BOUND, BRANCHES, EnergyLevel, require_quantum_numbers
 from .units import NATURAL, PhysicalConstants, require_finite_square
 
 MODES = ("corrected", "as_printed")
@@ -83,22 +86,67 @@ def nu_problem(params: LinearMassParams, l: int, E: float) -> nu.NUProblem:
     )
 
 
+def _energy_squared(s, length_scale, Q, mc2, coef, l):
+    """E^2 of the level whose radial quantum number n enters as `coef` (4n + 2
+    or 2n + 1 by mode), for floats or broadcasting arrays."""
+    with np.errstate(all="ignore"):
+        centrifugal = (2 * l + 1) * (2 * l + 1)
+        root = np.sqrt(centrifugal + 4.0 * (s * s) / (Q * Q))
+        # 2s/Q + root cancels for s << 0; its rationalized form keeps E^2 > 0
+        rationalized = mc2 * (Q / length_scale) * (coef + centrifugal / (root - 2.0 * s / Q))
+        direct = mc2 * (2.0 * s / length_scale + (Q / length_scale) * (coef + root))
+        return np.where(s < 0.0, rationalized, direct)
+
+
+def _coef(n, mode: str):
+    if mode not in MODES:
+        raise InvalidParameter(f"mode must be one of {MODES}")
+    return 4 * n + 2 if mode == "corrected" else 2 * n + 1
+
+
+def _couplings(params: LinearMassParams):
+    c = params.constants
+    return params.s, params.length_scale, c.hbar_c, c.rest_energy
+
+
 def energy_squared(params: LinearMassParams, n: int, l: int, mode: str = "corrected") -> float:
     """E^2 for level (n, l) in the requested mode.
 
     The two modes differ by exactly (m0c^2 * hbar*c / L) * (2n + 1).
     """
-    if mode not in MODES:
-        raise InvalidParameter(f"mode must be one of {MODES}")
+    coef = _coef(n, mode)
     require_quantum_numbers(n, l)
-    c = params.constants
-    Q, mc2, L = c.hbar_c, c.rest_energy, params.length_scale
-    root = math.sqrt((2 * l + 1) ** 2 + 4.0 * (params.s * params.s) / (Q * Q))
-    coef = 4 * n + 2 if mode == "corrected" else 2 * n + 1
-    if params.s < 0.0:
-        # 2s/Q + root cancels for s << 0; its rationalized form keeps E^2 > 0
-        return mc2 * (Q / L) * (coef + (2 * l + 1) ** 2 / (root - 2.0 * params.s / Q))
-    return mc2 * (2.0 * params.s / L + (Q / L) * (coef + root))
+    return float(_energy_squared(*_couplings(params), coef, l))
+
+
+def spectrum_columns(
+    params_seq: Sequence[LinearMassParams], n_max: int, l_max: int, mode: str = "corrected"
+) -> dict[str, np.ndarray]:
+    """The `spectrum` tables of every params in `params_seq`, one after
+    another, as columns named after the EnergyLevel fields, plus each row's
+    `energy_squared`.  One array pass: rows run over (params, l, n, branch).
+    """
+    if n_max < 0 or l_max < 0:
+        raise InvalidParameter("n_max and l_max must be nonnegative")
+    n = np.arange(n_max + 1)
+    coef = _coef(n, mode)
+    # axes (params, l, n)
+    s, length_scale, Q, mc2 = (
+        np.array([_couplings(p) for p in params_seq]).reshape(-1, 4).T[:, :, None, None]
+    )
+    l = np.arange(l_max + 1).reshape(-1, 1)
+    e2 = _energy_squared(s, length_scale, Q, mc2, coef, l)
+    e = np.sqrt(e2)
+    shape = e2.shape + (2,)  # and branch
+    return {
+        "n": np.broadcast_to(n[:, None], shape).ravel(),
+        "l": np.broadcast_to(l[..., None], shape).ravel(),
+        "branch": np.broadcast_to(np.array(BRANCHES, dtype=object), shape).ravel(),
+        "energy": np.stack((-e, e), axis=-1).ravel(),
+        "energy_squared": np.repeat(e2.ravel(), 2),
+        "status": np.full(e.size * 2, BOUND, dtype=object),
+        "residual": np.zeros(e.size * 2),
+    }
 
 
 def spectrum(
@@ -108,12 +156,4 @@ def spectrum(
 
     Rows come in (l, n, branch) order: antiparticle sorts before particle.
     """
-    if n_max < 0 or l_max < 0:
-        raise InvalidParameter("n_max and l_max must be nonnegative")
-    rows = []
-    for l in range(l_max + 1):
-        for n in range(n_max + 1):
-            e = math.sqrt(energy_squared(params, n, l, mode))
-            rows.append(EnergyLevel(n, l, ANTIPARTICLE, -e, BOUND, 0.0))
-            rows.append(EnergyLevel(n, l, PARTICLE, e, BOUND, 0.0))
-    return rows
+    return levels.from_columns(spectrum_columns([params], n_max, l_max, mode))

@@ -275,6 +275,13 @@ class TestNuSolve:
         assert doc["selected"]["pi"] == pytest.approx([1.0, -0.8], abs=1e-12)
         assert doc["quantization"]["lambda"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_tie_is_one_warning_line(self, capsys):
+        code, out, err = run(capsys, "nu-solve", "--model", "mixed", "--q", "0.5", "--b", "0.5",
+                             "--beta", "0.5", "--n", "1", "--energy", "0.9917401207983119")
+        assert code == 0
+        assert err == "warning: multiple admissible branches; choosing the smallest lambda\n"
+        assert json.loads(out)["selected"] is not None
+
     def test_mixed_requires_energy(self, capsys):
         code, _, err = run(capsys, "nu-solve", "--model", "mixed", "--q", "0.5")
         assert code == 2 and "--energy" in err
@@ -321,6 +328,33 @@ class TestSweep:
         assert status[0.0][1] == "bound"
         assert status[0.5][0] > status[0.0][0]
         assert status[1.0] == (1.0, "threshold")
+
+    @pytest.mark.parametrize("model, key, values", [
+        # b = 1 with q = 1 gives unreal NaN rows
+        (("--model", "mixed", "--q", "1", "--V0", "0.2", "--rest-energy", "2"), "b",
+         ("0", "0.5", "1", "-0.3")),
+        (("--model", "scalar-linear", "--s", "1", "--hbar-c", "0.5", "--mode", "as_printed"), "s",
+         ("-1", "0", "2.5")),
+    ])
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    def test_rows_are_the_spectra_of_the_values(self, capsys, model, key, values, output):
+        """One sweep writes the rows of one `spectrum` per value, each led by
+        its value, byte for byte."""
+        opts = (*model, "--units", "absolute", "--output", output, "--n-max", "2", "--l-max", "1")
+        code, out, _ = run(capsys, "sweep", *opts, "--key", key, "--values", ",".join(values))
+        assert code == 0
+        spectra = [run(capsys, "spectrum", *opts, f"--{key}={value}")[1] for value in values]
+        if output == "csv":
+            def rows(text):
+                return [line for line in text.splitlines() if not line.startswith("#")]
+            expected = [f"{key},{rows(spectra[0])[0]}"] + [
+                f"{cli.fmt(float(value))},{line}"
+                for value, text in zip(values, spectra) for line in rows(text)[1:]]
+            assert rows(out) == expected
+        else:
+            expected = [{key: float(value), **row}
+                        for value, text in zip(values, spectra) for row in json.loads(text)["rows"]]
+            assert repr(json.loads(out)["rows"]) == repr(expected)
 
     def test_unknown_key_exit_2(self, capsys):
         for model, choices in ((("--model", "mixed", "--q", "0.5"), "q, b, beta, V0"),

@@ -5,15 +5,16 @@ import contextlib
 import io
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kgbound import cli, coulomb_mixed as cm, scalar_linear as sl, verify
-from kgbound.errors import InvalidParameter, UnrealRadicand
-from kgbound.levels import BOUND
-from kgbound.units import PhysicalConstants
+from kgbound.errors import EnergyOutOfWindow, InvalidParameter, UnrealRadicand
+from kgbound.levels import ANTIPARTICLE, BOUND, PARTICLE, SPURIOUS, THRESHOLD, UNREAL
+from kgbound.units import NATURAL, PhysicalConstants
 
 # the same examples on every run, no example database in the checkout, and
 # few enough examples to keep the suite's wall time
@@ -100,6 +101,125 @@ def test_spectrum_raises_only_invalid_parameter(q, b, beta, V0, s, length_scale,
                     n_max, l_max, mode)
     except InvalidParameter:
         pass
+
+
+# The array tables against the per-level loops they replaced, bit for bit.
+# The references square by multiplying too, and build on the models' scalar
+# methods (B, epsilon, gamma1), which the array pass does not call.
+
+
+def _reference_candidates(params, n, l):
+    B = params.B(n, l)
+    q, b, beta, mc2 = params.q, params.b, params.beta, params.constants.rest_energy
+    inner = B * B - q * q * (1.0 - beta * beta) - b * (b - 2.0 * q)
+    if inner < 0.0:
+        raise UnrealRadicand(inner)
+    num = q * (b - q) * beta
+    den = q * q * beta * beta + B * B
+    spread = B * math.sqrt(inner)
+    return -params.V0 + mc2 * (num + spread) / den, -params.V0 + mc2 * (num - spread) / den
+
+
+def _reference_level(params, n, l, E, branch):
+    mc2, Q = params.constants.rest_energy, params.constants.hbar_c
+    if abs(E + params.V0) > mc2 * (1.0 + 1e-12):
+        return (n, l, branch, E, UNREAL, math.inf)
+    eps = params.epsilon(E)
+    residual = abs(2.0 * params.B(n, l) * eps + params.gamma1(E)) * Q
+    if eps <= cm.THRESHOLD_TOL * mc2 / Q:
+        return (n, l, branch, E, THRESHOLD, residual)
+    if residual < cm.RESIDUAL_TOL * mc2:
+        return (n, l, branch, E, BOUND, residual)
+    return (n, l, branch, E, SPURIOUS, residual)
+
+
+def _reference_mixed(params, n_max, l_max):
+    rows = []
+    for l in range(l_max + 1):
+        for n in range(n_max + 1):
+            try:
+                e_plus, e_minus = _reference_candidates(params, n, l)
+            except UnrealRadicand:
+                rows += [(n, l, br, math.nan, UNREAL, math.nan) for br in (ANTIPARTICLE, PARTICLE)]
+                continue
+            assert cm.candidate_energies(params, n, l) == (e_plus, e_minus)
+            for E, branch in ((e_minus, ANTIPARTICLE), (e_plus, PARTICLE)):
+                row = _reference_level(params, n, l, E, branch)
+                assert _bits(cm.validate(params, n, l, E, branch).to_dict().values()) == _bits(row)
+                rows.append(row)
+    return rows
+
+
+def _reference_energy_squared(params, n, l, mode):
+    Q, mc2, L, s = params.constants.hbar_c, params.constants.rest_energy, params.length_scale, params.s
+    root = math.sqrt((2 * l + 1) * (2 * l + 1) + 4.0 * (s * s) / (Q * Q))
+    coef = 4 * n + 2 if mode == "corrected" else 2 * n + 1
+    if s < 0.0:
+        return mc2 * (Q / L) * (coef + (2 * l + 1) * (2 * l + 1) / (root - 2.0 * s / Q))
+    return mc2 * (2.0 * s / L + (Q / L) * (coef + root))
+
+
+def _bits(values) -> list[str]:
+    """Exact: repr tells -0.0 from 0.0 and round-trips every float."""
+    return [repr(v) for v in values]
+
+
+def _table_rows(columns, names) -> list[list[str]]:
+    return [_bits(row) for row in zip(*(columns[name].tolist() for name in names))]
+
+
+# q = b = 1 gives unreal rows, q = 0 and the equal mix threshold rows
+special = st.sampled_from([0.0, 0.5, 1.0, -1.0])
+table_params = st.builds(cm.MixedCoulombParams, q=special | coupling, b=special | coupling,
+                         beta=special | coupling, V0=special | coupling | st.floats(-1e5, 1e5),
+                         constants=st.just(NATURAL) | constants)
+LEVEL_FIELDS = ("n", "l", "branch", "energy", "status", "residual")
+
+
+@PROPERTY
+@given(seq=st.lists(table_params, min_size=1, max_size=3), n_max=sizes, l_max=sizes)
+@example(seq=[cm.MixedCoulombParams(q=1.0, b=1.0), cm.MixedCoulombParams(q=0.0)], n_max=2, l_max=2)
+@example(  # out-of-window candidates: unreal rows with an infinite residual
+    seq=[cm.MixedCoulombParams(q=1.0, V0=-31350.455522678614,
+                               constants=PhysicalConstants(rest_energy=0.001242033433596999))],
+    n_max=2, l_max=2)
+@example(  # candidates just past the window: the first raises EnergyOutOfWindow
+    seq=[cm.MixedCoulombParams(q=0.5), cm.MixedCoulombParams(
+        q=0.3, V0=278.51865461056667, constants=PhysicalConstants(rest_energy=0.022546962785822505)),
+        cm.MixedCoulombParams(
+        q=1.0, V0=3611.522967859111, constants=PhysicalConstants(rest_energy=0.11426086114709125))],
+    n_max=2, l_max=2)
+@example(seq=[cm.MixedCoulombParams(q=UNEVEN_SQUARE, b=0.5, beta=UNEVEN_SQUARE / 2)],
+         n_max=3, l_max=3)
+def test_mixed_table_matches_level_loop(seq, n_max, l_max):
+    try:
+        expected = [_bits(row) for params in seq for row in _reference_mixed(params, n_max, l_max)]
+    except EnergyOutOfWindow as exc:
+        with pytest.raises(EnergyOutOfWindow, match=re.escape(str(exc))):
+            cm.spectrum_columns(seq, n_max, l_max)
+        return
+    assert _table_rows(cm.spectrum_columns(seq, n_max, l_max), LEVEL_FIELDS) == expected
+
+
+@PROPERTY
+@given(seq=st.lists(st.builds(sl.LinearMassParams, s=special | coupling,
+                              length_scale=st.floats(0.1, 10.0),
+                              constants=st.just(NATURAL) | constants), min_size=1, max_size=3),
+       n_max=sizes, l_max=sizes, mode=st.sampled_from(sl.MODES))
+@example(seq=[sl.LinearMassParams(s=UNEVEN_SQUARE), sl.LinearMassParams(s=-UNEVEN_SQUARE)],
+         n_max=3, l_max=3, mode="corrected")
+def test_scalar_table_matches_level_loop(seq, n_max, l_max, mode):
+    expected = []
+    for params in seq:
+        for l in range(l_max + 1):
+            for n in range(n_max + 1):
+                e2 = _reference_energy_squared(params, n, l, mode)
+                assert sl.energy_squared(params, n, l, mode) == e2
+                e = math.sqrt(e2)
+                expected += [_bits((n, l, ANTIPARTICLE, -e, BOUND, 0.0, e2)),
+                             _bits((n, l, PARTICLE, e, BOUND, 0.0, e2))]
+    columns = sl.spectrum_columns(seq, n_max, l_max, mode)
+    assert _table_rows(columns, LEVEL_FIELDS + ("energy_squared",)) == expected
 
 
 # The reduction against the physical fields: k^2(r) rebuilt point by point
