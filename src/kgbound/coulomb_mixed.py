@@ -182,9 +182,9 @@ def _classify(q, b, beta, V0, mc2, Q, B, E):
         eps = np.sqrt(np.maximum(arg, 0.0)) / Q
         gamma1 = (2.0 * (b - q) * mc2 - 2.0 * q * beta * e_tilde) / Q
         residual = abs(2.0 * B * eps + gamma1) * Q
-        code = np.select(
-            [outside, eps <= THRESHOLD_TOL * mc2 / Q, residual < RESIDUAL_TOL * mc2], [0, 1, 2], 3
-        )
+        # the first rule that holds sets the status: unreal, threshold, bound, else spurious
+        code = np.where(outside, 0, np.where(eps <= THRESHOLD_TOL * mc2 / Q, 1,
+                                             np.where(residual < RESIDUAL_TOL * mc2, 2, 3)))
         return code, np.where(outside, math.inf, residual)
 
 
