@@ -206,9 +206,8 @@ def candidate_energies(params: MixedCoulombParams, n: int, l: int):
 def validate(params: MixedCoulombParams, n: int, l: int, E: float, branch: str) -> EnergyLevel:
     """Classify a candidate energy by back-substituting the unsquared condition."""
     levels.require_quantum_numbers(n, l)
-    couplings = _couplings(params)
     B = math.nan if _outside(E + params.V0, params.constants.rest_energy) else params.B(n, l)
-    code, residual = _classify(*couplings, B, E)
+    code, residual = _classify(*_couplings(params), B, E)
     return EnergyLevel(n, l, branch, E, _STATUSES[code], float(residual))
 
 

@@ -339,7 +339,7 @@ class TestSweep:
     @pytest.mark.parametrize("output", ["csv", "json"])
     def test_rows_are_the_spectra_of_the_values(self, capsys, model, key, values, output):
         """One sweep writes the rows of one `spectrum` per value, each led by
-        its value, byte for byte."""
+        its value: CSV byte for byte, JSON value for value."""
         opts = (*model, "--units", "absolute", "--output", output, "--n-max", "2", "--l-max", "1")
         code, out, _ = run(capsys, "sweep", *opts, "--key", key, "--values", ",".join(values))
         assert code == 0
