@@ -1,8 +1,9 @@
 """Command-line surface: spectrum tables, wavefunction sampling, NU branch
 inspection, verification reports, and parameter sweeps.
 
-Output is deterministic: floats go through :func:`fmt` (12 significant
-digits), CSV carries a ``# schema=1`` header, JSON keeps full precision.
+Output is deterministic: CSV floats read as :func:`fmt` writes them (12
+significant digits), CSV carries a ``# schema=1`` header, JSON keeps full
+precision.
 Exit codes: 0 success, 1 failed verification, 2 parameter/usage error,
 3 requested level is not bound.
 """
@@ -103,35 +104,76 @@ def _energy_unit(args) -> float:
 # table emission
 
 
+def _bulk(spec: str, x: np.ndarray) -> list[str]:
+    """Each value of `x` under the one conversion `spec`, by one `%`."""
+    return (f"{spec}\n" * len(x) % tuple(x.tolist())).split("\n")[:-1]
+
+
+def _cells(col: list, as_json: bool) -> tuple[str, list]:
+    """One column's conversion spec and the values it converts, by
+    :func:`_emit`'s cell rule. The cells a float spec would get wrong are
+    found by one mask; the column is then formatted in bulk, those cells are
+    patched, and it takes `%s`."""
+    if not col or isinstance(col[0], int):
+        return "%d", col
+    if isinstance(col[0], str):
+        if not as_json:
+            return "%s", col
+        encoded = {label: json.dumps(label) for label in set(col)}
+        return "%s", list(map(encoded.__getitem__, col))
+    x = np.array(col, dtype=float)
+    if as_json:
+        spec, odd = "%r", ~np.isfinite(x)
+    else:
+        spec, odd = "%.12g", np.abs(x) < 1e-3  # ±0 and the tiny cells; false for nan
+    if not odd.any():
+        return spec, col
+    cells = np.empty(len(x), dtype=object)
+    cells[~odd] = _bulk(spec, x[~odd])
+    if as_json:
+        x = x[odd]
+        cells[odd] = np.where(np.isnan(x), "NaN", np.where(x > 0, "Infinity", "-Infinity")).tolist()
+    else:
+        cells[odd] = _bulk("%.11e", x[odd])
+        cells[x == 0] = "0"  # not %.11e's 0.00000000000e+00
+    return "%s", cells
+
+
 def _emit(args, meta: dict, columns: dict[str, list]) -> None:
     """Write the table, given as named columns of equal length, to stdout in
-    one piece."""
+    one piece.
+
+    The rows are one row template, repeated once per row, filled by one `%`
+    from the row-major cells. Ints take `%d` and labels `%s` (in JSON each
+    distinct label is encoded once). A CSV float reads as :func:`fmt` writes
+    it: `%.12g`, `%.11e` for 0 < |x| < 1e-3, ±0 as `0` and NaN as `nan`. A
+    JSON float is its `repr`, with `NaN`, `Infinity` and `-Infinity`, so the
+    bytes are `json.dumps(..., indent=2)`'s.
+    """
+    nrows = len(next(iter(columns.values())))
+    specs, values = zip(*(_cells(col, args.output == "json") for col in columns.values()))
     if args.output == "json":
-        text = json.dumps({"schema": SCHEMA, **meta, "rows": []}, indent=2)
-        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
-        if rows:
-            # The C encoder with indent=2's separators writes each row's items
-            # one per line; only the breaks between rows need re-indenting.
-            # `},\n      {` marks them alone: a JSON string holds no raw
-            # newline, and a row holds scalars only.
-            body = json.dumps(rows, separators=(",\n      ", ": "))
-            body = body[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-            text = text.removesuffix("[]\n}") + f"[\n    {{\n      {body}\n    }}\n  ]\n}}"
-        sys.stdout.write(text + "\n")
-        return
-    lines = [f"# schema={SCHEMA}"]
-    for key, val in meta.items():
-        if isinstance(val, dict):
-            pairs = " ".join(f"{k}={fmt(v) if isinstance(v, float) else v}" for k, v in val.items())
-            lines.append(f"# {key}: {pairs}")
-        else:
-            lines.append(f"# {key}={val}")
-    lines.append(",".join(columns))
-    # cells are formatted as their line is joined, so no column of strings is kept
-    cells = (map(fmt if col and isinstance(col[0], float) else str, col)
-             for col in columns.values())
-    body = map(",".join, zip(*cells))
-    sys.stdout.write("\n".join(itertools.chain(lines, body, [""])))
+        template = json.dumps({"schema": SCHEMA, **meta, "rows": []}, indent=2).replace("%", "%%")
+        if nrows:
+            row = ",\n".join(f"      {json.dumps(name)}: {spec}"
+                             for name, spec in zip(columns, specs))
+            rows = ",\n".join([f"    {{\n{row}\n    }}"] * nrows)
+            template = template.removesuffix("[]\n}") + f"[\n{rows}\n  ]\n}}"
+        template += "\n"
+    else:
+        lines = [f"# schema={SCHEMA}"]
+        for key, val in meta.items():
+            if isinstance(val, dict):
+                pairs = " ".join(f"{k}={fmt(v) if isinstance(v, float) else v}"
+                                 for k, v in val.items())
+                lines.append(f"# {key}: {pairs}")
+            else:
+                lines.append(f"# {key}={val}")
+        lines.append(",".join(columns))
+        template = "\n".join(lines).replace("%", "%%") + "\n" + f"{','.join(specs)}\n" * nrows
+    text = template % tuple(itertools.chain.from_iterable(zip(*values)))
+    del template, values  # only the text is kept for the write
+    sys.stdout.write(text)
 
 
 def _meta(args, command: str, params, **before_params) -> dict:

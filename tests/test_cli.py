@@ -1,5 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
+import contextlib
+import hashlib
+import io
 import json
 import math
 import os
@@ -141,6 +145,127 @@ class TestJsonTables:
         _, out, _ = run(capsys, "spectrum", "--model", "mixed", "--q", "1", "--b", "1",
                         "--l-max", "1", "--output", "json")
         assert any(math.isnan(row["energy"]) for row in json.loads(out)["rows"])
+
+
+def emit(output: str, meta: dict, columns: dict) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit(argparse.Namespace(output=output), meta, columns)
+    return buf.getvalue()
+
+
+# the cells a `%.12g` or `%r` spec alone would get wrong, and their neighbours
+_TINY = math.nextafter(1e-3, 0)
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1e-3, -1e-3, _TINY, -_TINY, math.nextafter(1e-3, 1), -math.nextafter(1e-3, 1),
+               1e-300, -1.5e-11, 0.6, 1e300]
+float_cells = (st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+               | st.sampled_from(EDGE_FLOATS))
+ordinary = st.floats(min_value=1e-3, max_value=1e300) | st.floats(min_value=-1e300, max_value=-1e-3)
+WRITER = settings(derandomize=True, deadline=None, database=None, max_examples=300)
+
+
+class TestTableWriter:
+    """`_emit` fills one row template with one `%`; every cell must still read
+    as the one-value rules say."""
+
+    # a `%` in the header must reach the output as it is, not as a conversion
+    META = {"command": "spectrum %d", "params": {"q": 0.5, "b": 1e-4}}
+
+    @WRITER
+    @given(rows=st.lists(st.tuples(st.integers(0, 10**6), float_cells, ordinary,
+                                   st.sampled_from(["particle", "antiparticle"])), max_size=40))
+    @example(rows=[(0, x, 0.5, "particle") for x in EDGE_FLOATS])
+    @example(rows=[(0, 0.5, 0.5, "particle"), (1, -2.0, 1e300, "antiparticle")])
+    @example(rows=[])
+    def test_csv_cells_are_fmt(self, rows):
+        names = ("n", "x", "y", "branch")
+        columns = dict(zip(names, map(list, zip(*rows)))) or {name: [] for name in names}
+        out = emit("csv", self.META, columns)
+        head = ["# schema=1", "# command=spectrum %d", "# params: q=0.5 b=1.00000000000e-04",
+                "n,x,y,branch"]
+        assert out.split("\n") == head + [
+            f"{n},{cli.fmt(x)},{cli.fmt(y)},{branch}" for n, x, y, branch in rows] + [""]
+
+    @staticmethod
+    def reference_json(meta: dict, columns: dict) -> str:
+        """The row-dict encoding the writer replaced: one dict per row under
+        `json.dumps(..., indent=2)`."""
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        return json.dumps({"schema": cli.SCHEMA, **meta, "rows": rows}, indent=2) + "\n"
+
+    @WRITER
+    @given(rows=st.lists(st.tuples(st.integers(-10**6, 10**6), float_cells, st.text(max_size=5),
+                                   float_cells), max_size=40))
+    @example(rows=[(1, x, "bound", -x) for x in EDGE_FLOATS])
+    @example(rows=[(0, 0.5, "%s %d %%", 2.0)])
+    @example(rows=[])
+    def test_json_matches_row_dicts(self, rows):
+        names = ("n", "energy", 'sta"tus', "residual")
+        columns = dict(zip(names, map(list, zip(*rows)))) or {name: [] for name in names}
+        assert emit("json", self.META, columns) == self.reference_json(self.META, columns)
+
+
+# sha256 of `spectrum` and `sweep` stdout, pinned before the one-template writer
+# replaced the per-cell one; the closed forms use only +, -, *, / and sqrt, so
+# these bytes do not depend on the platform's libm (wavefunctions would)
+GOLDEN = [
+    ("spectrum --model mixed --q 0.5",
+     "5e770e27e3dd049a9a02fb1942c756b5ea0b462fa31e36eb8273caa3f50025b2"),
+    ("spectrum --model mixed --q 0.5 --output json",
+     "c32f524b26d9146661401f6828a80b722b248ac4be0ad2eff940d441c8274ff2"),
+    ("spectrum --model mixed --q 1 --b 1 --l-max 1",
+     "30438a9d20451e1c892d215abe3a11de3198605b353f75aefd12901a6e5d9deb"),
+    ("spectrum --model mixed --q 1 --b 1 --l-max 1 --output json",
+     "c42980155e3521faa7cde82f1be2bb35a0ffdb78aa862916b15483b6c6790d1c"),
+    ("spectrum --model mixed --q 0.3 --b 0.5 --beta -1 --V0 0.1 --n-max 6 --l-max 6",
+     "52728e5ac49ab27f4fd68e2d379a4f1c24834aaeda928a955dcc8eb206583dde"),
+    ("spectrum --model mixed --q 0.3 --b 0.5 --beta -1 --V0 0.1 --n-max 6 --l-max 6 --output json",
+     "c8fe40faf63a112fc8b4b243e3ca3a0d39dff08ad84a06f7ce532703607e5a41"),
+    ("spectrum --model mixed --q 0.5 --rest-energy 2 --units absolute",
+     "c6d293345c53ef70bf1cac208ea0aa4a9d9dbebadad4f9bab5d1190a53c2228a"),
+    ("spectrum --model scalar-linear --s 1 --rest-energy 3 --hbar-c 0.7 --units absolute"
+     " --output json",
+     "ceef0289f4defea848a3e972731bddac22afc8efd2f69de7884d5b58124a4a69"),
+    ("spectrum --model mixed --q 0.5 --n-max 0 --l-max 0",
+     "634645d4cf824706c536d5a7fa984e68f067316038329c293b83b8d080fa157c"),
+    ("spectrum --model scalar-linear --s 1 --n-max 0 --output json",
+     "69d462daf593bc19e7e0f821bc1170337837294c0937bc3d6b2a105a1a04b895"),
+    ("spectrum --model scalar-linear --s 1.5 --length-scale 0.7",
+     "201927301f7ca9e6b660bd7597752e0b873db8ed2dfc9961d5c89cd6103d6613"),
+    ("spectrum --model scalar-linear --s 1 --mode as_printed --n-max 5 --l-max 5 --output json",
+     "f9360f19825dd9fffd374e861df6063bc07ff534ea656f345620f153f58e00a7"),
+    # out-of-window candidates: infinite residuals
+    ("spectrum --model mixed --q 1 --V0 -31350.455522678614 --rest-energy 0.001242033433596999"
+     " --n-max 2 --l-max 2",
+     "2a6c26f5e4f8eda02918d71151a418a007cf1b9484d5927f4c6972a4c39e86fb"),
+    ("spectrum --model mixed --q 1 --V0 -31350.455522678614 --rest-energy 0.001242033433596999"
+     " --n-max 2 --l-max 2 --output json",
+     "6d6056297928ca615a58406be4e071f9afbf5761aa87820c2d7e36f3c6c4aae8"),
+    ("sweep --model mixed --q 0.5 --key b --values 0,0.5",
+     "a2ef33fc564416554f0bdb562a59ec94d1f1277dbb9a9d1458742a4dfbd08e52"),
+    ("sweep --model mixed --q 0.5 --key b --values 0,0.5 --output json",
+     "550f840c1e35f0ebd4689e33b69e7ccd081ec0a5ae3d99fddfaabeb4614172d5"),
+    ("sweep --model scalar-linear --s 1 --key s --values -1,0.5,2 --units absolute",
+     "3afba2d2003fd37da444c4a3e6bcfe0c563c46833672cbf7e30eb3e0d5461c6a"),
+    ("sweep --model scalar-linear --s 1 --key s --values -1,0.5,2 --units absolute --output json",
+     "53498ad7a703275f91dc2481649365a2abcf17c8e09e3c861ff68618f0d91e18"),
+    ("sweep --model mixed --q 0.5 --key beta --values 0,-0.5,1e-7",
+     "43b5912af277ba9596704aebe717780e5d68a97ca8d99856521dc9f1c4b7804b"),
+    ("sweep --model scalar-linear --key s --values 0,1e-4,-1e-4,2 --output json",
+     "7ed157f265c65c94a486303d1546523e26a6520fbef86bd1175b0d89ad42c292"),
+    ("sweep --model mixed --q 1 --b 1 --key q --values 1,0.5 --l-max 1 --output json",
+     "fb0365b4a587aebe6a54bcdd94680b2325f4e34642b213d91888cfabc98475fb"),
+    ("spectrum --model mixed --q 0.9 --b -0.9 --beta 0.3 --V0 -0.2 --n-max 30 --l-max 30",
+     "efaed4fd9d0e8da8c4b336e5a6062344fabfd2e3b614dcc96384441aa0acbc57"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[argv for argv, _ in GOLDEN])
+def test_golden_table_bytes(capsys, argv, digest):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestWavefunction:
