@@ -226,6 +226,22 @@ class _TransformedScheme:
         return (4.0 * fine - coarse) / 3.0
 
 
+def _linspace(lo: float, hi: float, points: int) -> list[float]:
+    """np.linspace(lo, hi, points).tolist() for floats lo < hi and points >= 2,
+    by numpy's own float operations in the same order, without numpy: point i
+    is i * step + lo, or (i / div) * delta + lo where the step underflows to 0
+    (numpy's branch for subnormal widths), and the last point is hi."""
+    div = points - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:
+        scan = [i / div * delta + lo for i in range(div)]
+    else:
+        scan = [i * step + lo for i in range(div)]
+    scan.append(hi)
+    return scan
+
+
 def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
     """A root of f on [a, b] by Brent's method (Brent 1973, ch. 4), given
     fa = f(a) and fb = f(b) of opposite signs (or one of them zero).
@@ -364,9 +380,11 @@ def solve_modelA(
     `sturmian_eigenvalue`, gives a level as a root of
     f(E) = gamma1(E)/eps(E) + lam_n.  f has the signs and roots of
     mu_n(c(E)) + 1, mu_n the n-th eigenvalue at fixed c, since mu_n increases
-    with c.  f is evaluated on a scan of the (open) energy window, and Brent's
+    with c.  f is evaluated on a scan of the (open) energy window, at
+    np.linspace's points computed in Python floats (`_linspace`), and Brent's
     method (`_brent`, starting from the two scan values) narrows the first
-    sign change to 1e-10 * m0c^2.
+    sign change to 1e-10 * m0c^2.  On a memo hit for lam_n no numpy call is
+    made.
     `window` restricts the search, e.g. to isolate one of the
     particle/antiparticle roots; it does not change the grid.  `scan_points`
     must be an integer of at least 2.
@@ -381,7 +399,7 @@ def solve_modelA(
     lo_phys, hi_phys = -mc2 - params.V0 + pad, mc2 - params.V0 - pad
     if window is None:
         window = (lo_phys, hi_phys)
-    lo, hi = max(window[0], lo_phys), min(window[1], hi_phys)
+    lo, hi = float(max(window[0], lo_phys)), float(min(window[1], hi_phys))
     if not lo < hi:
         raise InvalidParameter("empty energy window")
     lam = sturmian_eigenvalue(p, n)
@@ -389,7 +407,7 @@ def solve_modelA(
     def f(E: float) -> float:
         return params.gamma1(E) / params.epsilon(E) + lam
 
-    scan = np.linspace(lo, hi, scan_points).tolist()
+    scan = _linspace(lo, hi, scan_points)
     values = [f(E) for E in scan]
     for i, value in enumerate(values):
         if value == 0.0:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 from scipy.linalg import eigh_tridiagonal
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kgbound import coulomb_mixed as cm, oracle, scalar_linear as sl, verify
 from kgbound.errors import ConvergenceFailure, InvalidParameter, NoBracket, UnrealRadicand
@@ -307,8 +307,48 @@ class TestModelA:
         assert len(info.value.scan) == 3
         # every scan point is evaluated and listed, none of them a sign change
         energies, values = zip(*info.value.scan)
-        assert np.allclose(energies, np.linspace(0.7, 0.75, 3), rtol=0, atol=1e-15)
+        assert list(energies) == np.linspace(0.7, 0.75, 3).tolist()
         assert len({math.copysign(1.0, v) for v in values}) == 1
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @given(
+        window=st.one_of(
+            st.tuples(st.floats(-10.0, 10.0), st.floats(1e-6, 10.0)),  # ordinary
+            st.tuples(st.floats(-10.0, 10.0), st.floats(1e-10, 1e-9)),  # tiny
+            st.tuples(  # subnormal: the step may underflow to 0
+                st.integers(-(2**40), 2**40).map(lambda i: i * 5e-324),
+                st.integers(1, 64).map(lambda m: m * 5e-324),
+            ),
+        ),
+        points=st.sampled_from([2, 3, 33]),
+    )
+    @example(window=(0.0, 5e-324), points=3)
+    @example(window=(-5e-324, 16 * 5e-324), points=33)
+    def test_scan_is_linspace(self, window, points):
+        # the scan points are np.linspace's floats, bit for bit
+        lo, width = window
+        hi = lo + width
+        assume(lo < hi)
+        scan = oracle._linspace(lo, hi, points)
+        assert list(map(float.hex, scan)) == list(
+            map(float.hex, np.linspace(lo, hi, points).tolist())
+        )
+
+    def test_memo_hit_makes_no_numpy_call(self, monkeypatch):
+        # criterion 2's traffic on a warm lam_n memo runs in Python floats
+        params = cm.MixedCoulombParams(q=0.5)
+        e_cf = cm.candidate_energies(params, 0, 0)[0]
+        window = (e_cf - 1e-5, e_cf + 1e-5)
+        warm = oracle.solve_modelA(params, 0, 0, window=window, scan_points=3)
+
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} called on a memo hit")
+
+        monkeypatch.setattr(oracle, "np", NoNumpy())
+        again = oracle.solve_modelA(params, 0, 0, window=window, scan_points=3)
+        assert type(again) is float
+        assert again == warm
 
     @pytest.fixture
     def eigensolves(self, monkeypatch):
