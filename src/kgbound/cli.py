@@ -66,33 +66,47 @@ def _config_tokens(args) -> list[str]:
                     raise KGBoundError(f"config line not key=value: {line!r}")
                 key, _, val = line.partition("=")
                 values[key.strip()] = val.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise KGBoundError(str(exc)) from exc
     for key in values:
         if key not in vars(args) or key in ("config", "func", "command"):
             raise KGBoundError(f"unknown config key {key!r}")
-    return [f"--{key.replace('_', '-')}={val}" for key, val in values.items()]
+    return [f"{_flag(key)}={val}" for key, val in values.items()]
+
+
+# the physics flags' fields; a model's coupling without a default is required
+_CONSTANTS = dataclasses.fields(PhysicalConstants)
+_COUPLINGS = {model: [f for f in dataclasses.fields(cls) if f.name != "constants"]
+              for model, cls in _PARAMS.items()}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _set(args, fields) -> dict:
+    """The values of the flags of `fields` that are set, by field name."""
+    return {f.name: value for f in fields if (value := getattr(args, f.name)) is not None}
 
 
 def _constants(args) -> PhysicalConstants:
-    return PhysicalConstants(hbar_c=args.hbar_c, rest_energy=args.rest_energy)
+    return PhysicalConstants(**_set(args, _CONSTANTS))
 
 
-def _couplings(model: str) -> list[dataclasses.Field]:
-    """The model's coupling fields, each the name of its flag; the one
-    without a default (q or s) is the required flag."""
-    return [f for f in dataclasses.fields(_PARAMS[model]) if f.name != "constants"]
-
-
-def _params(args, **override):
-    """The parameters of `--model` from its coupling flags, with `override`
-    values in place of the flags they name."""
-    values = {}
-    for field in _couplings(args.model):
-        value = override.get(field.name, getattr(args, field.name))
-        if value is None and field.default is dataclasses.MISSING:
-            raise KGBoundError(f"--{field.name} is required for the {args.model} model")
-        values[field.name] = value
+def _params(args, swept: str | None = None):
+    """The parameters of `--model` from the flags that are set; an unset
+    flag leaves its dataclass default. A coupling of the other model exits 2,
+    and so does an unset required coupling (q or s) unless it is the `swept`
+    one, which then reads 0: each sweep row carries its own value."""
+    values = _set(args, _COUPLINGS[args.model])
+    for field in _COUPLINGS[args.model]:
+        if field.default is dataclasses.MISSING and field.name not in values:
+            if field.name != swept:
+                raise KGBoundError(f"{_flag(field.name)} is required for the {args.model} model")
+            values[field.name] = 0.0
+    for model in _COUPLINGS.keys() - {args.model}:
+        for name in _set(args, _COUPLINGS[model]):
+            raise InvalidParameter(f"{_flag(name)} applies to the {model} model only")
     return _PARAMS[args.model](**values, constants=_constants(args))
 
 
@@ -180,7 +194,7 @@ def _meta(args, command: str, params, **before_params) -> dict:
     """The header of a table: command, model, units, `before_params`, the
     couplings and, for the scalar-linear model, its spectrum mode."""
     meta = {"command": command, "model": args.model, "units": args.units, **before_params,
-            "params": {f.name: getattr(params, f.name) for f in _couplings(args.model)}}
+            "params": {f.name: getattr(params, f.name) for f in _COUPLINGS[args.model]}}
     if args.model == "scalar-linear":
         meta["mode"] = args.mode
     return meta
@@ -189,6 +203,10 @@ def _meta(args, command: str, params, **before_params) -> dict:
 def _spectrum_columns(args, params_seq: list, unit: float) -> dict[str, list]:
     """The `spectrum` table of each params in `params_seq`, one after another,
     with energies in `unit`."""
+    # numpy refuses an array of over sys.maxsize bytes with a bare ValueError;
+    # a column holds two 8-byte cells per (params, l, n)
+    if 16 * len(params_seq) * max(args.n_max + 1, 0) * max(args.l_max + 1, 0) > sys.maxsize:
+        raise InvalidParameter("--n-max and --l-max ask for a table larger than an array can hold")
     if args.model == "mixed":
         cols = coulomb_mixed.spectrum_columns(params_seq, args.n_max, args.l_max)
         names = ("n", "l", "branch", "energy", "status", "residual")
@@ -231,7 +249,10 @@ def cmd_wavefunction(args) -> int:
                                         as_printed=args.mode == "as_printed")
     meta = _meta(args, "wavefunction", params)
     meta["level"] = {"n": args.n, "l": args.l, "branch": args.branch, "energy": energy / unit}
-    grid = np.geomspace(args.r_min, args.r_max, args.samples)
+    try:
+        grid = np.geomspace(args.r_min, args.r_max, args.samples)
+    except ValueError as exc:  # numpy: more samples than an array can index
+        raise InvalidParameter(f"--samples {args.samples}: {exc}") from exc
     # far from the function's scale a factor overflows; evaluate handles it
     with np.errstate(over="ignore", invalid="ignore"):
         u = wf.evaluate(grid)
@@ -331,7 +352,7 @@ def cmd_nu_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    keys = [f.name for f in _couplings(args.model)]
+    keys = [f.name for f in _COUPLINGS[args.model]]
     if args.key not in keys:
         raise KGBoundError(
             f"unknown sweep key {args.key!r} for model {args.model}"
@@ -344,9 +365,7 @@ def cmd_sweep(args) -> int:
     if not values:
         raise InvalidParameter(f"--values takes comma-separated numbers, got {args.values!r}")
     unit = _energy_unit(args)
-    # an unset swept coupling reads 0 in the header; each row carries its value
-    placeholder = {args.key: 0.0} if getattr(args, args.key) is None else {}
-    base = _params(args, **placeholder)
+    base = _params(args, swept=args.key)
     table = _spectrum_columns(
         args, [dataclasses.replace(base, **{args.key: value}) for value in values], unit)
     per_value = len(table["n"]) // len(values)
@@ -366,18 +385,12 @@ def _add_common(sub):
 
 
 def _add_physics(sub):
-    """The constants and both models' couplings."""
-    sub.add_argument("--hbar-c", dest="hbar_c", type=float, default=1.0)
-    sub.add_argument("--rest-energy", dest="rest_energy", type=float, default=1.0)
-    # mixed-model couplings
-    sub.add_argument("--q", type=float, default=None)
-    sub.add_argument("--b", type=float, default=0.0)
-    sub.add_argument("--beta", type=float, default=1.0)
-    sub.add_argument("--V0", dest="V0", type=float, default=0.0,
-                     help="offset of the vector potential V = beta*S - V0 (energy units)")
-    # scalar-model couplings
-    sub.add_argument("--s", type=float, default=None)
-    sub.add_argument("--length-scale", dest="length_scale", type=float, default=1.0)
+    """One flag per field of the constants and of both models' couplings,
+    with no default: an unset flag reads None, so the dataclass default
+    applies and :func:`_params` can tell which model's flags were given."""
+    helps = {"V0": "offset of the vector potential V = beta*S - V0 (energy units)"}
+    for field in itertools.chain(_CONSTANTS, *_COUPLINGS.values()):
+        sub.add_argument(_flag(field.name), type=float, help=helps.get(field.name))
 
 
 def _add_report(sub):
@@ -447,32 +460,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_negative_number_list(token: str) -> bool:
-    """'-6.7e-05' or '-1e-3,0.5': a comma-separated number list led by a minus."""
-    if not token.startswith("-"):
-        return False
-    try:
-        for piece in token.split(","):
-            if piece.strip():
-                float(piece)
-    except ValueError:
-        return False
-    return True
-
-
 def _attach_negative_values(argv: list[str]) -> list[str]:
     """Spell `--flag -6.7e-05` as `--flag=-6.7e-05`.
 
     argparse takes a dash-led token for an option unless it is a plain
     negative decimal, so an exponent or a list would leave the flag without
-    its value.  Every long option here but --help takes a value, so the token
-    is that value.
+    its value. Every long option here but --help takes a value, so a
+    single-dash token after one, `-h` included, is that value, for argparse's
+    type check to accept or reject.
     """
     out: list[str] = []
     for token in argv:
         prev = out[-1] if out else ""
         takes_value = prev.startswith("--") and prev not in ("--", "--help") and "=" not in prev
-        if takes_value and _is_negative_number_list(token):
+        if takes_value and token.startswith("-") and not token.startswith("--"):
             out[-1] = f"{prev}={token}"
         else:
             out.append(token)
@@ -490,12 +491,10 @@ def main(argv=None) -> int:
         if args.model == "mixed" and vars(args).get("mode", "corrected") != "corrected":
             raise InvalidParameter("--mode applies to the scalar-linear model only")
         return args.func(args)
-    except NotBound as exc:
+    except (KGBoundError, OverflowError, MemoryError) as exc:
+        # also an integer beyond float range or an array too large to allocate
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except KGBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NotBound) else 2
 
 
 def entry() -> None:

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -97,6 +98,22 @@ class TestSpectrum:
             code, _, err = run(capsys, "spectrum", "--model", model)
             assert code == 2
             assert err == f"error: --{flag} is required for the {model} model\n"
+
+    @pytest.mark.parametrize("model, required, cls", [
+        ("mixed", "q", cm.MixedCoulombParams),
+        ("scalar-linear", "s", sl.LinearMassParams),
+    ])
+    def test_defaults_are_the_dataclass_defaults(self, capsys, model, required, cls):
+        code, out, _ = run(capsys, "spectrum", "--model", model, f"--{required}", "0.5",
+                           "--units", "absolute", "--n-max", "0", "--l-max", "0")
+        assert code == 0
+        params = cls(**{required: 0.5})
+        pairs = " ".join(f"{f.name}={cli.fmt(getattr(params, f.name))}"
+                         for f in dataclasses.fields(cls) if f.name != "constants")
+        assert f"# params: {pairs}" in out.splitlines()
+        # the constants' defaults too: the absolute-units table is the natural one's
+        assert out == run(capsys, "spectrum", "--model", model, f"--{required}", "0.5",
+                          "--n-max", "0", "--l-max", "0")[1].replace("units=mc2", "units=absolute")
 
     def test_absolute_units(self, capsys):
         _, out, _ = run(capsys, "spectrum", "--model", "mixed", "--q", "0.5",
@@ -265,6 +282,28 @@ GOLDEN = [
 def test_golden_table_bytes(capsys, argv, digest):
     code, out, err = run(capsys, *argv.split())
     assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of `--help` stdout at 80 columns, pinned before the physics flags
+# were built from the parameter dataclasses
+GOLDEN_HELP = [
+    ("", "f54563ac02201a25bf5747b8cc28132f9306a6ab16b156cde8c863cd6cec9e98"),
+    ("spectrum", "abb9caf42addd829de939c7ed60add3b73580e9b548370655c9cb40eabc8ea6f"),
+    ("sweep", "c248448d8bf7d4be0ffd7c32cd3eea9b672a15317441eab276e415c00d7e2d31"),
+    ("wavefunction", "45954e33c0b0fa126f954a6fc48b7200f3111d185d0a01c34d15758fe3144a05"),
+    ("nu-solve", "36a027ff7981162499e8d57b9009b8d1e207d597639695bb592f452f8cca2bbc"),
+    ("verify", "9e071004482f945c16d9326806e6c43e2dbfec2265137badfa251b5868a3fa8c"),
+]
+
+
+@pytest.mark.parametrize("command, digest", GOLDEN_HELP, ids=[c or "kgbound" for c, _ in GOLDEN_HELP])
+def test_golden_help_bytes(capsys, monkeypatch, command, digest):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help at COLUMNS
+    with pytest.raises(SystemExit) as info:
+        cli.main([*command.split(), "--help"])
+    out, err = capsys.readouterr()
+    assert (info.value.code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -438,6 +477,22 @@ class TestSweep:
         for q in (0.1, 0.3, 0.5, 0.7, 0.9):
             assert got[q] == pytest.approx((1 - q * q) / (1 + q * q), abs=1e-9)
 
+    @pytest.mark.parametrize("model, key, header", [
+        # an unset optional swept coupling keeps its dataclass default
+        (("--model", "mixed", "--q", "0.5"), "beta",
+         f"q=0.5 b=0 beta={cm.MixedCoulombParams(q=0).beta:g} V0=0"),
+        (("--model", "scalar-linear", "--s", "1"), "length_scale",
+         f"s=1 length_scale={sl.LinearMassParams(s=0).length_scale:g}"),
+        # an unset required one reads 0
+        (("--model", "mixed"), "q", "q=0 b=0 beta=1 V0=0"),
+        (("--model", "scalar-linear"), "s", "s=0 length_scale=1"),
+    ])
+    def test_unset_swept_coupling_header(self, capsys, model, key, header):
+        code, out, _ = run(capsys, "sweep", *model, "--key", key, "--values", "0.5,2",
+                           "--n-max", "0", "--l-max", "0")
+        assert code == 0
+        assert f"# params: {header}" in out.splitlines()
+
     def test_mass_shape_drives_to_threshold(self, capsys):
         code, out, _ = run(capsys, "sweep", "--model", "mixed", "--key", "b",
                            "--values", "0,0.5,1", "--q", "0.5",
@@ -504,12 +559,27 @@ class TestNegativeExponentValues:
     def test_values_list(self, capsys):
         base = ("sweep", "--model", "mixed", "--q", "0.5", "--key", "beta",
                 "--n-max", "0", "--l-max", "0")
-        code, spaced, err = run(capsys, *base, "--values", "-6.7e-05,1")
-        assert code == 0, err
-        _, joined, _ = run(capsys, *base, "--values=-6.7e-05,1")
-        assert spaced == joined
-        rows = [line for line in spaced.splitlines() if line.startswith("-6.7")]
-        assert len(rows) == 2
+        for values in ("-6.7e-05,1", "-1e-3,0.5"):
+            code, spaced, err = run(capsys, *base, "--values", values)
+            assert code == 0, err
+            _, joined, _ = run(capsys, *base, f"--values={values}")
+            assert spaced == joined
+            lead = cli.fmt(float(values.split(",")[0]))
+            rows = [line for line in spaced.splitlines() if line.startswith(lead + ",")]
+            assert len(rows) == 2
+
+    def test_range_check_sees_the_value(self, capsys):
+        code, out, err = run(capsys, "wavefunction", "--model", "mixed", "--q", "0.5",
+                             "--r-min", "-1e-3")
+        assert (code, out) == (2, "")
+        assert err == "error: require finite 0 < --r-min < --r-max\n"
+
+    def test_dash_led_non_number_is_the_value(self, capsys):
+        # the flag's type check rejects it, as it would any other word
+        with pytest.raises(SystemExit) as info:
+            cli.main(["spectrum", "--model", "mixed", "--q", "-x"])
+        assert info.value.code == 2
+        assert "argument --q: invalid float value: '-x'" in capsys.readouterr().err
 
     def test_non_number_is_still_an_option(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -539,6 +609,13 @@ class TestConfigFile:
         code, _, err = run(capsys, "spectrum", "--model", "mixed",
                            "--config", str(cfg))
         assert code == 2 and "coupling" in err
+
+    def test_not_utf8_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfe=1\n")
+        code, out, err = run(capsys, "spectrum", "--model", "mixed", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("joined", [False, True])
     @pytest.mark.parametrize("line", ["q=abc", "func=x", "command=verify", "config=x",
@@ -622,6 +699,19 @@ class TestParameterErrors:
         ("sweep", "--model", "mixed", "--q", "0.5", "--key", "q", "--values", ","),
         ("sweep", "--model", "mixed", "--q", "0.5", "--key", "q", "--values", ""),
         ("sweep", "--model", "scalar-linear", "--key", "s", "--values", ""),
+        # integers beyond float range, and tables or grids larger than the
+        # address space, which numpy refuses before allocating them
+        ("nu-solve", "--model", "mixed", "--q", "0.5", "--energy", "0.6", "--n", str(10**400)),
+        ("wavefunction", "--model", "mixed", "--q", "0.5", "--n", str(10**400)),
+        ("wavefunction", "--model", "mixed", "--q", "0.5", "--l", str(10**400)),
+        ("spectrum", "--model", "mixed", "--q", "0.5", "--n-max", str(10**19)),
+        ("spectrum", "--model", "scalar-linear", "--s", "1", "--n-max", str(10**400)),
+        ("sweep", "--model", "mixed", "--q", "0.5", "--key", "b", "--values", "0,1",
+         "--l-max", str(10**19)),
+        ("spectrum", "--model", "mixed", "--q", "0.5", "--n-max", "10000000", "--l-max", "10000000"),
+        ("wavefunction", "--model", "mixed", "--q", "0.5", "--samples", str(10**14)),
+        ("wavefunction", "--model", "mixed", "--q", "0.5", "--samples", str(10**19)),
+        ("wavefunction", "--model", "mixed", "--q", "0.5", "--samples", str(10**400)),
     ])
     def test_exit_2(self, capsys, argv):
         if argv == _SEGFAULTED:  # a crash must fail this test, not end the run
@@ -767,3 +857,28 @@ class TestOptions:
         cfg.write_text(f"{key}={value}\n")
         code, _, err = run(capsys, *argv, "--config", str(cfg))
         assert code == 2 and f"unknown config key {key!r}" in err
+
+    REQUIRED = {"mixed": ("--q", "0.5"), "scalar-linear": ("--s", "1")}
+    EXTRA = {("mixed", "sweep"): ("--key", "b", "--values", "0,0.5"),
+             ("mixed", "nu-solve"): ("--energy", "0.6"),
+             ("scalar-linear", "sweep"): ("--key", "s", "--values", "0.5,1")}
+
+    @pytest.mark.parametrize("command", ["spectrum", "sweep", "wavefunction", "nu-solve"])
+    @pytest.mark.parametrize("model, key, flag, owner", [
+        ("mixed", "s", "--s", "scalar-linear"),
+        ("mixed", "length_scale", "--length-scale", "scalar-linear"),
+        ("scalar-linear", "q", "--q", "mixed"),
+        ("scalar-linear", "b", "--b", "mixed"),
+        ("scalar-linear", "beta", "--beta", "mixed"),
+        ("scalar-linear", "V0", "--V0", "mixed"),
+    ])
+    def test_other_models_coupling_exit_2(self, capsys, tmp_path, command, model, key, flag,
+                                          owner):
+        argv = (command, "--model", model, *self.REQUIRED[model],
+                *self.EXTRA.get((model, command), ()))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}=0.5\n")
+        for given in ((flag, "0.5"), ("--config", str(cfg))):
+            code, out, err = run(capsys, *argv, *given)
+            assert (code, out) == (2, "")
+            assert err == f"error: {flag} applies to the {owner} model only\n"
