@@ -231,6 +231,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_wavefunction(args) -> int:
+    if args.n > wavefunctions.MAX_N:
+        raise InvalidParameter(f"--n must be at most {wavefunctions.MAX_N}, the quadrature limit")
     if not 0.0 < args.r_min < args.r_max < math.inf:
         raise InvalidParameter("require finite 0 < --r-min < --r-max")
     if args.samples < 0:
@@ -253,10 +255,7 @@ def cmd_wavefunction(args) -> int:
         grid = np.geomspace(args.r_min, args.r_max, args.samples)
     except ValueError as exc:  # numpy: more samples than an array can index
         raise InvalidParameter(f"--samples {args.samples}: {exc}") from exc
-    # far from the function's scale a factor overflows; evaluate handles it
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = wf.evaluate(grid)
-    _emit(args, meta, {"r": grid.tolist(), "u": u.tolist()})
+    _emit(args, meta, {"r": grid.tolist(), "u": wf.evaluate(grid).tolist()})
     return 0
 
 

@@ -1,16 +1,20 @@
 """Radial eigenfunctions: power * exponential * generalized Laguerre.
 
-Every built wavefunction is normalized by a generalized Gauss-Laguerre rule
-in t = 2 decay r^m, which integrates its u^2 (a weight t^a e^(-t) times a
-squared Laguerre polynomial) exactly with numpy alone; the closed-form norm
-of the mixed model is a check on it.  An independent finite-difference
-residual check verifies that a constructed u(r) actually solves its radial
-equation.
+L_n^alpha is computed as a mantissa and a power of two, and u(r) from one
+exponential of the logarithms of its factors, so u is a float wherever it is
+in float range, however far r^power, exp(-decay r^m) or L_n^alpha alone would
+overflow or underflow.  Every built wavefunction is normalized by a
+generalized Gauss-Laguerre rule in t = 2 decay r^m, which integrates its u^2
+(a weight t^a e^(-t) times a squared Laguerre polynomial) exactly with numpy
+alone; the closed-form norm of the mixed model is a check on it.  An
+independent finite-difference residual check verifies that a constructed u(r)
+actually solves its radial equation.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,29 +25,38 @@ from .levels import BOUND, EnergyLevel, require_quantum_numbers
 
 MIXED = "mixed"
 SCALAR = "scalar_linear"
-# The envelope exp(-t/2), t = 2 decay r^m, is last nonzero near t = 1489;
-# past the largest zero of L_n^alpha (about 4n) r^power and |L_n^alpha| only
-# grow, so if either overflows out there, it overflows at T_EDGE
-T_EDGE = 1488.0
-# L_n^alpha(T_EDGE) overflows from n of about 310 on, so larger n never pass
-# that check; above MAX_N they are rejected before the (n + 2)^2 rule is built
+# the (n + 2)-node quadrature rule diagonalizes an (n + 2)^2 Jacobi matrix;
+# MAX_N bounds its size
 MAX_N = 400
 
 
+def _rescaled(prev, cur):
+    """prev and cur divided by the power of two of cur, and that power."""
+    cur, shift = np.frexp(cur)
+    return np.ldexp(prev, -shift), cur, shift
+
+
 def laguerre(n: int, alpha: float, x):
-    """Generalized Laguerre L_n^alpha(x) by the three-term recurrence."""
+    """Generalized Laguerre L_n^alpha(x) as arrays (mantissa, exponent), its
+    value being mantissa * 2**exponent.
+
+    The three-term recurrence divides both of its terms at every step by the
+    power of two of the newer one, so neither leaves float range; a power of
+    two scales exactly, so the mantissas carry the unscaled recurrence's bits
+    wherever that stays in range.
+    """
     if n < 0:
         raise InvalidParameter("n must be nonnegative")
     if alpha <= -1.0:
         raise InvalidParameter("alpha must exceed -1")
     x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 1.0 + alpha - x
-    for k in range(2, n + 1):
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    exponent = np.zeros(x.shape, dtype=int)
+    for k in range(1, n + 1):
         prev, cur = cur, ((2 * k - 1 + alpha - x) * cur - (k - 1 + alpha) * prev) / k
-    return cur if cur.ndim else float(cur)
+        prev, cur, shift = _rescaled(prev, cur)
+        exponent = exponent + shift
+    return cur, exponent
 
 
 @dataclass(frozen=True)
@@ -66,18 +79,17 @@ class RadialWavefunction:
         return 1 if self.model == MIXED else 2
 
     def evaluate(self, r):
+        """u(r) as norm * mantissa * exp(power log r - x/2 + k log 2), where
+        L_n^alpha(x) = mantissa * 2**k: no factor is formed on its own."""
         r = np.asarray(r, dtype=float)
-        arg = r ** self.radial_exponent
-        envelope = np.exp(-self.decay * arg)
-        out = self.norm * (
-            r**self.power * envelope * laguerre(self.n, self.laguerre_alpha, 2.0 * self.decay * arg)
-        )
-        # where exp(-decay r^m) underflows to 0 it decides the value; an
-        # overflowing r^power or Laguerre factor would make that 0 * inf = NaN
-        if out.ndim:
-            out[np.isnan(out) & (envelope == 0.0)] = 0.0
-            return out
-        return 0.0 if math.isnan(out) and envelope == 0.0 else float(out)
+        m = self.radial_exponent
+        # r is capped where x nears overflow; for any decay above 1e-300,
+        # exp(-x/2) is 0 there whatever L_n is
+        r_cap = (sys.float_info.max / max(2.0 * self.decay, 1.0)) ** (1.0 / m) / 2.0
+        x = 2.0 * self.decay * np.minimum(r, r_cap) ** m
+        mantissa, k = laguerre(self.n, self.laguerre_alpha, x)
+        out = self.norm * mantissa * np.exp(self.power * np.log(r) - x / 2.0 + k * math.log(2.0))
+        return out if out.ndim else float(out)
 
 
 def build_mixed(params: coulomb_mixed.MixedCoulombParams, level: EnergyLevel) -> RadialWavefunction:
@@ -125,16 +137,23 @@ def build_scalar(
 
 
 def norm_closed_mixed(params: coulomb_mixed.MixedCoulombParams, level: EnergyLevel) -> float:
-    """Closed-form normalization from the Laguerre orthogonality relation."""
+    """Closed-form normalization from the Laguerre orthogonality relation.
+
+    Its n! / Gamma(n + 2L + 2) is taken as 1 / Gamma(2L + 2) times the
+    product of k / (k + 2L + 1) over k = 1..n, whose factors lie below 1, so
+    the norm is a float for every n <= MAX_N where the two gammas are not.
+    """
     if level.status != BOUND:
         raise NotBound(f"level n={level.n} l={level.l} branch={level.branch} is "
                        f"{level.status}, not bound")
     n, L, eps = level.n, params.effective_L(level.l), params.epsilon(level.energy)
+    if n > MAX_N:
+        raise NonNormalizable(f"n = {n} > {MAX_N}, the size limit of the quadrature rule")
+    ratio = math.prod(k / (k + 2.0 * L + 1.0) for k in range(1, n + 1))
     try:
         return math.sqrt(
-            math.factorial(n)
-            * (2.0 * eps) ** (2.0 * L + 3.0)
-            / (2.0 * (n + L + 1.0) * math.gamma(n + 2.0 * L + 2.0))
+            ratio * (2.0 * eps) ** (2.0 * L + 3.0)
+            / (2.0 * (n + L + 1.0) * math.gamma(2.0 * L + 2.0))
         )
     except OverflowError as exc:
         raise NonNormalizable(f"closed-form norm out of float range: {exc}") from exc
@@ -164,29 +183,34 @@ def norm_closed_scalar_printed(params: scalar_linear.LinearMassParams, n: int, l
 
 
 def gauss_laguerre(count: int, a: float):
-    """Nodes t_i and first eigenvector components v_i of the generalized
-    Gauss-Laguerre rule for the weight t^a e^(-t) on (0, inf).
+    """Nodes t_i of the generalized Gauss-Laguerre rule for the weight
+    t^a e^(-t) on (0, inf), and the first eigenvector components v_i as arrays
+    (mantissa, exponent), v_i = mantissa * 2**exponent.
 
     The rule, sum_i Gamma(a + 1) v_i^2 f(t_i), is exact for every polynomial
     f of degree below 2 * count.  The nodes are the eigenvalues of the Jacobi
     matrix (Golub-Welsch): diagonal 2k + a + 1, off-diagonal sqrt(k (k + a)).
     The eigenvector of node t is (p_0(t), ..., p_{count-1}(t)), the
     orthonormal polynomials, which the rows of (J - t) p = 0 give from
-    p_0 = 1; v is built that way, because the eigenvectors of a dense eigh
-    carry an absolute error near 1e-16, which swamps the small v_i of the
-    outer nodes once count exceeds about 25.
+    p_0 = 1, over its length; v is built that way, because the eigenvectors
+    of a dense eigh carry an absolute error near 1e-16, which swamps the small
+    v_i of the outer nodes once count exceeds about 25.  The rows are rescaled
+    as in :func:`laguerre`, their sum of squares with them, so neither the
+    p_k(t) nor v leave float range.
     """
     k = np.arange(count, dtype=float)
     diag = 2.0 * k + a + 1.0
-    off = np.sqrt(k[1:]) * np.sqrt(k[1:] + a)
-    t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1), UPLO="U")
-    p = np.empty((count, count))
-    p[0] = 1.0
-    p[1] = (t - diag[0]) / off[0]
-    for j in range(1, count - 1):
-        p[j + 1] = ((t - diag[j]) * p[j] - off[j - 1] * p[j - 1]) / off[j]
-    # hypot scales, so a p_k(t) beyond 1e154 does not overflow the norm
-    return t, 1.0 / np.array([math.hypot(*column) for column in p.T])
+    # off[j] = sqrt(j (j + a)) couples p_j to p_(j-1); off[0] meets p_(-1) = 0
+    off = np.append(0.0, np.sqrt(k[1:]) * np.sqrt(k[1:] + a))
+    t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[1:], 1), UPLO="U")
+    prev, cur = np.zeros_like(t), np.ones_like(t)
+    squares, exponent = np.ones_like(t), np.zeros(count, dtype=int)
+    for j in range(count - 1):
+        prev, cur = cur, ((t - diag[j]) * cur - off[j] * prev) / off[j + 1]
+        prev, cur, shift = _rescaled(prev, cur)
+        squares = np.ldexp(squares, -2 * shift) + cur * cur
+        exponent = exponent + shift
+    return t, 1.0 / np.sqrt(squares), -exponent
 
 
 def norm_quadrature(wf: RadialWavefunction) -> float:
@@ -195,33 +219,31 @@ def norm_quadrature(wf: RadialWavefunction) -> float:
     With t = 2 decay r^m, u^2 dr is (1/m) (2 decay)^(-e) t^(e-1) e^(-t)
     L_n^alpha(t)^2 dt, e = (2 power + 1)/m: a weight times a polynomial of
     degree 2n, which the (n + 2)-node Gauss-Laguerre rule integrates exactly.
-    A shape (u with norm 1) whose u^2 is not finite at a node or at T_EDGE,
-    or whose integral overflows or underflows, is NonNormalizable.
+    v_i and L_n^alpha(t_i) come as mantissas and powers of two; each term
+    v_i L_n^alpha(t_i) is at most the square root of the rule's sum, so it is
+    a float wherever that sum is.  A shape whose integral overflows or
+    underflows, or whose n exceeds MAX_N, is NonNormalizable.
     """
     if wf.decay <= 0.0:
         raise NonNormalizable("decay rate must be positive")
     if wf.power <= 0.0:
         raise NonNormalizable("power must be positive for u(0) = 0")
     if wf.n > MAX_N:
-        raise NonNormalizable(f"n = {wf.n} > {MAX_N}: L_n^alpha overflows near its largest zero")
+        raise NonNormalizable(f"n = {wf.n} > {MAX_N}, the size limit of the quadrature rule")
     m = wf.radial_exponent
     e = (2.0 * wf.power + 1.0) / m
     # out-of-range values are rejected below, so numpy's warnings add nothing
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             log_gamma = math.lgamma(e)
-            t, v = gauss_laguerre(wf.n + 2, e - 1.0)
+            t, v, v_exp = gauss_laguerre(wf.n + 2, e - 1.0)
         except (OverflowError, np.linalg.LinAlgError) as exc:
             raise NonNormalizable(f"no quadrature rule for the weight t^{e - 1.0!r} e^(-t)") from exc
-        probe = np.append(t, T_EDGE)
-        u2 = replace(wf, norm=1.0).evaluate((probe / (2.0 * wf.decay)) ** (1.0 / m)) ** 2
-        total = np.sum((v * laguerre(wf.n, wf.laguerre_alpha, t)) ** 2)
+        lag, lag_exp = laguerre(wf.n, wf.laguerre_alpha, t)
+        total = np.sum(np.ldexp(v * lag, v_exp + lag_exp) ** 2)
         value = float(np.exp(
             log_gamma - math.log(m) - e * math.log(2.0 * wf.decay) + np.log(total)
         ))
-    bad = ~np.isfinite(u2)
-    if bad.any():
-        raise NonNormalizable(f"u^2 at t = {float(probe[bad][0])!r} is {float(u2[bad][0])!r}")
     if not 0.0 < value < math.inf:
         raise NonNormalizable(f"the integral of u^2 is {value!r}")
     return 1.0 / math.sqrt(value)

@@ -278,7 +278,23 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[argv for argv, _ in GOLDEN])
+# sha256 of `wavefunction` stdout, pinned when L_n^alpha became a mantissa and
+# a power of two; u is one numpy exp of a sum of logs, so unlike GOLDEN these
+# bytes may depend on the last bit of numpy's exp and log on the platform
+GOLDEN_WAVEFUNCTION = [
+    ("wavefunction --model mixed --q 0.5 --n 2 --l 1 --samples 50",
+     "cc0bb2a3cc53926ffd73483bf40c5befc77edb412e730a457238a58ed05b7e17"),
+    ("wavefunction --model mixed --q 0.5 --n 2 --l 1 --samples 50 --output json",
+     "525a09cf1780ef26d4a79813d9420682112af438d211d3ced51acf7c16cdcd39"),
+    ("wavefunction --model scalar-linear --s 1 --n 3 --l 2 --samples 50 --r-max 8",
+     "f76a25c09e8c5cdf67bdbf78209dad9c846b375caa8291d64991504ee4ebd5c9"),
+    ("wavefunction --model scalar-linear --s 1 --n 3 --l 2 --samples 50 --r-max 8 --output json",
+     "ec25fbd1dceba5da6fde7e780941ccaf4343b35d2c9d8ac594772e5cbe094fd0"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN + GOLDEN_WAVEFUNCTION,
+                         ids=[argv for argv, _ in GOLDEN + GOLDEN_WAVEFUNCTION])
 def test_golden_table_bytes(capsys, argv, digest):
     code, out, err = run(capsys, *argv.split())
     assert (code, err) == (0, "")
@@ -703,6 +719,11 @@ class TestParameterErrors:
         # address space, which numpy refuses before allocating them
         ("nu-solve", "--model", "mixed", "--q", "0.5", "--energy", "0.6", "--n", str(10**400)),
         ("wavefunction", "--model", "mixed", "--q", "0.5", "--n", str(10**400)),
+        ("wavefunction", "--model", "scalar-linear", "--s", "1", "--n", str(10**400)),
+        # n beyond the size limit of the quadrature rule
+        ("wavefunction", "--model", "mixed", "--q", "0.5", "--n", str(wavefunctions.MAX_N + 1)),
+        ("wavefunction", "--model", "scalar-linear", "--s", "1", "--n",
+         str(wavefunctions.MAX_N + 1)),
         ("wavefunction", "--model", "mixed", "--q", "0.5", "--l", str(10**400)),
         ("spectrum", "--model", "mixed", "--q", "0.5", "--n-max", str(10**19)),
         ("spectrum", "--model", "scalar-linear", "--s", "1", "--n-max", str(10**400)),
@@ -723,6 +744,18 @@ class TestParameterErrors:
             code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("n", [wavefunctions.MAX_N + 1, 10**400])
+    @pytest.mark.parametrize("couplings", [("mixed", "--q", "0.5"), ("scalar-linear", "--s", "1")])
+    def test_n_above_max_named_before_any_level(self, capsys, monkeypatch, n, couplings):
+        def no_level(*args, **kwargs):
+            raise AssertionError("a level was built")
+
+        monkeypatch.setattr(cm, "candidate_energies", no_level)
+        monkeypatch.setattr(sl, "energy_squared", no_level)
+        code, out, err = run(capsys, "wavefunction", "--model", *couplings, "--n", str(n))
+        assert (code, out) == (2, "")
+        assert err == f"error: --n must be at most {wavefunctions.MAX_N}, the quadrature limit\n"
 
 
 class TestCachedParser:

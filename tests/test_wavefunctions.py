@@ -1,11 +1,12 @@
 """Unit tests for eigenfunction construction, normalization, residuals."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate, special
 
 from kgbound import coulomb_mixed as cm, scalar_linear as sl, wavefunctions as wf
@@ -41,9 +42,19 @@ def rule_integral(u, count):
     """The integral of u^2 by the count-node Gauss-Laguerre rule in t = 2 decay r^m."""
     m = u.radial_exponent
     e = (2.0 * u.power + 1.0) / m
-    t, v = wf.gauss_laguerre(count, e - 1.0)
-    total = float(np.sum((v * wf.laguerre(u.n, u.laguerre_alpha, t)) ** 2))
+    t, v, v_exp = wf.gauss_laguerre(count, e - 1.0)
+    lag, lag_exp = wf.laguerre(u.n, u.laguerre_alpha, t)
+    total = float(np.sum(np.ldexp(v * lag, v_exp + lag_exp) ** 2))
     return u.norm**2 * math.gamma(e) / m * (2.0 * u.decay) ** -e * total
+
+
+def norm_closed_scalar(params, n, l):
+    """sqrt(2 n! alpha1^(Lambda + 3/2) / Gamma(n + Lambda + 3/2)), by the
+    Laguerre orthogonality relation, with n! / Gamma(n + Lambda + 3/2) taken
+    as a product of factors below 1 over Gamma(Lambda + 3/2)."""
+    Lambda = params.Lambda(l)
+    ratio = math.prod(k / (k + Lambda + 0.5) for k in range(1, n + 1))
+    return math.sqrt(2.0 * ratio * params.alpha1 ** (Lambda + 1.5) / math.gamma(Lambda + 1.5))
 
 
 def shapes(n_values):
@@ -65,14 +76,35 @@ class TestLaguerre:
         x = np.linspace(0.0, 20.0, 101)
         for n in range(7):
             for alpha in (0.0, 0.5, 1.7, 3.0):
-                mine = wf.laguerre(n, alpha, x)
+                mine = np.ldexp(*wf.laguerre(n, alpha, x))
                 ref = special.eval_genlaguerre(n, alpha, x)
                 assert np.allclose(mine, ref, rtol=1e-12, atol=1e-12)
 
     def test_scalar_input_scalar_output(self):
-        val = wf.laguerre(2, 1.0, 0.5)
-        assert isinstance(val, float)
-        assert val == pytest.approx(special.eval_genlaguerre(2, 1.0, 0.5))
+        mantissa, exponent = wf.laguerre(2, 1.0, 0.5)
+        assert np.ndim(mantissa) == np.ndim(exponent) == 0
+        assert float(np.ldexp(mantissa, exponent)) == pytest.approx(
+            special.eval_genlaguerre(2, 1.0, 0.5))
+
+    def test_scaling_is_exact(self):
+        # where the unscaled recurrence stays in range, the scaled one has its bits
+        x = np.linspace(0.0, 60.0, 241)
+        for alpha in (0.0, 1.5, 7.25):
+            prev, cur = np.ones_like(x), 1.0 + alpha - x
+            for k in range(2, 41):
+                prev, cur = cur, ((2 * k - 1 + alpha - x) * cur - (k - 1 + alpha) * prev) / k
+            mantissa, exponent = wf.laguerre(40, alpha, x)
+            assert np.array_equal(np.ldexp(mantissa, exponent), cur)
+            nonzero = mantissa != 0.0
+            assert np.all((0.5 <= np.abs(mantissa[nonzero])) & (np.abs(mantissa[nonzero]) < 1.0))
+
+    def test_far_beyond_float_range(self):
+        # L_n^alpha(x) = (-x)^n / n! (1 + O(n (n + alpha) / x)) for large x
+        n, x = 400, np.array([1e20, 1e300, sys.float_info.max])
+        mantissa, exponent = wf.laguerre(n, 0.5, x)
+        assert np.all(mantissa > 0.0)  # (-x)^n with n even
+        log2 = np.log2(mantissa) + exponent
+        assert np.allclose(log2, n * np.log2(x) - math.lgamma(n + 1) / math.log(2.0), rtol=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -137,16 +169,45 @@ class TestNormalization:
         for u in shapes((0, 3, 40)):
             assert u.norm == pytest.approx(norm_by_quad(u), rel=1e-12)
 
-    def test_outer_overflow_rejected(self):
-        # n = 340 passes at every node, but L_n^alpha overflows between the
-        # last node and the end of the envelope, where `wavefunction` samples
-        params = sl.LinearMassParams(s=1.0)
-        u = wf.build_scalar(params, 300, 0, 1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert np.all(np.isfinite(u.evaluate(np.geomspace(1e-3, 1e4, 2001))))
-        for n in (340, wf.MAX_N, wf.MAX_N + 1, 10**9):
+    @pytest.mark.parametrize("n", [309, 340, 362, 400])
+    def test_large_n_normalizes(self, n):
+        # the unscaled Laguerre recurrence overflowed from n = 309 on, and the
+        # unscaled rule's v_i underflowed from n = 362 on
+        for params in (sl.LinearMassParams(s=1.0), sl.LinearMassParams(s=-0.4, length_scale=2.5)):
+            for l in (0, 3):
+                u = wf.build_scalar(params, n, l, 1.0)
+                assert u.norm == pytest.approx(norm_closed_scalar(params, n, l), rel=1e-12)
+        params = cm.MixedCoulombParams(q=0.5)
+        for l in (0, 3):
+            level = bound_level(params, n, l)
+            u = wf.build_mixed(params, level)
+            assert u.norm == pytest.approx(wf.norm_closed_mixed(params, level), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [wf.MAX_N + 1, 10**9])
+    def test_above_max_n_rejected_before_the_rule(self, monkeypatch, n):
+        def no_rule(count, a):
+            raise AssertionError(f"a {count}-node rule was built")
+
+        monkeypatch.setattr(wf, "gauss_laguerre", no_rule)
+        with pytest.raises(NonNormalizable):
+            wf.build_scalar(sl.LinearMassParams(s=1.0), n, 0, 1.0)
+        for model in ("mixed", "scalar_linear"):
+            u = wf.RadialWavefunction(model, n, 0, power=1.0, decay=0.8, laguerre_alpha=1.0)
             with pytest.raises(NonNormalizable):
-                wf.build_scalar(params, n, 0, 1.0)
+                wf.norm_quadrature(u)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, wf.MAX_N])
+    def test_evaluate_in_range_at_extreme_radii(self, n):
+        # r^power, exp(-decay r^m) and L_n^alpha leave float range here, and
+        # 2 decay r^2 overflows; u is finite, and ±0 where it underflows
+        r = np.geomspace(1e-300, 1e300, 2001)
+        params = cm.MixedCoulombParams(q=0.5)
+        for u in (wf.build_scalar(sl.LinearMassParams(s=1.0), n, 0, 1.0),
+                  wf.build_mixed(params, bound_level(params, n, 0))):
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                values = u.evaluate(r)
+            assert np.all(np.isfinite(values))
+            assert values[-1] == 0.0
 
     @pytest.mark.parametrize("power", [math.nan, math.inf, 1e308, 1e306])
     def test_weight_out_of_range_rejected(self, power):
@@ -176,8 +237,11 @@ class TestNormalization:
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=50)
     @given(q=st.floats(0.01, 2.0), b=st.floats(-2.0, 2.0), beta=st.floats(-2.0, 2.0),
-           V0=st.floats(-1.0, 1.0), n=st.integers(0, 30), l=st.integers(0, 8),
+           V0=st.floats(-1.0, 1.0), n=st.integers(0, wf.MAX_N), l=st.integers(0, 8),
            branch=st.sampled_from(("particle", "antiparticle")))
+    # Gamma(n + 2L + 2) overflowed from n = 170 on, L_n^alpha from n = 309 on
+    @example(q=0.5, b=0.0, beta=1.0, V0=0.0, n=170, l=0, branch="particle")
+    @example(q=0.5, b=0.0, beta=1.0, V0=0.0, n=309, l=0, branch="particle")
     def test_closed_equals_quadrature_random_levels(self, q, b, beta, V0, n, l, branch):
         params = cm.MixedCoulombParams(q=q, b=b, beta=beta, V0=V0)
         try:
