@@ -1,33 +1,37 @@
 """Independent finite-difference verifier for the two radial models.
 
-One discretization lives here.  The radial equation
+Each model is solved in a scale-free variable (Rotenberg, Ann. Phys. 19, 262
+(1962)), so its eigenvalue depends only on the origin exponent p and the
+index n, and each is differenced with its known origin behavior u ~ r^p built
+in.  Both take one Richardson step over a grid and its refinement, and each
+rejects the (p, n) outside the box its grid was measured to serve before any
+eigensolve.
 
-    -u'' + (p(p-1)/r^2 + c_inv/r + c_r2 r^2) u = mu u
+The scalar model, in y = sqrt(alpha1) r, is the oscillator
+-u_yy + (p(p-1)/y^2 + y^2) u = sigma u (`oscillator_eigenvalue`).  With
+u = y^p w it is differenced as the Sturm-Liouville problem
+-(y^2p w')' + y^{2p+2} w = sigma y^2p w on a uniform grid sized from (p, n),
+which stays second order for every p.
 
-is solved with its known origin behavior factored out, u = r^p w, by
-differencing the equivalent Sturm-Liouville problem for the smooth factor w:
-
-    -(r^2p w')' + (c_inv r^{2p-1} + c_r2 r^{2p+2}) w = mu r^2p w.
-
-That keeps second-order accuracy for non-integer and even critical (p = 1/2)
-exponents, where a plain three-point scheme on u stalls; one Richardson step
-then removes the leading h^2 error (for 0.51 <~ p <~ 0.8 it leaves enough
-behind that a mixed level misses 1e-6).  Both model solvers and the textbook
-self-tests (box, hydrogen-like, oscillator; acceptance criterion 8) run on
-this one scheme.  Eigenvalues come from a Sturm-sequence bisection solver
-(LAPACK stebz, through scipy's f2py wrapper) in index mode, one eigenvalue
-per call.  Each model is solved in a scale-free variable (Rotenberg, Ann.
-Phys. 19, 262 (1962)), so its eigenvalue depends only on the origin exponent
-p and the index n.  The scalar model, in y = sqrt(alpha1) r, is the oscillator
--u_yy + (p(p-1)/y^2 + y^2) u = sigma u on a grid sized from (p, n) alone.
-The mixed model is solved in x = eps(E) r on one fixed x-grid, where its
-levels solve one E-independent Sturmian eigenproblem: the coupling
-c = gamma1(E)/eps(E) is the eigenvalue, solved once per (p, n) per process
+The mixed model is solved in x = eps(E) r, where its levels solve one
+E-independent Sturmian eigenproblem (-d^2/dx^2 + p(p-1)/x^2 + 1) u =
+lam u/x: the coupling c = gamma1(E)/eps(E) equals -lam_n.  In s = ln x with
+u = e^{s/2} v that is -v'' + (p - 1/2)^2 v + e^{2s} v = lam e^s v, whose
+solution is smooth in s for every p, so the error is a clean h^2 on a uniform
+s-grid (the standard radial grid of atomic codes; W. R. Johnson, Atomic
+Structure Theory, 2007).  lam_n(p) is solved once per (p, n) per process
 (`sturmian_eigenvalue`), and the energy is the root of a scalar matching
 function, bracketed by a scan and narrowed by Brent's method (`_brent`, which
-follows the brentq C loop step for step).  Each solver rejects the (p, n) its
-grid does not serve.  The oracle imports no scipy subpackage: it loads the
-LAPACK extension module on its own (`_tridiagonal_lapack`).
+follows the brentq C loop step for step).
+
+Eigenvalues come from a Sturm-sequence bisection solver (LAPACK stebz, through
+scipy's f2py wrapper) in index mode, one eigenvalue per call, run to LAPACK's
+most accurate absolute tolerance: the log-grid matrix is graded, and
+bisection resolves its small eigenvalues to high relative accuracy (Barlow
+and Demmel, SIAM J. Numer. Anal. 27, 762 (1990)).  The textbook self-tests
+(acceptance criterion 8) run on these same schemes.  The oracle imports no
+scipy subpackage: it loads the LAPACK extension module on its own
+(`_tridiagonal_lapack`).
 """
 
 from __future__ import annotations
@@ -52,6 +56,10 @@ from .units import require_finite_square
 BISECTION_TOL = 1e-10  # root tolerance on E, in units of the rest energy
 BRENT_MAX_ITERATIONS = 100  # Brent steps per root before ConvergenceFailure
 STURMIAN_CACHE_SIZE = 4096  # memoized (p, n) keys; each holds one float
+# stebz's absolute tolerance: twice the underflow threshold, LAPACK's most
+# accurate value.  Its default, eps * |T|, stops up to 4e-2 off on the graded
+# log-grid matrix, whose entries reach 3e13
+STEBZ_TOL = 2.0 * sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -81,10 +89,28 @@ class RadialGrid:
 
 
 @dataclass(frozen=True)
+class LogGrid:
+    """Points s_min + i h, i < points, of s = ln x on [s_min, s_max): a Robin
+    wall on the first point, a Dirichlet wall at s_max."""
+
+    s_min: float
+    s_max: float
+    points: int
+
+    @property
+    def h(self) -> float:
+        return (self.s_max - self.s_min) / self.points
+
+    def refined(self) -> "LogGrid":
+        """Same interval with exactly halved spacing."""
+        return LogGrid(self.s_min, self.s_max, 2 * self.points)
+
+
+@dataclass(frozen=True)
 class TridiagonalSystem:
     diagonal: np.ndarray
     off_diagonal: np.ndarray
-    grid: RadialGrid
+    grid: RadialGrid | LogGrid
 
 
 def _count_nodes(vec: np.ndarray) -> int:
@@ -143,10 +169,10 @@ def eigen_lowest(system: TridiagonalSystem, index: int, check_nodes: bool = True
         raise ValueError("array must not contain infs or NaNs")
     # loaded on first use, so the closed-form commands never load LAPACK
     stebz, stein = _tridiagonal_lapack()
-    # range 2 (by index), unused value bounds 0 and 1, absolute tolerance 0
-    # (LAPACK's default); order "B" (by block) is what stein takes
+    # range 2 (by index), unused value bounds 0 and 1; order "B" (by block)
+    # is what stein takes
     m, vals, iblock, isplit, info = stebz(
-        d, e, 2, 0.0, 1.0, index + 1, index + 1, 0.0, "B" if check_nodes else "E"
+        d, e, 2, 0.0, 1.0, index + 1, index + 1, STEBZ_TOL, "B" if check_nodes else "E"
     )
     if info != 0:
         raise ConvergenceFailure(f"stebz exited with info = {info}")
@@ -162,68 +188,38 @@ def eigen_lowest(system: TridiagonalSystem, index: int, check_nodes: bool = True
 
 
 # ---------------------------------------------------------------------------
-# transformed scheme used by the model solvers
+# the two schemes
 
 
-class _TransformedOperator:
-    """Symmetrized discretization of the r^p-factored radial equation on one grid.
-
-    Everything but the 1/r coefficient c_inv is fixed per (p, c_r2, grid) and
-    built once, and the operator is affine in c_inv: T(c_inv) = base + c_inv W.
-    W is diag(1/r) but for element 0, where the left wall value is folded in
-    through the regular series w = 1 + c_inv r/(2p) + ..., linearized to
-    w(r_min)/w(r_0) = 1 - c_inv h/(2p) so that T stays affine.
-    """
-
-    def __init__(self, p: float, c_r2: float, grid: RadialGrid):
-        h = grid.h
-        r = grid.nodes()
-        tp = 2.0 * p
-        face_right = (r + 0.5 * h) ** tp
-        face_wall = (grid.r_min + 0.5 * h) ** tp
-        weight = r**tp
-        face_left = np.concatenate(([face_wall], face_right[:-1]))
-        fold = face_wall / (h * h * weight[0])
-        self._base = (face_left + face_right) / (h * h * weight) + c_r2 * r * r
-        self._base[0] -= fold
-        self._w = 1.0 / r
-        self._w[0] += fold * h / tp
-        sw = np.sqrt(weight)
-        self._off = -face_right[:-1] / (h * h) / (sw[:-1] * sw[1:])
-        self.grid = grid
-
-    def system(self, c_inv: float) -> TridiagonalSystem:
-        return TridiagonalSystem(self._base + c_inv * self._w, self._off, self.grid)
-
-    def sturmian(self) -> TridiagonalSystem:
-        """W^-1/2 (base + 1) W^-1/2: its index-th eigenvalue lam is the c_inv =
-        -lam at which system(c_inv) has -1 as its index-th eigenvalue."""
-        s = 1.0 / np.sqrt(self._w)
-        return TridiagonalSystem((self._base + 1.0) * s * s, self._off * s[:-1] * s[1:], self.grid)
+def _transformed_system(p: float, c_r2: float, grid: RadialGrid) -> TridiagonalSystem:
+    """-(r^2p w')' + c_r2 r^{2p+2} w = mu r^2p w, the r^p-factored form of
+    -u'' + (p(p-1)/r^2 + c_r2 r^2) u = mu u, differenced on `grid` and
+    symmetrized with its weight r^2p.  No flux crosses the left wall face
+    (w' = 0 there, the leading order of the regular series w = 1 + O(r)), and
+    w = 0 at r_max."""
+    h, r, tp = grid.h, grid.nodes(), 2.0 * p
+    face_right = (r + 0.5 * h) ** tp
+    face_left = np.concatenate(([0.0], face_right[:-1]))
+    weight = r**tp
+    diagonal = (face_left + face_right) / (h * h * weight) + c_r2 * r * r
+    sw = np.sqrt(weight)
+    return TridiagonalSystem(diagonal, -face_right[:-1] / (h * h) / (sw[:-1] * sw[1:]), grid)
 
 
-class _TransformedScheme:
-    """Coarse and refined operators of one grid, for one Richardson step."""
-
-    def __init__(self, p: float, c_r2: float, grid: RadialGrid):
-        self.coarse = _TransformedOperator(p, c_r2, grid)
-        self.fine = _TransformedOperator(p, c_r2, grid.refined())
-
-    def eigenvalue(self, c_inv: float, index: int) -> float:
-        """Richardson-extrapolated index-th eigenvalue of system(c_inv)."""
-        coarse = eigen_lowest(self.coarse.system(c_inv), index, check_nodes=False)
-        fine = eigen_lowest(self.fine.system(c_inv), index, check_nodes=False)
-        return (4.0 * fine - coarse) / 3.0
-
-    def check_nodes(self, c_inv: float, index: int) -> None:
-        eigen_lowest(self.coarse.system(c_inv), index, check_nodes=True)
-
-    def sturmian(self, index: int) -> float:
-        """Richardson-extrapolated index-th eigenvalue of sturmian(); the
-        coarse eigenvector must have `index` interior nodes."""
-        coarse = eigen_lowest(self.coarse.sturmian(), index)
-        fine = eigen_lowest(self.fine.sturmian(), index, check_nodes=False)
-        return (4.0 * fine - coarse) / 3.0
+def _sturmian_system(p: float, grid: LogGrid) -> TridiagonalSystem:
+    """-v'' + (p - 1/2)^2 v + e^{2s} v = lam e^s v, which is (-d^2/dx^2 +
+    p(p-1)/x^2 + 1) u = lam u/x in x = e^s, u = e^{s/2} v, differenced on
+    `grid` and symmetrized with its weight e^s.  The regular solution
+    u ~ x^p gives the Robin wall v' = (p - 1/2) v at s_min, closed by a ghost
+    point; that row is halved, and so is its weight, to keep the matrix
+    symmetric."""
+    h, kappa = grid.h, p - 0.5
+    weight = np.exp(grid.s_min + h * np.arange(grid.points))
+    diagonal = 2.0 / (h * h) + kappa * kappa + weight * weight
+    diagonal[0] = 0.5 * diagonal[0] + kappa / h
+    weight[0] *= 0.5
+    sw = np.sqrt(weight)
+    return TridiagonalSystem(diagonal / weight, -1.0 / (h * h) / (sw[:-1] * sw[1:]), grid)
 
 
 def _linspace(lo: float, hi: float, points: int) -> list[float]:
@@ -299,33 +295,54 @@ def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
 # model solvers
 
 
-# the mixed model's grid in x = eps(E) r, where every bound level has mu = -1
-MIXED_GRID = RadialGrid(1e-5, 25.0, 6000)
-
-
 @functools.lru_cache(maxsize=STURMIAN_CACHE_SIZE)
 def sturmian_eigenvalue(p: float, n: int) -> float:
-    """lam_n(p): the Richardson-extrapolated n-th eigenvalue of the Sturmian
-    problem (-d^2/dx^2 + p(p-1)/x^2 + 1) u = lam u/x on MIXED_GRID (the coarse
+    """lam_n(p): the n-th eigenvalue of the Sturmian problem (-d^2/dx^2 +
+    p(p-1)/x^2 + 1) u = lam u/x, in s = ln x on s_min = -20 < s < ln(x_t + 20),
+    x_t = n + p + sqrt((n + p)^2 - p(p - 1)) the outer turning point, with
+    3000 points and on its refinement, Richardson-extrapolated (the coarse
     eigenvector checked to have n nodes).  It depends on nothing else, so it
     is memoized per (p, n) for the life of the process; a failed solve raises
     again on every call.
 
-    MIXED_GRID ends at x = 25, so (p, n) is served only where the level's
-    outer turning point, n + p + sqrt((n + p)^2 - p(p - 1)), is at most 12;
-    there lam_n(p) is within 2e-7 of 2(n + p) for p >= 1.  Beyond it the wall
-    shows: 8.8e-7 at (p, n) = (10, 0), 3.7e-4 at (4, 6).  Anything else is
-    rejected before any eigensolve.  (For p < 1 the Richardson step leaves
-    more behind, inside the region too: up to 1.7e-6 at p = 1/2 and 2e-5 for
-    0.55 <= p <= 0.7.)
+    The grid serves p <= 10 and n <= 20: there lam_n(p) is within 3.2e-7 of
+    2(n + p), worst at the corner (10, 20), and within 1.8e-8 for n <= 8 and
+    p <= 9.  Past it the error grows with n (3.6e-6 at n = 50, 1.5e-3 at
+    n = 200) and with p (1.1e-6 at (60, 0)), so anything else is rejected
+    before any eigensolve.
     """
-    turning = n + p + math.sqrt((n + p) ** 2 - p * (p - 1.0))
-    if turning > 12.0:
+    if p > 10.0 or n > 20:
         raise InvalidParameter(
-            f"(p, n) = ({p!r}, {n}) has its turning point at x = {turning:.4g} > 12: "
-            "MIXED_GRID ends at x = 25"
+            f"(p, n) = ({p!r}, {n}): the Sturmian grid serves p = L + 1 <= 10 and n <= 20"
         )
-    return _TransformedScheme(p, 0.0, MIXED_GRID).sturmian(n)
+    turning = n + p + math.sqrt((n + p) ** 2 - p * (p - 1.0))
+    grid = LogGrid(-20.0, math.log(turning + 20.0), 3000)
+    coarse = eigen_lowest(_sturmian_system(p, grid), n)
+    fine = eigen_lowest(_sturmian_system(p, grid.refined()), n, check_nodes=False)
+    return (4.0 * fine - coarse) / 3.0
+
+
+def oscillator_eigenvalue(p: float, n: int) -> float:
+    """sigma_n(p): the n-th eigenvalue of -u'' + (p(p-1)/y^2 + y^2) u = sigma u,
+    on the grid (1e-4, sqrt(4n + 2p + 1) + 7) of 6000 points and on its
+    refinement, Richardson-extrapolated; the coarse eigenvector is then
+    checked to have n nodes.
+
+    The grid serves p <= 12 and n <= 200: there sigma_n(p) is within 1.1e-9
+    of 4n + 2p + 1 for n <= 40 and within 2.1e-7 up to n = 200.  Past n = 200
+    the error grows (2.4e-6 at n = 400), so anything else is rejected before
+    any eigensolve.
+    """
+    if p > 12.0 or n > 200:
+        raise InvalidParameter(
+            f"(p, n) = ({p!r}, {n}): the oscillator grid serves p = Lambda + 1 <= 12 and n <= 200"
+        )
+    grid = RadialGrid(1e-4, math.sqrt(4.0 * n + 2.0 * p + 1.0) + 7.0, 6000)
+    system = _transformed_system(p, 1.0, grid)
+    coarse = eigen_lowest(system, n, check_nodes=False)
+    fine = eigen_lowest(_transformed_system(p, 1.0, grid.refined()), n, check_nodes=False)
+    eigen_lowest(system, n)  # the coarse eigenvector must have n nodes
+    return (4.0 * fine - coarse) / 3.0
 
 
 def solve_modelB(params: LinearMassParams, n: int, l: int) -> float:
@@ -333,32 +350,16 @@ def solve_modelB(params: LinearMassParams, n: int, l: int) -> float:
 
     In y = sqrt(alpha1) r the reduced equation -u'' + (alpha1^2 r^2 +
     alpha2/r^2) u = kappa u becomes -u_yy + (p(p-1)/y^2 + y^2) u = sigma u,
-    with kappa = alpha1 sigma and p = Lambda + 1, so sigma_n(p) depends on
-    (p, n) alone and E^2 = alpha1 sigma (hbar c)^2 + 2 m0c^2 s/L.  sigma_n(p)
-    is bisected on the grid (1e-4, sqrt(4n + 2p + 1) + 7) of 6000 points and
-    on its refinement, Richardson-extrapolated, and the coarse eigenvector is
-    checked to have n nodes.
-
-    The grid serves p <= 12 and n <= 200: there sigma_n(p) is within 3.2e-8
-    of 4n + 2p + 1 for n <= 40 and within 2.1e-7 up to n = 200.  Past them
-    the error grows (1.8e-6 at p = 18, 2.7e-4 at p = 25, ConvergenceFailure
-    at p = 30; 2.4e-6 at n = 400), so anything else is rejected before any
-    eigensolve.  The relative error of E^2 is that of sigma times
-    sigma/(sigma + 2s/(hbar c)), which exceeds 1 for s < 0: about 12 at
-    p = 12, n = 0.
+    with kappa = alpha1 sigma and p = Lambda + 1, so sigma_n(p)
+    (`oscillator_eigenvalue`, which rejects p > 12 and n > 200) depends on
+    (p, n) alone and E^2 = alpha1 sigma (hbar c)^2 + 2 m0c^2 s/L.  The
+    relative error of E^2 is that of sigma times sigma/(sigma + 2s/(hbar c)),
+    which exceeds 1 for s < 0: about 12 at p = 12, n = 0.
     """
     require_quantum_numbers(n, l)
     require_finite_square(alpha1=params.alpha1)
     c = params.constants
-    p = params.Lambda(l) + 1.0
-    if p > 12.0 or n > 200:
-        raise InvalidParameter(
-            f"(p, n) = ({p!r}, {n}): the oscillator grid serves p = Lambda + 1 <= 12 and n <= 200"
-        )
-    grid = RadialGrid(1e-4, math.sqrt(4.0 * n + 2.0 * p + 1.0) + 7.0, 6000)
-    scheme = _TransformedScheme(p, 1.0, grid)
-    kappa = params.alpha1 * scheme.eigenvalue(0.0, n)
-    scheme.check_nodes(0.0, n)
+    kappa = params.alpha1 * oscillator_eigenvalue(params.Lambda(l) + 1.0, n)
     return kappa * (c.hbar_c * c.hbar_c) + 2.0 * c.rest_energy * params.s / params.length_scale
 
 
@@ -372,21 +373,19 @@ def solve_modelA(
     """Bound energy of the mixed model by Brent's method on a scanned bracket.
 
     In x = eps(E) r the reduced equation u'' = (eps^2 + gamma1/r + gamma2/r^2) u
-    becomes -u_xx + (gamma2/x^2 + c/x) u = -u with c = gamma1(E)/eps(E).  On
-    the fixed grid MIXED_GRID that is one E-independent Sturmian problem
-    (A + 1) w = lam W w with lam = -c: its n-th eigenvalue lam_n, bisected on
-    the grid and on its refinement (the coarse eigenvector checked to have n
-    nodes) and Richardson-extrapolated once per (p, n) per process by
-    `sturmian_eigenvalue`, gives a level as a root of
-    f(E) = gamma1(E)/eps(E) + lam_n.  f has the signs and roots of
-    mu_n(c(E)) + 1, mu_n the n-th eigenvalue at fixed c, since mu_n increases
-    with c.  f is evaluated on a scan of the (open) energy window, at
-    np.linspace's points computed in Python floats (`_linspace`), and Brent's
-    method (`_brent`, starting from the two scan values) narrows the first
-    sign change to 1e-10 * m0c^2.  On a memo hit for lam_n no numpy call is
-    made.
+    becomes -u_xx + (gamma2/x^2 + c/x) u = -u with c = gamma1(E)/eps(E), one
+    E-independent Sturmian problem (-d^2/dx^2 + p(p-1)/x^2 + 1) u = lam u/x
+    with lam = -c.  Its n-th eigenvalue lam_n, solved once per (p, n) per
+    process by `sturmian_eigenvalue` (which rejects p > 10 and n > 20),
+    gives a level as a root of f(E) = gamma1(E)/eps(E) + lam_n.  f has the
+    signs and roots of mu_n(c(E)) + 1, mu_n the n-th eigenvalue at fixed c,
+    since mu_n increases with c.  f is evaluated on a scan of the (open)
+    energy window, at np.linspace's points computed in Python floats
+    (`_linspace`), and Brent's method (`_brent`, starting from the two scan
+    values) narrows the first sign change to 1e-10 * m0c^2.  On a memo hit
+    for lam_n no numpy call is made.
     `window` restricts the search, e.g. to isolate one of the
-    particle/antiparticle roots; it does not change the grid.  `scan_points`
+    particle/antiparticle roots; it does not change lam_n.  `scan_points`
     must be an integer of at least 2.
     """
     require_quantum_numbers(n, l)

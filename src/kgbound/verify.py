@@ -5,7 +5,9 @@ finite-difference oracle, quadrature, or an algebraic identity) and reports
 one or more pass/fail rows.  It carries two fixture sets: `quick`, run by the
 `verify` CLI command, and `full`, run by the acceptance gate
 (tests/test_acceptance.py) under the release criterion the check belongs to.
-A row with `in_verify=False` is an acceptance condition with no `verify` row.
+A row with `in_verify=False` is an acceptance condition with no `verify` row,
+and a check whose rows are all such has no `quick` set, so `verify` never
+runs it.
 The printed-formula discrepancies of the scalar model are *reproduced* here
 on purpose: those checks pass when the expected mismatch is observed.
 """
@@ -49,12 +51,12 @@ def _upper(name, tol, observed, levels, in_verify=True):
 @dataclass(frozen=True)
 class CheckDef:
     """One check: `measure(fixtures, mode)` returns its rows.  `model` None:
-    the check belongs to both models' `verify`."""
+    the check belongs to both models' `verify`; `quick` None: to neither."""
 
     criterion: int
     model: str | None
     measure: Callable[[Fixtures, str], list[Check]]
-    quick: Fixtures
+    quick: Fixtures | None
     full: Fixtures
 
 
@@ -336,6 +338,24 @@ def _printed_forms(fx, mode):
 
 
 # ---------------------------------------------------------------------------
+# oracle self-test
+
+
+def _universal_eigenvalues(fx, mode):
+    """The oracle's two scale-free eigenvalues against their textbook values,
+    not the NU closed form: lam_n(p) = 2(n + p), the Coulomb-Sturmian
+    (hydrogen-like) coupling, and sigma_n(p) = 4n + 2p + 1, the radial
+    oscillator."""
+    worst, count = 0.0, 0
+    for p, n in itertools.product(fx.ps, range(fx.n_max + 1)):
+        lam, sigma = 2.0 * (n + p), 4.0 * n + 2.0 * p + 1.0
+        worst = max(worst, abs(oracle.sturmian_eigenvalue(p, n) - lam) / lam,
+                    abs(oracle.oscillator_eigenvalue(p, n) - sigma) / sigma)
+        count += 2
+    return [_upper("oracle-universal-eigenvalues", 1e-7, worst, count, in_verify=False)]
+
+
+# ---------------------------------------------------------------------------
 # the registry, in `verify` row order
 
 _ACCEPTANCE_GRID = tuple(
@@ -400,6 +420,11 @@ REGISTRY = (
         quick=Fixtures(s=1.0, grid=np.geomspace(0.1, 10.0, 50), ns=(1, 2), ls=(0,)),
         full=Fixtures(s=1.0, grid=np.array([0.1 * 1.26**i for i in range(20)]), ns=(1, 2, 3), ls=(0, 1)),
     ),
+    CheckDef(
+        8, None, _universal_eigenvalues, quick=None,
+        full=Fixtures(ps=(0.5, 0.51, 0.55, 0.58, 0.65, 0.75, 0.9, 1.0, 1.5, 2.0, 3.0, 5.0, 7.0,
+                          10.0), n_max=4),
+    ),
 )
 
 
@@ -413,7 +438,7 @@ def run_verify(model: str, mode: str = "corrected") -> list[Check]:
     return [
         check
         for spec in REGISTRY
-        if spec.model in (None, model)
+        if spec.model in (None, model) and spec.quick is not None
         for check in spec.measure(spec.quick, mode)
         if check.in_verify
     ]

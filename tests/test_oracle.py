@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from scipy.linalg import eigh_tridiagonal
 from hypothesis import assume, example, given, settings, strategies as st
@@ -42,51 +43,54 @@ class TestRadialGrid:
         assert fine.h == pytest.approx(grid.h / 2.0, rel=1e-14)
 
 
-def _lowest(c_inv, c_r2, grid, count, check_nodes=False):
-    """Lowest eigenvalues of -u'' + (c_inv/r + c_r2 r^2) u on the solvers' p = 1 operator."""
-    system = oracle._TransformedOperator(1.0, c_r2, grid).system(c_inv)
+def _lowest(system, count, check_nodes=False):
     return [oracle.eigen_lowest(system, i, check_nodes=check_nodes) for i in range(count)]
 
 
+def _p1(c_r2, grid):
+    """-u'' + c_r2 r^2 u on the oscillator's r^p-factored scheme at p = 1."""
+    return oracle._transformed_system(1.0, c_r2, grid)
+
+
 class TestSelfTests:
-    """Textbook fixtures on the solvers' coarse operator; acceptance criterion 8
-    adds the Richardson values and an l = 1 case."""
+    """Textbook fixtures on the solvers' coarse operators; acceptance criterion
+    8 adds the Richardson values and checks lam_n(p) and sigma_n(p) over p."""
 
     def test_particle_in_a_box(self):
-        vals = _lowest(0.0, 0.0, oracle.RadialGrid(1e-9, 1.0, points=6000), 4)
+        vals = _lowest(_p1(0.0, oracle.RadialGrid(1e-9, 1.0, points=6000)), 4)
         for i, v in enumerate(vals):
             exact = ((i + 1) * math.pi) ** 2
             assert abs(v - exact) / exact < 1e-4
 
     def test_hydrogen_like(self):
-        # -u'' - (2/r) u = E u: E_n = -1/(n+1)^2
-        vals = _lowest(-2.0, 0.0, oracle.RadialGrid(1e-8, 70.0, points=6000), 3)
+        # -u'' - (lam/x) u = -u at l = 0 (p = 1) is bound for lam = 2(n + 1),
+        # hydrogen's E_n = -1/(n+1)^2 rescaled: the coarse log-grid Sturmian
+        grid = oracle.LogGrid(-20.0, math.log(26.0), 3000)
+        vals = _lowest(oracle._sturmian_system(1.0, grid), 3, check_nodes=True)
         for i, v in enumerate(vals):
-            exact = -1.0 / (i + 1) ** 2
-            assert abs(v - exact) / abs(exact) < 1e-4
+            assert abs(v - 2.0 * (i + 1)) / (2.0 * (i + 1)) < 1e-4
 
     def test_radial_oscillator(self):
         # -u'' + r^2 u = E u with u(0) = 0: E = 4n + 3
-        vals = _lowest(0.0, 1.0, oracle.RadialGrid(1e-8, 12.0, points=6000), 3)
+        vals = _lowest(_p1(1.0, oracle.RadialGrid(1e-8, 12.0, points=6000)), 3)
         for i, v in enumerate(vals):
             assert abs(v - (4 * i + 3)) / (4 * i + 3) < 1e-4
 
     def test_node_count_indexing(self):
         # eigen_lowest raises if eigenvector i does not have i nodes
-        _lowest(0.0, 0.0, oracle.RadialGrid(1e-9, 1.0, points=2000), 6, check_nodes=True)
+        _lowest(_p1(0.0, oracle.RadialGrid(1e-9, 1.0, points=2000)), 6, check_nodes=True)
 
     def test_h2_convergence_factor(self):
         exact = math.pi**2
         errors = [
-            abs(_lowest(0.0, 0.0, oracle.RadialGrid(1e-9, 1.0, points=pts), 1)[0] - exact)
+            abs(_lowest(_p1(0.0, oracle.RadialGrid(1e-9, 1.0, points=pts)), 1)[0] - exact)
             for pts in (1500, 3001)
         ]
         factor = errors[0] / errors[1]
         assert 3.5 <= factor <= 4.5
 
     def test_count_validation(self):
-        grid = oracle.RadialGrid(1e-9, 1.0, points=2000)
-        system = oracle._TransformedOperator(1.0, 0.0, grid).system(0.0)
+        system = _p1(0.0, oracle.RadialGrid(1e-9, 1.0, points=2000))
         with pytest.raises(ValueError):
             oracle.eigen_lowest(system, -1)
         with pytest.raises(ValueError):
@@ -94,30 +98,29 @@ class TestSelfTests:
         assert oracle.eigen_lowest(system, 199, check_nodes=False) > 0.0
 
 
-def _route_system(p, c_r2, level, c_inv):
-    operator = getattr(oracle._TransformedScheme(p, c_r2, oracle.MIXED_GRID), level)
-    return operator.sturmian() if c_inv is None else operator.system(c_inv)
-
-
 class TestLapackRoute:
     """eigen_lowest calls LAPACK's stebz (and stein) as scipy's
-    eigh_tridiagonal does, whether it loaded scipy's LAPACK module on its own
-    or through scipy.linalg, so both routes return eigh_tridiagonal's floats."""
+    eigh_tridiagonal does, with the oracle's one absolute tolerance, whether
+    it loaded scipy's LAPACK module on its own or through scipy.linalg, so
+    both routes return eigh_tridiagonal's floats."""
 
-    # (p, c_r2, coarse/fine, c_inv or None for the Sturmian system, index, node check)
+    # (system expression in `oracle`, index, node check): the log-grid
+    # Sturmian and the oscillator, each on a coarse grid and its refinement
     CASES = [
-        (p, c_r2, level, c_inv, n, level == "coarse")
-        for p, c_r2, c_inv in ((0.5, 0.0, None), (1.37, 0.0, None), (2.0, 0.0, -1.3), (1.0, 0.04, 0.0))
-        for level in ("coarse", "fine")
-        for n in (0, 2)
+        (f"oracle._sturmian_system({p!r}, oracle.LogGrid(-20.0, 3.4, {pts}))", n, pts == 3000)
+        for p in (0.5, 1.37) for pts in (3000, 6000) for n in (0, 2)
+    ] + [
+        (f"oracle._transformed_system({p!r}, 1.0, oracle.RadialGrid(1e-4, 10.0, {pts}))", n,
+         pts == 6000)
+        for p in (1.0, 2.0) for pts in (6000, 12001) for n in (0, 2)
     ]
 
     def _reference(self):
         out = []
-        for p, c_r2, level, c_inv, n, nodes in self.CASES:
-            system = _route_system(p, c_r2, level, c_inv)
+        for expression, n, nodes in self.CASES:
+            system = eval(expression)
             result = eigh_tridiagonal(system.diagonal, system.off_diagonal, eigvals_only=not nodes,
-                                      select="i", select_range=(n, n))
+                                      select="i", select_range=(n, n), tol=oracle.STEBZ_TOL)
             out.append(float((result[0] if nodes else result)[0]))
         return out
 
@@ -126,11 +129,8 @@ class TestLapackRoute:
             "import json, sys\n"
             "from kgbound import oracle\n"
             f"cases = {self.CASES!r}\n"
-            "vals = []\n"
-            "for p, c_r2, level, c_inv, n, nodes in cases:\n"
-            "    op = getattr(oracle._TransformedScheme(p, c_r2, oracle.MIXED_GRID), level)\n"
-            "    system = op.sturmian() if c_inv is None else op.system(c_inv)\n"
-            "    vals.append(oracle.eigen_lowest(system, n, check_nodes=nodes))\n"
+            "vals = [oracle.eigen_lowest(eval(expression), n, check_nodes=nodes)\n"
+            "        for expression, n, nodes in cases]\n"
             "print(json.dumps({'vals': [repr(v) for v in vals],\n"
             "                  'loaded': sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')}))\n"
         )
@@ -144,12 +144,12 @@ class TestLapackRoute:
         assert [float(v) for v in report["vals"]] == self._reference()
 
     def test_in_process_matches_eigh_tridiagonal(self):
-        got = [oracle.eigen_lowest(_route_system(p, c_r2, level, c_inv), n, check_nodes=nodes)
-               for p, c_r2, level, c_inv, n, nodes in self.CASES]
+        got = [oracle.eigen_lowest(eval(expression), n, check_nodes=nodes)
+               for expression, n, nodes in self.CASES]
         assert got == self._reference()
 
     def test_non_finite_rejected(self):
-        system = _route_system(1.0, 0.0, "coarse", 0.0)
+        system = _p1(0.0, oracle.RadialGrid(1e-4, 25.0, 6000))
         for bad in (math.nan, math.inf):
             diagonal = system.diagonal.copy()
             diagonal[7] = bad
@@ -159,28 +159,23 @@ class TestLapackRoute:
 
 class TestTransformedOperator:
     @staticmethod
-    def direct(p, c_inv, c_r2, grid):
+    def direct(p, c_r2, grid):
         """The scheme built in one pass, as the solvers once did per evaluation."""
         h, r, tp = grid.h, grid.nodes(), 2.0 * p
         face_right = (r + 0.5 * h) ** tp
         face_left = np.concatenate(([(grid.r_min + 0.5 * h) ** tp], face_right[:-1]))
         weight = r**tp
-        diagonal = (
-            (face_left + face_right) / (h * h)
-            + c_inv * r ** (tp - 1.0)
-            + c_r2 * r ** (tp + 2.0)
-        )
-        # the wall value folded in through w(r_min)/w(r_0) ~ 1 - c_inv h/(2p)
-        diagonal[0] -= face_left[0] * (1.0 - c_inv * h / (2.0 * p)) / (h * h)
+        diagonal = (face_left + face_right) / (h * h) + c_r2 * r ** (tp + 2.0)
+        # no flux through the wall face: w(r_min) = w(r_0)
+        diagonal[0] -= face_left[0] / (h * h)
         sw = np.sqrt(weight)
         return diagonal / weight, -face_right[:-1] / (h * h) / (sw[:-1] * sw[1:])
 
     @pytest.mark.parametrize("p", [0.5, 0.618, 1.7, 3.2])
-    @pytest.mark.parametrize("c_inv, c_r2", [(-1.3, 0.0), (0.4, 0.0), (0.0, 0.81)])
-    def test_matches_direct_build(self, p, c_inv, c_r2):
+    def test_matches_direct_build(self, p):
         grid = oracle.RadialGrid(1e-4, 300.0, points=2000)
-        system = oracle._TransformedOperator(p, c_r2, grid).system(c_inv)
-        diagonal, off = self.direct(p, c_inv, c_r2, grid)
+        system = oracle._transformed_system(p, 0.81, grid)
+        diagonal, off = self.direct(p, 0.81, grid)
         # same arithmetic up to reassociation and pow rounding: 64 ulp
         tol = 64 * np.finfo(float).eps
         assert np.max(np.abs(system.diagonal / diagonal - 1.0)) <= tol
@@ -268,21 +263,55 @@ class TestModelB:
 
 
 class TestSturmian:
-    """The E-independent eigenproblem behind solve_modelA: on a fixed grid the
-    coupling c_inv at which -1 is the n-th eigenvalue is -lam_n."""
+    """The E-independent eigenproblem behind solve_modelA: in s = ln x it is
+    A v = lam B v with A = -d^2/ds^2 + (p - 1/2)^2 + e^{2s} and B = e^s, and
+    the coupling c at which -1 is the n-th eigenvalue of
+    (A - e^{2s} + c B) v = mu e^{2s} v is -lam_n."""
+
+    @staticmethod
+    def weights(grid):
+        """The diagonal weights e^s and e^{2s}, each halved on the Robin row."""
+        s = grid.s_min + grid.h * np.arange(grid.points)
+        b, c = np.exp(s), np.exp(2.0 * s)
+        b[0] *= 0.5
+        c[0] *= 0.5
+        return b, c
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.7])
     @pytest.mark.parametrize("n", [0, 2])
     def test_coupling_has_eigenvalue_minus_one(self, p, n):
-        operator = oracle._TransformedOperator(p, 0.0, oracle.MIXED_GRID)
-        lam = oracle.eigen_lowest(operator.sturmian(), n)
-        assert abs(oracle.eigen_lowest(operator.system(-lam), n) + 1.0) <= 1e-9
+        grid = oracle.LogGrid(-20.0, math.log(30.0), 3000)
+        system = oracle._sturmian_system(p, grid)
+        lam = oracle.eigen_lowest(system, n)
+        b, c = self.weights(grid)
+        # A - lam B from the symmetrized B^-1/2 A B^-1/2, symmetrized with e^{2s}
+        diagonal = (b * system.diagonal - c - lam * b) / c
+        off = system.off_diagonal * np.sqrt(b[:-1] * b[1:] / (c[:-1] * c[1:]))
+        fixed = oracle.TridiagonalSystem(diagonal, off, grid)
+        assert abs(oracle.eigen_lowest(fixed, n) + 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("p", [0.5, 2.3])
+    def test_symmetrizes_ghost_point_scheme(self, p):
+        # the full ghost-point rows, Robin wall v' = (p - 1/2) v at s_min,
+        # solved as a non-symmetric generalized problem
+        grid = oracle.LogGrid(-6.0, 3.0, 400)
+        h, kappa = grid.h, p - 0.5
+        s = grid.s_min + h * np.arange(grid.points)
+        a = np.diag(2.0 / h**2 + kappa**2 + np.exp(2.0 * s))
+        a += np.diag(np.full(grid.points - 1, -1.0 / h**2), 1)
+        a += np.diag(np.full(grid.points - 1, -1.0 / h**2), -1)
+        a[0, 0] += 2.0 * kappa / h
+        a[0, 1] = -2.0 / h**2
+        exact = np.sort(scipy.linalg.eigvals(a, np.diag(np.exp(s))).real)[:3]
+        system = oracle._sturmian_system(p, grid)
+        got = [oracle.eigen_lowest(system, i) for i in range(3)]
+        assert np.allclose(got, exact, rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_richardson_matches_rotenberg(self, p, n):
         # -u'' + (p(p-1)/x^2 + c/x) u = -u is bound for c = -2(n + p)
-        lam = oracle._TransformedScheme(p, 0.0, oracle.MIXED_GRID).sturmian(n)
+        lam = oracle.sturmian_eigenvalue(p, n)
         assert abs(lam - 2.0 * (n + p)) <= 1e-9 * 2.0 * (n + p)
 
 
@@ -380,7 +409,7 @@ class TestModelA:
         # point: lam_n(p) is memoized, and both branches of a level share it
         keys = {(params.effective_L(row.l) + 1.0, row.n) for row in rows}
         assert len(keys) < len(rows)
-        assert eigensolves == [6000, 12001] * len(keys)
+        assert eigensolves == [3000, 6000] * len(keys)
 
     @pytest.fixture
     def miscounted_nodes(self, monkeypatch):
@@ -401,7 +430,7 @@ class TestModelA:
         with pytest.raises(ConvergenceFailure):
             oracle.solve_modelA(params, 0, 0, window=(0.55, 0.65), scan_points=3)
         # once per solve, on the coarse Sturmian eigenvector
-        assert miscounted_nodes == [6000]
+        assert miscounted_nodes == [3000]
 
     def test_memo_hit_skips_eigensolves(self, eigensolves):
         # lam_n(p) is solved once per (p, n): a second call with the same key
@@ -409,12 +438,11 @@ class TestModelA:
         params = cm.MixedCoulombParams(q=0.5)
         first = oracle.solve_modelA(params, 0, 0, window=(0.55, 0.65), scan_points=3)
         again = oracle.solve_modelA(params, 0, 0, window=(0.55, 0.65), scan_points=3)
-        assert eigensolves == [6000, 12001]
+        assert eigensolves == [3000, 6000]
         assert again == first
         # the memo holds exactly what the scheme computes
         p = params.effective_L(0) + 1.0
-        scheme = oracle._TransformedScheme(p, 0.0, oracle.MIXED_GRID)
-        assert oracle.sturmian_eigenvalue(p, 0) == scheme.sturmian(0)
+        assert oracle.sturmian_eigenvalue(p, 0) == oracle.sturmian_eigenvalue.__wrapped__(p, 0)
 
     def test_failures_not_memoized(self, miscounted_nodes):
         params = cm.MixedCoulombParams(q=0.5)
@@ -422,7 +450,7 @@ class TestModelA:
             with pytest.raises(ConvergenceFailure):
                 oracle.solve_modelA(params, 0, 0, window=(0.55, 0.65), scan_points=3)
         # a failed node check raises again: the second call solves again
-        assert miscounted_nodes == [6000, 6000]
+        assert miscounted_nodes == [3000, 3000]
 
     @pytest.mark.parametrize("scan_points", [-1, 0, 1, 2.5, 3.0, "3", None])
     def test_scan_points_validated(self, eigensolves, scan_points):
@@ -432,25 +460,38 @@ class TestModelA:
         # refused before any eigensolve
         assert eigensolves == []
 
-    @pytest.mark.parametrize("p, n", [(9.0, 0), (1.0, 5), (2.0, 4), (3.5, 2)])
+    @pytest.mark.parametrize("p, n", [
+        (9.0, 0), (1.0, 5), (2.0, 4), (3.5, 2),  # 3.5, 2: criterion 2's widest key
+        (9.05, 0), (1.0, 6), (2.0, 5),  # once refused: turning point past x = 12
+        (0.5, 20), (10.0, 0), (10.0, 20),  # the box's corners
+    ])
     def test_sturmian_range_served(self, p, n):
-        # turning points 12, 12, 11.8 and 10.1 (criterion 2's widest key)
-        assert abs(oracle.sturmian_eigenvalue(p, n) - 2.0 * (n + p)) <= 2e-7 * 2.0 * (n + p)
+        # within 3.2e-7 of 2(n + p), worst at the corner (10, 20)
+        assert abs(oracle.sturmian_eigenvalue(p, n) - 2.0 * (n + p)) <= 3.2e-7 * 2.0 * (n + p)
 
-    @pytest.mark.parametrize("p, n", [(9.05, 0), (1.0, 6), (2.0, 5)])
+    @pytest.mark.parametrize("p, n", [(10.01, 0), (0.5, 21)])
     def test_sturmian_range_rejected(self, eigensolves, p, n):
-        # turning points 12.06, 14 and 13.9: the wall at x = 25 shows
-        with pytest.raises(InvalidParameter, match="turning point"):
+        # just outside the box p <= 10, n <= 20
+        with pytest.raises(InvalidParameter, match="serves p"):
             oracle.sturmian_eigenvalue(p, n)
         assert eigensolves == []
 
-    def test_truncated_level_rejected(self, eigensolves):
-        # p = 4, n = 6 (turning point 19.4): the wall at x = 25 would put
-        # the level 3.7e-6 off its closed form; refused before any eigensolve
+    @pytest.mark.parametrize("n, l", [(6, 3), (10, 2), (20, 0)])
+    def test_level_past_old_wall_served(self, n, l):
+        # outer turning points 19.4, 25.1 and 42: the fixed x-grid ending at
+        # x = 25 refused them, the log grid puts its wall at x_t + 20
         params = cm.MixedCoulombParams(q=0.5)
-        e_plus = cm.candidate_energies(params, 6, 3)[0]
-        with pytest.raises(InvalidParameter, match="turning point"):
-            oracle.solve_modelA(params, 6, 3, window=(e_plus - 0.02, e_plus + 0.02))
+        e_plus = cm.candidate_energies(params, n, l)[0]
+        assert cm.validate(params, n, l, e_plus, PARTICLE).status == BOUND
+        E = oracle.solve_modelA(params, n, l, window=(e_plus - 0.02, e_plus + 0.02))
+        assert abs(E - e_plus) / abs(e_plus) < 1e-6
+
+    def test_level_outside_box_rejected(self, eigensolves):
+        # n = 21 is past the box edge: refused before any eigensolve
+        params = cm.MixedCoulombParams(q=0.5)
+        e_plus = cm.candidate_energies(params, 21, 0)[0]
+        with pytest.raises(InvalidParameter, match="serves p"):
+            oracle.solve_modelA(params, 21, 0, window=(e_plus - 0.02, e_plus + 0.02))
         assert eigensolves == []
 
     def test_two_scan_points(self):
@@ -466,16 +507,16 @@ class TestModelA:
         e_plus, e_minus = cm.candidate_energies(params, 0, 0)
         E = oracle.solve_modelA(params, 0, 0, window=(e_minus - 0.015, e_plus + 0.012))
         assert abs(E - e_minus) / abs(e_minus) < 1e-6
-        assert eigensolves == [6000, 12001]
+        assert eigensolves == [3000, 6000]
 
     def test_brent_nonconvergence_is_convergence_failure(self, monkeypatch):
         # one Brent step does not reach 1e-10; the message names the step
-        # count and the scanned bracket
+        # count and the scanned bracket, which holds the root 0.6 well inside
         monkeypatch.setattr(oracle, "BRENT_MAX_ITERATIONS", 1)
         params = cm.MixedCoulombParams(q=0.5)
-        message = re.escape("after 1 iterations on [0.55, 0.6000000000000001]")
+        message = re.escape("after 1 iterations on [0.55, 0.605]")
         with pytest.raises(ConvergenceFailure, match=message):
-            oracle.solve_modelA(params, 0, 0, window=(0.55, 0.65), scan_points=3)
+            oracle.solve_modelA(params, 0, 0, window=(0.55, 0.66), scan_points=3)
 
     @pytest.mark.parametrize("window", [None, (0.0, 1.0), (-2.0, 2.0), (0.5, 5.0)])
     def test_ground_state_any_window(self, window):
@@ -561,13 +602,9 @@ class TestModelA:
             )
             assert abs(E - row.energy) / abs(row.energy) < 1e-6
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="Richardson's h^2 step leaves 6.9e-6 at p = 0.58: "
-        "the frozen 1e-6 is missed for 0.51 <~ p <~ 0.8",
-    )
     def test_fractional_exponent_level(self):
-        # q = 0.5, b = 0.42, beta = 1, l = 0: p = L + 1 = 0.58
+        # q = 0.5, b = 0.42, beta = 1, l = 0: p = L + 1 = 0.58, where the
+        # r^p-factored uniform x-grid left 6.9e-6 behind
         params = cm.MixedCoulombParams(q=0.5, b=0.42, beta=1.0)
         assert params.effective_L(0) + 1.0 == pytest.approx(0.58)
         e_plus = cm.candidate_energies(params, 0, 0)[0]
