@@ -123,37 +123,48 @@ def _bulk(spec: str, x: np.ndarray) -> list[str]:
     return (f"{spec}\n" * len(x) % tuple(x.tolist())).split("\n")[:-1]
 
 
-def _cells(col: list, as_json: bool) -> tuple[str, list]:
+def _cells(col: np.ndarray, as_json: bool) -> tuple[str, list]:
     """One column's conversion spec and the values it converts, by
-    :func:`_emit`'s cell rule. The cells a float spec would get wrong are
-    found by one mask; the column is then formatted in bulk, those cells are
-    patched, and it takes `%s`."""
-    if not col or isinstance(col[0], int):
-        return "%d", col
-    if isinstance(col[0], str):
+    :func:`_emit`'s cell rule and the column's dtype. A float column whose
+    runs of equal cells (equal bits, so 0.0 and -0.0 differ) at least halve
+    it has each run formatted once and the string repeated. Otherwise the
+    cells a float spec would get wrong are found by one mask; the column is
+    then formatted in bulk, those cells are patched, and it takes `%s`."""
+    if col.dtype.kind == "i":
+        return "%d", col.tolist()
+    if col.dtype.kind != "f":
+        labels = col.tolist()
         if not as_json:
-            return "%s", col
-        encoded = {label: json.dumps(label) for label in set(col)}
-        return "%s", list(map(encoded.__getitem__, col))
-    x = np.array(col, dtype=float)
+            return "%s", labels
+        encoded = {label: json.dumps(label) for label in set(labels)}
+        return "%s", list(map(encoded.__getitem__, labels))
+    bits = col.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    if 2 * len(starts) <= len(col):  # never true of col[starts] itself
+        firsts = col[starts]
+        spec, cells = _cells(firsts, as_json)
+        if spec != "%s":
+            cells = _bulk(spec, firsts)
+        runs = np.diff(starts, append=len(col))
+        return "%s", np.repeat(np.array(cells, dtype=object), runs).tolist()
     if as_json:
-        spec, odd = "%r", ~np.isfinite(x)
+        spec, odd = "%r", ~np.isfinite(col)
     else:
-        spec, odd = "%.12g", np.abs(x) < 1e-3  # ±0 and the tiny cells; false for nan
+        spec, odd = "%.12g", np.abs(col) < 1e-3  # ±0 and the tiny cells; false for nan
     if not odd.any():
-        return spec, col
-    cells = np.empty(len(x), dtype=object)
-    cells[~odd] = _bulk(spec, x[~odd])
+        return spec, col.tolist()
+    cells = np.empty(len(col), dtype=object)
+    cells[~odd] = _bulk(spec, col[~odd])
     if as_json:
-        x = x[odd]
+        x = col[odd]
         cells[odd] = np.where(np.isnan(x), "NaN", np.where(x > 0, "Infinity", "-Infinity")).tolist()
     else:
-        cells[odd] = _bulk("%.11e", x[odd])
-        cells[x == 0] = "0"  # not %.11e's 0.00000000000e+00
-    return "%s", cells
+        cells[odd] = _bulk("%.11e", col[odd])
+        cells[col == 0] = "0"  # not %.11e's 0.00000000000e+00
+    return "%s", cells.tolist()
 
 
-def _emit(args, meta: dict, columns: dict[str, list]) -> None:
+def _emit(args, meta: dict, columns: dict[str, np.ndarray]) -> None:
     """Write the table, given as named columns of equal length, to stdout in
     one piece.
 
@@ -200,7 +211,7 @@ def _meta(args, command: str, params, **before_params) -> dict:
     return meta
 
 
-def _spectrum_columns(args, params_seq: list, unit: float) -> dict[str, list]:
+def _spectrum_columns(args, params_seq: list, unit: float) -> dict[str, np.ndarray]:
     """The `spectrum` table of each params in `params_seq`, one after another,
     with energies in `unit`."""
     # numpy refuses an array of over sys.maxsize bytes with a bare ValueError;
@@ -216,7 +227,7 @@ def _spectrum_columns(args, params_seq: list, unit: float) -> dict[str, list]:
         names = ("n", "l", "branch", "energy", "energy_squared", "status")
         cols["energy_squared"] = cols["energy_squared"] / (unit * unit)
     cols["energy"] = cols["energy"] / unit
-    return {name: cols[name].tolist() for name in names}
+    return {name: cols[name] for name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +266,7 @@ def cmd_wavefunction(args) -> int:
         grid = np.geomspace(args.r_min, args.r_max, args.samples)
     except ValueError as exc:  # numpy: more samples than an array can index
         raise InvalidParameter(f"--samples {args.samples}: {exc}") from exc
-    _emit(args, meta, {"r": grid.tolist(), "u": wf.evaluate(grid).tolist()})
+    _emit(args, meta, {"r": grid, "u": wf.evaluate(grid)})
     return 0
 
 
@@ -368,7 +379,7 @@ def cmd_sweep(args) -> int:
     table = _spectrum_columns(
         args, [dataclasses.replace(base, **{args.key: value}) for value in values], unit)
     per_value = len(table["n"]) // len(values)
-    columns = {args.key: [value for value in values for _ in range(per_value)], **table}
+    columns = {args.key: np.repeat(np.array(values), per_value), **table}
     _emit(args, _meta(args, "sweep", base, sweep_key=args.key), columns)
     return 0
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import hashlib
@@ -11,6 +12,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -164,10 +166,18 @@ class TestJsonTables:
         assert any(math.isnan(row["energy"]) for row in json.loads(out)["rows"])
 
 
+def column(values: list) -> np.ndarray:
+    """A table column as the commands build it: int64, float64 or labels."""
+    if values and isinstance(values[0], str):
+        return np.array(values, dtype=object)
+    return np.array(values, dtype=np.int64 if values and isinstance(values[0], int) else float)
+
+
 def emit(output: str, meta: dict, columns: dict) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        cli._emit(argparse.Namespace(output=output), meta, columns)
+        cli._emit(argparse.Namespace(output=output), meta,
+                  {name: column(values) for name, values in columns.items()})
     return buf.getvalue()
 
 
@@ -222,6 +232,37 @@ class TestTableWriter:
         columns = dict(zip(names, map(list, zip(*rows)))) or {name: [] for name in names}
         assert emit("json", self.META, columns) == self.reference_json(self.META, columns)
 
+    @WRITER
+    @given(runs=st.lists(st.tuples(float_cells, st.integers(1, 6)), max_size=12))
+    @example(runs=[(0.0, 2), (-0.0, 2), (0.0, 2), (0.5, 2)])  # exactly halved
+    @example(runs=[(x, 2) for x in EDGE_FLOATS])
+    @example(runs=[(math.nan, 3), (math.inf, 3), (-math.inf, 3), (5e-324, 3), (_TINY, 3)])
+    @example(runs=[(-0.0, 1)])  # one row
+    def test_runs_of_equal_cells(self, runs):
+        """A column of runs, as a sweep's key, is formatted once per run; each
+        cell must still read as the one-value rules say."""
+        key = [x for x, count in runs for _ in range(count)]
+        columns = {"n": list(range(len(key))), "b": key, "energy": [-x for x in key]}
+        csv = emit("csv", self.META, columns).split("\n")[4:-1]
+        assert csv == [f"{n},{cli.fmt(x)},{cli.fmt(-x)}" for n, x in enumerate(key)]
+        assert emit("json", self.META, columns) == self.reference_json(self.META, columns)
+
+    def test_sweep_formats_each_value_once(self, capsys, monkeypatch):
+        """A 100-value, 3200-row sweep formats its key column 100 times."""
+        values = [0.05 + 0.009 * k for k in range(100)]
+        formatted = collections.Counter()
+        bulk_cells = cli._bulk
+
+        def bulk(spec, x):
+            formatted.update(x.tolist())
+            return bulk_cells(spec, x)
+
+        monkeypatch.setattr(cli, "_bulk", bulk)
+        code, out, _ = run(capsys, "sweep", "--model", "mixed", "--b", "0.5", "--key", "q",
+                           "--values", ",".join(map(repr, values)))
+        assert code == 0 and len(out.splitlines()) == 6 + 1 + 3200  # header, names, rows
+        assert [formatted[v] for v in values] == [1] * 100
+
 
 # sha256 of `spectrum` and `sweep` stdout, pinned before the one-template writer
 # replaced the per-cell one; the closed forms use only +, -, *, / and sqrt, so
@@ -275,6 +316,14 @@ GOLDEN = [
      "fb0365b4a587aebe6a54bcdd94680b2325f4e34642b213d91888cfabc98475fb"),
     ("spectrum --model mixed --q 0.9 --b -0.9 --beta 0.3 --V0 -0.2 --n-max 30 --l-max 30",
      "efaed4fd9d0e8da8c4b336e5a6062344fabfd2e3b614dcc96384441aa0acbc57"),
+    # pinned before runs of equal cells were formatted once: 0.0 and -0.0
+    # must stay apart, and a tiny repeated value takes %.11e
+    ("sweep --model mixed --q 0.5 --key b --values 0,-0.0,0,0.5",
+     "8b34c2e89076bf254aab7112474e08ca71e114c2811aeaace425dc8c8f821bb0"),
+    ("sweep --model mixed --q 0.5 --key b --values 0,-0.0,0,0.5 --output json",
+     "d730b3ea6782794972297d9f55552763d8dc30f80db5e6a59c994efcb372ac76"),
+    ("sweep --model mixed --q 0.5 --key V0 --values 1e-9,1e-9,0.1",
+     "ef6d139130a249baf4ac7bbd13b88cdac76044f844fa3e954da006ac404ed9e6"),
 ]
 
 
