@@ -1,13 +1,13 @@
-"""Check registry: the single definition of every closed-form check.
+"""Check registry: the single definition of every check.
 
-Each check compares a closed-form quantity against an independent route (the
-finite-difference oracle, quadrature, or an algebraic identity) and reports
-one or more pass/fail rows.  It carries two fixture sets: `quick`, run by the
-`verify` CLI command, and `full`, run by the acceptance gate
-(tests/test_acceptance.py) under the release criterion the check belongs to.
-A row with `in_verify=False` is an acceptance condition with no `verify` row,
-and a check whose rows are all such has no `quick` set, so `verify` never
-runs it.
+Each check compares a closed-form quantity, or the oracle itself, against an
+independent route (the finite-difference oracle, quadrature, a textbook
+spectrum or an algebraic identity) and reports one or more pass/fail rows.  It
+carries two fixture sets: `full`, run by the acceptance gate
+(tests/test_acceptance.py, one test per criterion over this registry), and
+`quick`, run by the `verify` CLI command.  A check with no `quick` set is not
+in `verify`.  A row whose `in_verify` is False is an acceptance condition of
+a check that `verify` runs, printed by the gate only.
 The printed-formula discrepancies of the scalar model are *reproduced* here
 on purpose: those checks pass when the expected mismatch is observed.
 """
@@ -178,7 +178,7 @@ def _mixed_fields(fx, mode):
         E = -params.V0 + params.constants.rest_energy * math.cos(theta)
         worst = max(worst, mixed_field_mismatch(params, E, l, r))
         count += 1
-    return [_upper("mixed-field-reduction", 1e-12, worst, count, in_verify=False)]
+    return [_upper("mixed-field-reduction", 1e-12, worst, count)]
 
 
 def _scalar_fields(fx, mode):
@@ -188,7 +188,7 @@ def _scalar_fields(fx, mode):
         params = scalar_linear.LinearMassParams(s=s, length_scale=L)
         worst = max(worst, scalar_field_mismatch(params, E, l, r))
         count += 1
-    return [_upper("scalar-field-reduction", 1e-12, worst, count, in_verify=False)]
+    return [_upper("scalar-field-reduction", 1e-12, worst, count)]
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +283,7 @@ def _mixed_normalization(fx, mode):
 
 def _scalar_oracle(fx, mode):
     """E^2 of `mode` against the oracle; at s = 0, also against (4n + 2l + 3)/L."""
-    worst, ladder, count = 0.0, 0.0, 0
+    worst, ladder, count, ladder_count = 0.0, 0.0, 0, 0
     for s, L in itertools.product(fx.s_values, fx.length_scales):
         params = scalar_linear.LinearMassParams(s=s, length_scale=L)
         for n, l in _quantum_numbers(fx):
@@ -293,10 +293,11 @@ def _scalar_oracle(fx, mode):
             if s == 0.0:
                 exact = (4 * n + 2 * l + 3) / L
                 ladder = max(ladder, abs(e2 - exact) / exact)
+                ladder_count += 1
             count += 1
     return [
         _upper(f"scalar-oracle-agreement[{mode}]", 1e-6, worst, count),
-        _upper("scalar-uncoupled-ladder", 1e-6, ladder, count, in_verify=False),
+        _upper("scalar-uncoupled-ladder", 1e-6, ladder, ladder_count, in_verify=False),
     ]
 
 
@@ -352,7 +353,39 @@ def _universal_eigenvalues(fx, mode):
         worst = max(worst, abs(oracle.sturmian_eigenvalue(p, n) - lam) / lam,
                     abs(oracle.oscillator_eigenvalue(p, n) - sigma) / sigma)
         count += 2
-    return [_upper("oracle-universal-eigenvalues", 1e-7, worst, count, in_verify=False)]
+    return [_upper("oracle-universal-eigenvalues", 1e-7, worst, count)]
+
+
+def _textbook_schemes(fx, mode):
+    """The oscillator's r^p-factored scheme on textbook spectra of
+    -u'' + (p(p-1)/r^2 + c_r2 r^2) u = mu u with u(r_max) = 0: on `points`,
+    the coarse eigenvalues, eigenvector i checked to have i nodes, and their
+    Richardson values; and the h^2 convergence factor, about 4, of the first
+    scheme's ground state from `h2_points[0]` to `h2_points[1]`."""
+    rows = []
+    for name, p, c_r2, (r_min, r_max), exact in fx.schemes:
+        grid = oracle.RadialGrid(r_min, r_max, fx.points)
+        coarse_system = oracle._transformed_system(p, c_r2, grid)
+        fine_system = oracle._transformed_system(p, c_r2, grid.refined())
+        coarse = [
+            oracle.eigen_lowest(coarse_system, i, check_nodes=True) for i in range(len(exact))
+        ]
+        richardson = [
+            (4.0 * oracle.eigen_lowest(fine_system, i, check_nodes=False) - c) / 3.0
+            for i, c in enumerate(coarse)
+        ]
+        for kind, values in (("coarse", coarse), ("richardson", richardson)):
+            dev = max(abs(v - e) / abs(e) for v, e in zip(values, exact))
+            rows.append(_upper(f"{name}-{kind}", 1e-4, dev, len(exact)))
+    name, p, c_r2, (r_min, r_max), exact = fx.schemes[0]
+    errors = [
+        abs(oracle.eigen_lowest(
+            oracle._transformed_system(p, c_r2, oracle.RadialGrid(r_min, r_max, points)), 0)
+            - exact[0])
+        for points in fx.h2_points
+    ]
+    rows.append(_upper(f"{name}-h2-factor", 0.5, abs(errors[0] / errors[1] - 4.0), 1))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +406,8 @@ _DUALITY = Fixtures(qs=(0.25, 0.5), betas=(1.0, -1.0), n_max=3, l_max=3)
 
 REGISTRY = (
     CheckDef(7, None, _nu_engine, quick=_NU, full=_NU),
-    CheckDef(7, "mixed", _mixed_fields, quick=_MIXED_FIELDS, full=_MIXED_FIELDS),
-    CheckDef(7, "scalar-linear", _scalar_fields, quick=_SCALAR_FIELDS, full=_SCALAR_FIELDS),
+    CheckDef(7, "mixed", _mixed_fields, quick=None, full=_MIXED_FIELDS),
+    CheckDef(7, "scalar-linear", _scalar_fields, quick=None, full=_SCALAR_FIELDS),
     CheckDef(
         1, "mixed", _constant_mass,
         quick=Fixtures(qs=(0.3, 0.5), n_max=2, l_max=2),
@@ -424,6 +457,14 @@ REGISTRY = (
         8, None, _universal_eigenvalues, quick=None,
         full=Fixtures(ps=(0.5, 0.51, 0.55, 0.58, 0.65, 0.75, 0.9, 1.0, 1.5, 2.0, 3.0, 5.0, 7.0,
                           10.0), n_max=4),
+    ),
+    CheckDef(
+        8, None, _textbook_schemes, quick=None,
+        # (name, p, c_r2, (r_min, r_max), exact mu of each checked level)
+        full=Fixtures(schemes=(
+            ("box", 1.0, 0.0, (1e-9, 1.0), tuple(((i + 1) * math.pi) ** 2 for i in range(6))),
+            ("oscillator", 1.0, 1.0, (1e-8, 12.0), (3.0, 7.0, 11.0)),
+        ), points=6000, h2_points=(1500, 3001)),
     ),
 )
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kgbound
-from kgbound import cli, oracle, scalar_linear as sl, wavefunctions
+from kgbound import cli, oracle, scalar_linear as sl, verify, wavefunctions
 from kgbound import coulomb_mixed as cm
 
 
@@ -472,6 +472,15 @@ class TestVerify:
             ("scalar-oracle-agreement[as_printed]", "<=", 1e-6, "FAIL"),
         ] + SCALAR_ROWS),
     ]
+
+    def test_every_check_run_prints_a_row(self):
+        """A check with a quick set is one `verify` runs, so at least one of its
+        rows must be printed; a check none of whose rows is printed has no quick
+        set instead."""
+        for spec in verify.REGISTRY:
+            if spec.quick is not None:
+                rows = spec.measure(spec.quick, "corrected")
+                assert any(c.in_verify for c in rows), [c.name for c in rows]
 
     def test_json_report(self, capsys):
         """Every row of each report, in order, with its rule and verdict;

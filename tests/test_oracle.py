@@ -43,51 +43,25 @@ class TestRadialGrid:
         assert fine.h == pytest.approx(grid.h / 2.0, rel=1e-14)
 
 
-def _lowest(system, count, check_nodes=False):
-    return [oracle.eigen_lowest(system, i, check_nodes=check_nodes) for i in range(count)]
-
-
 def _p1(c_r2, grid):
     """-u'' + c_r2 r^2 u on the oscillator's r^p-factored scheme at p = 1."""
     return oracle._transformed_system(1.0, c_r2, grid)
 
 
 class TestSelfTests:
-    """Textbook fixtures on the solvers' coarse operators; acceptance criterion
-    8 adds the Richardson values and checks lam_n(p) and sigma_n(p) over p."""
-
-    def test_particle_in_a_box(self):
-        vals = _lowest(_p1(0.0, oracle.RadialGrid(1e-9, 1.0, points=6000)), 4)
-        for i, v in enumerate(vals):
-            exact = ((i + 1) * math.pi) ** 2
-            assert abs(v - exact) / exact < 1e-4
+    """The coarse log-grid Sturmian on hydrogen, and eigen_lowest's index
+    checks.  The textbook fixtures of the oscillator's scheme (box and
+    oscillator levels, their node counts, Richardson values and h^2 factor)
+    and lam_n(p), sigma_n(p) over p are criterion 8's registry checks."""
 
     def test_hydrogen_like(self):
         # -u'' - (lam/x) u = -u at l = 0 (p = 1) is bound for lam = 2(n + 1),
         # hydrogen's E_n = -1/(n+1)^2 rescaled: the coarse log-grid Sturmian
         grid = oracle.LogGrid(-20.0, math.log(26.0), 3000)
-        vals = _lowest(oracle._sturmian_system(1.0, grid), 3, check_nodes=True)
+        system = oracle._sturmian_system(1.0, grid)
+        vals = [oracle.eigen_lowest(system, i, check_nodes=True) for i in range(3)]
         for i, v in enumerate(vals):
             assert abs(v - 2.0 * (i + 1)) / (2.0 * (i + 1)) < 1e-4
-
-    def test_radial_oscillator(self):
-        # -u'' + r^2 u = E u with u(0) = 0: E = 4n + 3
-        vals = _lowest(_p1(1.0, oracle.RadialGrid(1e-8, 12.0, points=6000)), 3)
-        for i, v in enumerate(vals):
-            assert abs(v - (4 * i + 3)) / (4 * i + 3) < 1e-4
-
-    def test_node_count_indexing(self):
-        # eigen_lowest raises if eigenvector i does not have i nodes
-        _lowest(_p1(0.0, oracle.RadialGrid(1e-9, 1.0, points=2000)), 6, check_nodes=True)
-
-    def test_h2_convergence_factor(self):
-        exact = math.pi**2
-        errors = [
-            abs(_lowest(_p1(0.0, oracle.RadialGrid(1e-9, 1.0, points=pts)), 1)[0] - exact)
-            for pts in (1500, 3001)
-        ]
-        factor = errors[0] / errors[1]
-        assert 3.5 <= factor <= 4.5
 
     def test_count_validation(self):
         system = _p1(0.0, oracle.RadialGrid(1e-9, 1.0, points=2000))
@@ -643,11 +617,7 @@ class TestBrent:
     @pytest.mark.parametrize("half_width, scan_points", [(1e-5, 3), (0.02, 33)])
     def test_criterion_2_levels(self, brent_calls, half_width, scan_points):
         fx = next(spec.full for spec in verify.REGISTRY if spec.measure is verify._mixed_oracle)
-        levels = [
-            (params, row)
-            for params in fx.params
-            for row in cm.bound_levels(cm.spectrum(params, fx.n_max, fx.l_max))
-        ]
+        levels = list(verify._levels(fx))
         assert len(levels) == 234
         for params, row in levels:
             half = half_width * params.constants.rest_energy
