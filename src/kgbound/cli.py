@@ -164,7 +164,22 @@ def _cells(col: np.ndarray, as_json: bool) -> tuple[str, list]:
     return "%s", cells.tolist()
 
 
-def _emit(args, meta: dict, columns: dict[str, np.ndarray]) -> None:
+def _row_major(values: list[list], nrows: int) -> tuple:
+    """The cells of equal-length columns `values`, row by row."""
+    cells = [None] * (len(values) * nrows)
+    for j, col in enumerate(values):
+        cells[j::len(values)] = col
+    return tuple(cells)
+
+
+def _same_in_every_block(col: np.ndarray, blocks: int) -> bool:
+    """Whether `col` reads the same in each of its `blocks` equal blocks: floats
+    by their bits, so 0.0 and -0.0 differ, ints and labels by value."""
+    by_block = (col.view(np.int64) if col.dtype.kind == "f" else col).reshape(blocks, -1)
+    return bool((by_block == by_block[0]).all())
+
+
+def _emit(args, meta: dict, columns: dict[str, np.ndarray], blocks: int = 1) -> None:
     """Write the table, given as named columns of equal length, to stdout in
     one piece.
 
@@ -174,15 +189,44 @@ def _emit(args, meta: dict, columns: dict[str, np.ndarray]) -> None:
     it: `%.12g`, `%.11e` for 0 < |x| < 1e-3, ±0 as `0` and NaN as `nan`. A
     JSON float is its `repr`, with `NaN`, `Infinity` and `-Infinity`, so the
     bytes are `json.dumps(..., indent=2)`'s.
+
+    A table of `blocks` equal-length blocks, such as a sweep's spectra, has
+    the columns that read the same in every block filled into one block's
+    rows by a first `%`; that block is repeated, and the final `%` fills only
+    the other columns.
     """
+    as_json = args.output == "json"
     nrows = len(next(iter(columns.values())))
-    specs, values = zip(*(_cells(col, args.output == "json") for col in columns.values()))
-    if args.output == "json":
+    size = nrows // blocks
+    same = {name for name, col in columns.items()
+            if blocks > 1 and _same_in_every_block(col, blocks)}
+    passes = 2 if same else 1
+    slots, first, second = [], [], []
+    for name, col in columns.items():
+        if name in same:
+            spec, cells = _cells(col[:size], as_json)
+            if col.dtype.kind not in "if":  # a label's `%` must survive the final fill
+                cells = [cell.replace("%", "%%") for cell in cells]
+            first.append(cells)
+        else:
+            spec, cells = _cells(col, as_json)
+            spec = spec.replace("%", "%" * passes)
+            second.append(cells)
+        slots.append(spec)
+    if as_json:
+        escape = "%" * 2 ** passes  # a name passes through every fill
+        row = ",\n".join(f"      {json.dumps(name).replace('%', escape)}: {slot}"
+                         for name, slot in zip(columns, slots))
+        row, sep = f"    {{\n{row}\n    }}", ",\n"
+    else:
+        row, sep = ",".join(slots) + "\n", ""
+    block = sep.join([row] * size)
+    if same:
+        block %= _row_major(first, size)
+    rows = sep.join([block] * blocks)
+    if as_json:
         template = json.dumps({"schema": SCHEMA, **meta, "rows": []}, indent=2).replace("%", "%%")
         if nrows:
-            row = ",\n".join(f"      {json.dumps(name)}: {spec}"
-                             for name, spec in zip(columns, specs))
-            rows = ",\n".join([f"    {{\n{row}\n    }}"] * nrows)
             template = template.removesuffix("[]\n}") + f"[\n{rows}\n  ]\n}}"
         template += "\n"
     else:
@@ -195,9 +239,9 @@ def _emit(args, meta: dict, columns: dict[str, np.ndarray]) -> None:
             else:
                 lines.append(f"# {key}={val}")
         lines.append(",".join(columns))
-        template = "\n".join(lines).replace("%", "%%") + "\n" + f"{','.join(specs)}\n" * nrows
-    text = template % tuple(itertools.chain.from_iterable(zip(*values)))
-    del template, values  # only the text is kept for the write
+        template = "\n".join(lines).replace("%", "%%") + "\n" + rows
+    text = template % _row_major(second, nrows)
+    del template, second  # only the text is kept for the write
     sys.stdout.write(text)
 
 
@@ -380,7 +424,7 @@ def cmd_sweep(args) -> int:
         args, [dataclasses.replace(base, **{args.key: value}) for value in values], unit)
     per_value = len(table["n"]) // len(values)
     columns = {args.key: np.repeat(np.array(values), per_value), **table}
-    _emit(args, _meta(args, "sweep", base, sweep_key=args.key), columns)
+    _emit(args, _meta(args, "sweep", base, sweep_key=args.key), columns, blocks=len(values))
     return 0
 
 

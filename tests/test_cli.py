@@ -173,11 +173,11 @@ def column(values: list) -> np.ndarray:
     return np.array(values, dtype=np.int64 if values and isinstance(values[0], int) else float)
 
 
-def emit(output: str, meta: dict, columns: dict) -> str:
+def emit(output: str, meta: dict, columns: dict, blocks: int = 1) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         cli._emit(argparse.Namespace(output=output), meta,
-                  {name: column(values) for name, values in columns.items()})
+                  {name: column(values) for name, values in columns.items()}, blocks)
     return buf.getvalue()
 
 
@@ -191,10 +191,32 @@ float_cells = (st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=Tr
 ordinary = st.floats(min_value=1e-3, max_value=1e300) | st.floats(min_value=-1e300, max_value=-1e-3)
 WRITER = settings(derandomize=True, deadline=None, database=None, max_examples=300)
 
+# a sweep's columns: ints, labels that carry `%`, and floats whose equal cells
+# differ in bits (0.0 and -0.0) or need a patched spec (NaN, ±inf, tiny)
+BLOCK_CELLS = {"n": st.integers(-10**6, 10**6), "l": st.integers(0, 3),
+               'sta"t%us': st.text('%sd" ab', max_size=4),
+               "q": st.sampled_from(EDGE_FLOATS), "energy": st.sampled_from(EDGE_FLOATS)}
+
+
+@st.composite
+def blocked_tables(draw) -> tuple[int, dict]:
+    """2 to 5 equal blocks; each column is one block repeated in every block,
+    or drawn afresh for each."""
+    blocks, size = draw(st.integers(2, 5)), draw(st.integers(0, 6))
+    columns = {}
+    for name, cells in BLOCK_CELLS.items():
+        if draw(st.booleans()):
+            columns[name] = draw(st.lists(cells, min_size=size, max_size=size)) * blocks
+        else:
+            columns[name] = draw(st.lists(cells, min_size=size * blocks, max_size=size * blocks))
+    return blocks, columns
+
 
 class TestTableWriter:
-    """`_emit` fills one row template with one `%`; every cell must still read
-    as the one-value rules say."""
+    """`_emit` fills one row template with one `%`; a table of equal blocks,
+    such as a sweep's, has the columns that every block repeats filled into
+    one block by a first `%`. Every cell must still read as the one-value
+    rules say."""
 
     # a `%` in the header must reach the output as it is, not as a conversion
     META = {"command": "spectrum %d", "params": {"q": 0.5, "b": 1e-4}}
@@ -228,7 +250,7 @@ class TestTableWriter:
     @example(rows=[(0, 0.5, "%s %d %%", 2.0)])
     @example(rows=[])
     def test_json_matches_row_dicts(self, rows):
-        names = ("n", "energy", 'sta"tus', "residual")
+        names = ("n", "energy", 'sta"t%us', "residual")
         columns = dict(zip(names, map(list, zip(*rows)))) or {name: [] for name in names}
         assert emit("json", self.META, columns) == self.reference_json(self.META, columns)
 
@@ -262,6 +284,40 @@ class TestTableWriter:
                            "--values", ",".join(map(repr, values)))
         assert code == 0 and len(out.splitlines()) == 6 + 1 + 3200  # header, names, rows
         assert [formatted[v] for v in values] == [1] * 100
+
+    def test_sweep_fills_repeated_columns_once(self, capsys, monkeypatch):
+        """A 100-value, 3200-row sweep hands `_cells` one 32-row block of the
+        columns that every block repeats: n, l and branch."""
+        values = [0.05 + 0.009 * k for k in range(100)]
+        converted = []
+        cells = cli._cells
+
+        def spy(col, as_json):
+            converted.append(col)
+            return cells(col, as_json)
+
+        monkeypatch.setattr(cli, "_cells", spy)
+        code, out, _ = run(capsys, "sweep", "--model", "mixed", "--b", "0.5", "--key", "q",
+                           "--values", ",".join(map(repr, values)))
+        assert code == 0 and len(out.splitlines()) == 6 + 1 + 3200
+        n, l, branch = [col.tolist() for col in converted if col.dtype.kind != "f"][:3]
+        # two branches of each (n, l), n fastest, for --n-max 3 --l-max 3
+        assert list(zip(n, l)) == [(i, j) for j in range(4) for i in range(4) for _ in range(2)]
+        assert branch == ["antiparticle", "particle"] * 16
+
+    @WRITER
+    @given(table=blocked_tables())
+    @example(table=(2, {"n": [0, 1] * 2, "l": [0, 0, 1, 1], 'sta"t%us': ["%s", "%d %%"] * 2,
+                        "q": [0.0, -0.0, -0.0, 0.0], "energy": [math.nan, 5e-324] * 2}))
+    @example(table=(3, {"n": [7] * 3, "l": [1] * 3, 'sta"t%us': ["%"] * 3,
+                        "q": [-0.0] * 3, "energy": [_TINY] * 3}))  # every column repeated
+    @example(table=(4, {name: [] for name in BLOCK_CELLS}))
+    def test_blocks_read_as_one_table(self, table):
+        """Writing a table as equal blocks moves no byte."""
+        blocks, columns = table
+        for output in ("csv", "json"):
+            assert emit(output, self.META, columns, blocks) == emit(output, self.META, columns)
+        assert emit("json", self.META, columns, blocks) == self.reference_json(self.META, columns)
 
 
 # sha256 of `spectrum` and `sweep` stdout, pinned before the one-template writer
