@@ -34,7 +34,7 @@ from .levels import (
     EnergyLevel,
 )
 from .nu import NUBranch, NUProblem, QuadPoly, branches, quantize, select, solve_k
-from .oracle import RadialGrid, solve_modelA, solve_modelB
+from .oracle import solve_modelA, solve_modelB
 from .scalar_linear import (
     LinearMassParams,
     energy_squared,
@@ -74,7 +74,6 @@ __all__ = [
     "PARTICLE",
     "PhysicalConstants",
     "QuadPoly",
-    "RadialGrid",
     "RadialWavefunction",
     "SPURIOUS",
     "THRESHOLD",

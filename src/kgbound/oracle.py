@@ -2,34 +2,38 @@
 
 Each model is solved in a scale-free variable (Rotenberg, Ann. Phys. 19, 262
 (1962)), so its eigenvalue depends only on the origin exponent p and the
-index n, and each is differenced with its known origin behavior u ~ r^p built
-in.  Both take one Richardson step over a grid and its refinement, and each
-rejects the (p, n) outside the box its grid was measured to serve before any
-eigensolve.
+index n.  Both reduce to one E-independent Sturmian eigenproblem
+
+    (-d^2/dx^2 + p(p-1)/x^2 + 1) u = lam u/x,
+
+differenced on one grid with the origin behavior u ~ x^p built in, with one
+Richardson step over the grid and its refinement.  Each solver rejects the
+(p, n) outside the box it was measured to serve before any eigensolve.
+
+The mixed model is solved in x = eps(E) r, where the coupling
+c = gamma1(E)/eps(E) of a level equals -lam_n(p).  lam_n(p) is solved once
+per (p, n) per process (`sturmian_eigenvalue`), and the energy is the root of
+a scalar matching function, bracketed by a scan and narrowed by Brent's
+method (`_brent`, which follows the brentq C loop step for step).
 
 The scalar model, in y = sqrt(alpha1) r, is the oscillator
--u_yy + (p(p-1)/y^2 + y^2) u = sigma u (`oscillator_eigenvalue`).  With
-u = y^p w it is differenced as the Sturm-Liouville problem
--(y^2p w')' + y^{2p+2} w = sigma y^2p w on a uniform grid sized from (p, n),
-which stays second order for every p.
+-u_yy + (p(p-1)/y^2 + y^2) u = sigma u.  With x = y^2 and u = y^(-1/2) w(x)
+it becomes (-d^2/dx^2 + P(P-1)/x^2 + 1/4) w = (sigma/4) w/x, P = p/2 + 1/4,
+and in x/2 that is the Sturmian problem at P with lam = sigma/2.  The map is
+monotone, so the level keeps its node count, and u ~ y^p is w ~ x^P, so
+sigma_n(p) = 2 lam_n(p/2 + 1/4) (`oscillator_eigenvalue`).
 
-The mixed model is solved in x = eps(E) r, where its levels solve one
-E-independent Sturmian eigenproblem (-d^2/dx^2 + p(p-1)/x^2 + 1) u =
-lam u/x: the coupling c = gamma1(E)/eps(E) equals -lam_n.  In s = ln x with
-u = e^{s/2} v that is -v'' + (p - 1/2)^2 v + e^{2s} v = lam e^s v, whose
-solution is smooth in s for every p, so the error is a clean h^2 on a uniform
-s-grid (the standard radial grid of atomic codes; W. R. Johnson, Atomic
-Structure Theory, 2007).  lam_n(p) is solved once per (p, n) per process
-(`sturmian_eigenvalue`), and the energy is the root of a scalar matching
-function, bracketed by a scan and narrowed by Brent's method (`_brent`, which
-follows the brentq C loop step for step).
+The Sturmian problem is solved in s = ln x: with u = e^{s/2} v it is
+-v'' + (p - 1/2)^2 v + e^{2s} v = lam e^s v, whose solution is smooth in s
+for every p, so the error is a clean h^2 on a uniform s-grid (the standard
+radial grid of atomic codes; W. R. Johnson, Atomic Structure Theory, 2007).
 
 Eigenvalues come from a Sturm-sequence bisection solver (LAPACK stebz, through
 scipy's f2py wrapper) in index mode, one eigenvalue per call, run to LAPACK's
 most accurate absolute tolerance: the log-grid matrix is graded, and
 bisection resolves its small eigenvalues to high relative accuracy (Barlow
 and Demmel, SIAM J. Numer. Anal. 27, 762 (1990)).  The textbook self-tests
-(acceptance criterion 8) run on these same schemes.  The oracle imports no
+(acceptance criterion 8) run on this same scheme.  The oracle imports no
 scipy subpackage: it loads the LAPACK extension module on its own
 (`_tridiagonal_lapack`).
 """
@@ -63,32 +67,6 @@ STEBZ_TOL = 2.0 * sys.float_info.min
 
 
 @dataclass(frozen=True)
-class RadialGrid:
-    """Uniform grid of interior points on (r_min, r_max), Dirichlet walls."""
-
-    r_min: float
-    r_max: float
-    points: int = 6000
-
-    def __post_init__(self):
-        if not (0.0 < self.r_min < self.r_max):
-            raise InvalidParameter("require 0 < r_min < r_max")
-        if self.points < 200:
-            raise InvalidParameter("require at least 200 grid points")
-
-    @property
-    def h(self) -> float:
-        return (self.r_max - self.r_min) / (self.points + 1)
-
-    def nodes(self) -> np.ndarray:
-        return self.r_min + self.h * np.arange(1, self.points + 1)
-
-    def refined(self) -> "RadialGrid":
-        """Same interval with exactly halved spacing."""
-        return RadialGrid(self.r_min, self.r_max, 2 * self.points + 1)
-
-
-@dataclass(frozen=True)
 class LogGrid:
     """Points s_min + i h, i < points, of s = ln x on [s_min, s_max): a Robin
     wall on the first point, a Dirichlet wall at s_max."""
@@ -110,7 +88,7 @@ class LogGrid:
 class TridiagonalSystem:
     diagonal: np.ndarray
     off_diagonal: np.ndarray
-    grid: RadialGrid | LogGrid
+    grid: LogGrid
 
 
 def _count_nodes(vec: np.ndarray) -> int:
@@ -188,22 +166,7 @@ def eigen_lowest(system: TridiagonalSystem, index: int, check_nodes: bool = True
 
 
 # ---------------------------------------------------------------------------
-# the two schemes
-
-
-def _transformed_system(p: float, c_r2: float, grid: RadialGrid) -> TridiagonalSystem:
-    """-(r^2p w')' + c_r2 r^{2p+2} w = mu r^2p w, the r^p-factored form of
-    -u'' + (p(p-1)/r^2 + c_r2 r^2) u = mu u, differenced on `grid` and
-    symmetrized with its weight r^2p.  No flux crosses the left wall face
-    (w' = 0 there, the leading order of the regular series w = 1 + O(r)), and
-    w = 0 at r_max."""
-    h, r, tp = grid.h, grid.nodes(), 2.0 * p
-    face_right = (r + 0.5 * h) ** tp
-    face_left = np.concatenate(([0.0], face_right[:-1]))
-    weight = r**tp
-    diagonal = (face_left + face_right) / (h * h * weight) + c_r2 * r * r
-    sw = np.sqrt(weight)
-    return TridiagonalSystem(diagonal, -face_right[:-1] / (h * h) / (sw[:-1] * sw[1:]), grid)
+# the scheme
 
 
 def _sturmian_system(p: float, grid: LogGrid) -> TridiagonalSystem:
@@ -220,6 +183,14 @@ def _sturmian_system(p: float, grid: LogGrid) -> TridiagonalSystem:
     weight[0] *= 0.5
     sw = np.sqrt(weight)
     return TridiagonalSystem(diagonal / weight, -1.0 / (h * h) / (sw[:-1] * sw[1:]), grid)
+
+
+def _sturmian_grid(p: float, n: int) -> LogGrid:
+    """The coarse grid of lam_n(p), for both solvers: s = ln x from -20 to a
+    Dirichlet wall at ln(x_t + 20 + n), x_t = n + p + sqrt((n + p)^2 -
+    p(p - 1)) the outer turning point, with 3000 + 90 n points."""
+    turning = n + p + math.sqrt((n + p) ** 2 - p * (p - 1.0))
+    return LogGrid(-20.0, math.log(turning + 20.0 + n), 3000 + 90 * n)
 
 
 def _linspace(lo: float, hi: float, points: int) -> list[float]:
@@ -298,25 +269,20 @@ def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
 @functools.lru_cache(maxsize=STURMIAN_CACHE_SIZE)
 def sturmian_eigenvalue(p: float, n: int) -> float:
     """lam_n(p): the n-th eigenvalue of the Sturmian problem (-d^2/dx^2 +
-    p(p-1)/x^2 + 1) u = lam u/x, in s = ln x on s_min = -20 < s < ln(x_t + 20),
-    x_t = n + p + sqrt((n + p)^2 - p(p - 1)) the outer turning point, with
-    3000 points and on its refinement, Richardson-extrapolated (the coarse
-    eigenvector checked to have n nodes).  It depends on nothing else, so it
-    is memoized per (p, n) for the life of the process; a failed solve raises
-    again on every call.
+    p(p-1)/x^2 + 1) u = lam u/x, on `_sturmian_grid(p, n)` and on its
+    refinement, Richardson-extrapolated (the coarse eigenvector checked to
+    have n nodes).  It depends on nothing else, so it is memoized per (p, n)
+    for the life of the process; a failed solve raises again on every call.
 
-    The grid serves p <= 10 and n <= 20: there lam_n(p) is within 3.2e-7 of
-    2(n + p), worst at the corner (10, 20), and within 1.8e-8 for n <= 8 and
-    p <= 9.  Past it the error grows with n (3.6e-6 at n = 50, 1.5e-3 at
-    n = 200) and with p (1.1e-6 at (60, 0)), so anything else is rejected
-    before any eigensolve.
+    It serves p <= 10 and n <= 20: there lam_n(p) is within 4.9e-8 of
+    2(n + p), worst at the corner (10, 20), and within 8.8e-9 for n <= 8.
+    Anything else is rejected before any eigensolve.
     """
     if p > 10.0 or n > 20:
         raise InvalidParameter(
             f"(p, n) = ({p!r}, {n}): the Sturmian grid serves p = L + 1 <= 10 and n <= 20"
         )
-    turning = n + p + math.sqrt((n + p) ** 2 - p * (p - 1.0))
-    grid = LogGrid(-20.0, math.log(turning + 20.0), 3000)
+    grid = _sturmian_grid(p, n)
     coarse = eigen_lowest(_sturmian_system(p, grid), n)
     fine = eigen_lowest(_sturmian_system(p, grid.refined()), n, check_nodes=False)
     return (4.0 * fine - coarse) / 3.0
@@ -324,25 +290,26 @@ def sturmian_eigenvalue(p: float, n: int) -> float:
 
 def oscillator_eigenvalue(p: float, n: int) -> float:
     """sigma_n(p): the n-th eigenvalue of -u'' + (p(p-1)/y^2 + y^2) u = sigma u,
-    on the grid (1e-4, sqrt(4n + 2p + 1) + 7) of 6000 points and on its
-    refinement, Richardson-extrapolated; the coarse eigenvector is then
-    checked to have n nodes.
+    which is 2 lam_n(p/2 + 1/4) (the module docstring): lam_n is solved as
+    `sturmian_eigenvalue` solves it, to the same float, but not memoized; the
+    coarse eigenvector is checked to have n nodes after the Richardson step.
 
-    The grid serves p <= 12 and n <= 200: there sigma_n(p) is within 1.1e-9
-    of 4n + 2p + 1 for n <= 40 and within 2.1e-7 up to n = 200.  Past n = 200
-    the error grows (2.4e-6 at n = 400), so anything else is rejected before
-    any eigensolve.
+    It serves p <= 12 and n <= 200: there sigma_n(p) is within 5.2e-7 of
+    4n + 2p + 1, worst at the corner (12, 200), within 1.1e-7 for n <= 40 and
+    within 4.3e-9 for n <= 4.  Anything else is rejected before any
+    eigensolve.
     """
     if p > 12.0 or n > 200:
         raise InvalidParameter(
             f"(p, n) = ({p!r}, {n}): the oscillator grid serves p = Lambda + 1 <= 12 and n <= 200"
         )
-    grid = RadialGrid(1e-4, math.sqrt(4.0 * n + 2.0 * p + 1.0) + 7.0, 6000)
-    system = _transformed_system(p, 1.0, grid)
+    P = 0.5 * p + 0.25
+    grid = _sturmian_grid(P, n)
+    system = _sturmian_system(P, grid)
     coarse = eigen_lowest(system, n, check_nodes=False)
-    fine = eigen_lowest(_transformed_system(p, 1.0, grid.refined()), n, check_nodes=False)
+    fine = eigen_lowest(_sturmian_system(P, grid.refined()), n, check_nodes=False)
     eigen_lowest(system, n)  # the coarse eigenvector must have n nodes
-    return (4.0 * fine - coarse) / 3.0
+    return 2.0 * ((4.0 * fine - coarse) / 3.0)
 
 
 def solve_modelB(params: LinearMassParams, n: int, l: int) -> float:
@@ -350,11 +317,13 @@ def solve_modelB(params: LinearMassParams, n: int, l: int) -> float:
 
     In y = sqrt(alpha1) r the reduced equation -u'' + (alpha1^2 r^2 +
     alpha2/r^2) u = kappa u becomes -u_yy + (p(p-1)/y^2 + y^2) u = sigma u,
-    with kappa = alpha1 sigma and p = Lambda + 1, so sigma_n(p)
-    (`oscillator_eigenvalue`, which rejects p > 12 and n > 200) depends on
-    (p, n) alone and E^2 = alpha1 sigma (hbar c)^2 + 2 m0c^2 s/L.  The
-    relative error of E^2 is that of sigma times sigma/(sigma + 2s/(hbar c)),
-    which exceeds 1 for s < 0: about 12 at p = 12, n = 0.
+    with kappa = alpha1 sigma and p = Lambda + 1, so sigma_n(p) depends on
+    (p, n) alone and E^2 = alpha1 sigma (hbar c)^2 + 2 m0c^2 s/L.
+    `oscillator_eigenvalue` solves sigma_n(p) as 2 lam_n(p/2 + 1/4) on the
+    Sturmian grid, in three eigensolves per call (it is not memoized), and
+    rejects p > 12 and n > 200.  The relative error of E^2 is that of sigma
+    times sigma/(sigma + 2s/(hbar c)), which exceeds 1 for s < 0: about 12
+    at p = 12, n = 0.
     """
     require_quantum_numbers(n, l)
     require_finite_square(alpha1=params.alpha1)

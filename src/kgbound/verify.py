@@ -357,34 +357,32 @@ def _universal_eigenvalues(fx, mode):
 
 
 def _textbook_schemes(fx, mode):
-    """The oscillator's r^p-factored scheme on textbook spectra of
-    -u'' + (p(p-1)/r^2 + c_r2 r^2) u = mu u with u(r_max) = 0: on `points`,
-    the coarse eigenvalues, eigenvector i checked to have i nodes, and their
-    Richardson values; and the h^2 convergence factor, about 4, of the first
-    scheme's ground state from `h2_points[0]` to `h2_points[1]`."""
-    rows = []
-    for name, p, c_r2, (r_min, r_max), exact in fx.schemes:
-        grid = oracle.RadialGrid(r_min, r_max, fx.points)
-        coarse_system = oracle._transformed_system(p, c_r2, grid)
-        fine_system = oracle._transformed_system(p, c_r2, grid.refined())
-        coarse = [
-            oracle.eigen_lowest(coarse_system, i, check_nodes=True) for i in range(len(exact))
-        ]
-        richardson = [
-            (4.0 * oracle.eigen_lowest(fine_system, i, check_nodes=False) - c) / 3.0
-            for i, c in enumerate(coarse)
-        ]
-        for kind, values in (("coarse", coarse), ("richardson", richardson)):
-            dev = max(abs(v - e) / abs(e) for v, e in zip(values, exact))
-            rows.append(_upper(f"{name}-{kind}", 1e-4, dev, len(exact)))
-    name, p, c_r2, (r_min, r_max), exact = fx.schemes[0]
+    """The oracle's one scheme, the log-grid Sturmian, on hydrogen: at p = 1
+    its levels are lam_n = 2(n + 1), hydrogen's E_n = -1/(n + 1)^2 rescaled.
+    On `points`, the coarse eigenvalues, eigenvector i checked to have i
+    nodes, and their Richardson values; and the h^2 convergence factor,
+    about 4, of the ground state from `h2_points[0]` to `h2_points[1]`."""
+    grid = oracle.LogGrid(*fx.span, fx.points)
+    coarse_system = oracle._sturmian_system(fx.p, grid)
+    fine_system = oracle._sturmian_system(fx.p, grid.refined())
+    coarse = [
+        oracle.eigen_lowest(coarse_system, i, check_nodes=True) for i in range(len(fx.exact))
+    ]
+    richardson = [
+        (4.0 * oracle.eigen_lowest(fine_system, i, check_nodes=False) - c) / 3.0
+        for i, c in enumerate(coarse)
+    ]
+    rows = [
+        _upper(f"hydrogen-{kind}", 1e-4,
+               max(abs(v - e) / e for v, e in zip(values, fx.exact)), len(fx.exact))
+        for kind, values in (("coarse", coarse), ("richardson", richardson))
+    ]
     errors = [
-        abs(oracle.eigen_lowest(
-            oracle._transformed_system(p, c_r2, oracle.RadialGrid(r_min, r_max, points)), 0)
-            - exact[0])
+        abs(oracle.eigen_lowest(oracle._sturmian_system(fx.p, oracle.LogGrid(*fx.span, points)), 0)
+            - fx.exact[0])
         for points in fx.h2_points
     ]
-    rows.append(_upper(f"{name}-h2-factor", 0.5, abs(errors[0] / errors[1] - 4.0), 1))
+    rows.append(_upper("hydrogen-h2-factor", 0.5, abs(errors[0] / errors[1] - 4.0), 1))
     return rows
 
 
@@ -460,11 +458,10 @@ REGISTRY = (
     ),
     CheckDef(
         8, None, _textbook_schemes, quick=None,
-        # (name, p, c_r2, (r_min, r_max), exact mu of each checked level)
-        full=Fixtures(schemes=(
-            ("box", 1.0, 0.0, (1e-9, 1.0), tuple(((i + 1) * math.pi) ** 2 for i in range(6))),
-            ("oscillator", 1.0, 1.0, (1e-8, 12.0), (3.0, 7.0, 11.0)),
-        ), points=6000, h2_points=(1500, 3001)),
+        # span: (s_min, s_max) of s = ln x; exact: lam_n of each checked level
+        full=Fixtures(p=1.0, span=(-20.0, math.log(40.0)),
+                      exact=tuple(2.0 * (n + 1) for n in range(6)), points=3000,
+                      h2_points=(1500, 3000)),
     ),
 )
 

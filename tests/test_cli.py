@@ -406,6 +406,28 @@ def test_golden_table_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the three standard `verify` reports, pinned when the scalar
+# oracle became the Sturmian problem at p/2 + 1/4; the observed column comes
+# from the oracle's LAPACK eigensolves and numpy's exp, so like
+# GOLDEN_WAVEFUNCTION these bytes may depend on the platform
+GOLDEN_VERIFY = [
+    ("verify --model mixed", 0,
+     "5bcb68f3432b8bee2925ee73f0b63789cd4c447028c6a6b2685d935469e9677d"),
+    ("verify --model scalar-linear", 0,
+     "b15f0c45a301677d9b9047e0bfc504d5fb6e7c489c761172a1c028a8633df674"),
+    ("verify --model scalar-linear --mode as_printed", 1,
+     "de50a029a71baebf96490bcdff4291ef9fd23c1ac4a061a6b6da112e5df363cb"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN_VERIFY,
+                         ids=[argv for argv, _, _ in GOLDEN_VERIFY])
+def test_golden_verify_bytes(capsys, argv, code, digest):
+    got, out, err = run(capsys, *argv.split())
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # sha256 of `--help` stdout at 80 columns, pinned before the physics flags
 # were built from the parameter dataclasses
 GOLDEN_HELP = [

@@ -21,38 +21,11 @@ from kgbound.levels import ANTIPARTICLE, BOUND, PARTICLE
 from kgbound.units import PhysicalConstants
 
 
-class TestRadialGrid:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            oracle.RadialGrid(0.0, 1.0)
-        with pytest.raises(ValueError):
-            oracle.RadialGrid(2.0, 1.0)
-        with pytest.raises(ValueError):
-            oracle.RadialGrid(0.1, 1.0, points=50)
-
-    def test_nodes_and_spacing(self):
-        grid = oracle.RadialGrid(1e-6, 1.0, points=999)
-        r = grid.nodes()
-        assert len(r) == 999
-        assert r[0] == pytest.approx(grid.r_min + grid.h)
-        assert r[-1] == pytest.approx(grid.r_max - grid.h)
-
-    def test_refined_halves_spacing(self):
-        grid = oracle.RadialGrid(1e-6, 1.0, points=511)
-        fine = grid.refined()
-        assert fine.h == pytest.approx(grid.h / 2.0, rel=1e-14)
-
-
-def _p1(c_r2, grid):
-    """-u'' + c_r2 r^2 u on the oscillator's r^p-factored scheme at p = 1."""
-    return oracle._transformed_system(1.0, c_r2, grid)
-
-
 class TestSelfTests:
     """The coarse log-grid Sturmian on hydrogen, and eigen_lowest's index
-    checks.  The textbook fixtures of the oscillator's scheme (box and
-    oscillator levels, their node counts, Richardson values and h^2 factor)
-    and lam_n(p), sigma_n(p) over p are criterion 8's registry checks."""
+    checks.  The textbook fixtures of the oracle's one scheme (hydrogen's
+    levels, their node counts, Richardson values and h^2 factor) and
+    lam_n(p), sigma_n(p) over p are criterion 8's registry checks."""
 
     def test_hydrogen_like(self):
         # -u'' - (lam/x) u = -u at l = 0 (p = 1) is bound for lam = 2(n + 1),
@@ -64,7 +37,7 @@ class TestSelfTests:
             assert abs(v - 2.0 * (i + 1)) / (2.0 * (i + 1)) < 1e-4
 
     def test_count_validation(self):
-        system = _p1(0.0, oracle.RadialGrid(1e-9, 1.0, points=2000))
+        system = oracle._sturmian_system(1.0, oracle.LogGrid(-20.0, math.log(40.0), 2000))
         with pytest.raises(ValueError):
             oracle.eigen_lowest(system, -1)
         with pytest.raises(ValueError):
@@ -79,14 +52,15 @@ class TestLapackRoute:
     both routes return eigh_tridiagonal's floats."""
 
     # (system expression in `oracle`, index, node check): the log-grid
-    # Sturmian and the oscillator, each on a coarse grid and its refinement
+    # Sturmian on a coarse grid and its refinement, and the oscillator's
+    # systems at p = 1 and 2 (P = p/2 + 1/4) on their own grids
     CASES = [
         (f"oracle._sturmian_system({p!r}, oracle.LogGrid(-20.0, 3.4, {pts}))", n, pts == 3000)
         for p in (0.5, 1.37) for pts in (3000, 6000) for n in (0, 2)
     ] + [
-        (f"oracle._transformed_system({p!r}, 1.0, oracle.RadialGrid(1e-4, 10.0, {pts}))", n,
-         pts == 6000)
-        for p in (1.0, 2.0) for pts in (6000, 12001) for n in (0, 2)
+        (f"oracle._sturmian_system({P!r}, oracle._sturmian_grid({P!r}, {n}){refine})", n,
+         not refine)
+        for P in (0.75, 1.25) for refine in ("", ".refined()") for n in (0, 2)
     ]
 
     def _reference(self):
@@ -123,37 +97,12 @@ class TestLapackRoute:
         assert got == self._reference()
 
     def test_non_finite_rejected(self):
-        system = _p1(0.0, oracle.RadialGrid(1e-4, 25.0, 6000))
+        system = oracle._sturmian_system(1.0, oracle.LogGrid(-20.0, math.log(40.0), 3000))
         for bad in (math.nan, math.inf):
             diagonal = system.diagonal.copy()
             diagonal[7] = bad
             with pytest.raises(ValueError, match="infs or NaNs"):
                 oracle.eigen_lowest(oracle.TridiagonalSystem(diagonal, system.off_diagonal, system.grid), 0)
-
-
-class TestTransformedOperator:
-    @staticmethod
-    def direct(p, c_r2, grid):
-        """The scheme built in one pass, as the solvers once did per evaluation."""
-        h, r, tp = grid.h, grid.nodes(), 2.0 * p
-        face_right = (r + 0.5 * h) ** tp
-        face_left = np.concatenate(([(grid.r_min + 0.5 * h) ** tp], face_right[:-1]))
-        weight = r**tp
-        diagonal = (face_left + face_right) / (h * h) + c_r2 * r ** (tp + 2.0)
-        # no flux through the wall face: w(r_min) = w(r_0)
-        diagonal[0] -= face_left[0] / (h * h)
-        sw = np.sqrt(weight)
-        return diagonal / weight, -face_right[:-1] / (h * h) / (sw[:-1] * sw[1:])
-
-    @pytest.mark.parametrize("p", [0.5, 0.618, 1.7, 3.2])
-    def test_matches_direct_build(self, p):
-        grid = oracle.RadialGrid(1e-4, 300.0, points=2000)
-        system = oracle._transformed_system(p, 0.81, grid)
-        diagonal, off = self.direct(p, 0.81, grid)
-        # same arithmetic up to reassociation and pow rounding: 64 ulp
-        tol = 64 * np.finfo(float).eps
-        assert np.max(np.abs(system.diagonal / diagonal - 1.0)) <= tol
-        assert np.array_equal(system.off_diagonal, off)
 
 
 class TestModelB:
@@ -180,6 +129,14 @@ class TestModelB:
         with pytest.raises(InvalidParameter):
             oracle.solve_modelB(sl.LinearMassParams(s=1.0, length_scale=1e-200), 0, 0)
 
+    @pytest.mark.parametrize("p", [1.0, 2.37, 12.0])
+    @pytest.mark.parametrize("n", [0, 3, 20])
+    def test_oscillator_is_sturmian(self, p, n):
+        # sigma_n(p) = 2 lam_n(p/2 + 1/4) to the bit: the same two systems,
+        # and stebz returns the same float with and without eigenvectors
+        assert oracle.oscillator_eigenvalue(p, n) == \
+            2.0 * oracle.sturmian_eigenvalue(0.5 * p + 0.25, n)
+
     @pytest.fixture
     def eigen_calls(self, monkeypatch):
         """(grid, check_nodes) of every oracle.eigen_lowest call, in order."""
@@ -194,11 +151,12 @@ class TestModelB:
         return calls
 
     def test_eigensolves_depend_on_p_and_n_only(self, eigen_calls):
-        # Richardson coarse and fine, then the node check on the coarse grid;
-        # L and the constants scale y = sqrt(alpha1) r, not the grid
+        # Richardson coarse and fine, then the node check on the coarse grid,
+        # of 3000 + 90 n points; L and the constants scale y = sqrt(alpha1) r,
+        # not the grid
         oracle.solve_modelB(sl.LinearMassParams(s=0.5), 2, 1)
         assert [(g.points, check) for g, check in eigen_calls] == [
-            (6000, False), (12001, False), (6000, True)]
+            (3180, False), (6360, False), (3180, True)]
         first = list(eigen_calls)
         eigen_calls.clear()
         constants = PhysicalConstants(hbar_c=0.2, rest_energy=3.0)
@@ -379,11 +337,12 @@ class TestModelA:
             )
             assert abs(E - row.energy) / abs(row.energy) < 1e-6
         assert len(rows) >= 8
-        # one stebz index solve per grid and distinct (p, n), none per scan
-        # point: lam_n(p) is memoized, and both branches of a level share it
-        keys = {(params.effective_L(row.l) + 1.0, row.n) for row in rows}
+        # one stebz index solve per grid (3000 + 90 n points and twice that)
+        # and distinct (p, n), none per scan point: lam_n(p) is memoized, and
+        # both branches of a level share it
+        keys = dict.fromkeys((params.effective_L(row.l) + 1.0, row.n) for row in rows)
         assert len(keys) < len(rows)
-        assert eigensolves == [3000, 6000] * len(keys)
+        assert eigensolves == [m * (3000 + 90 * n) for _, n in keys for m in (1, 2)]
 
     @pytest.fixture
     def miscounted_nodes(self, monkeypatch):
@@ -440,7 +399,8 @@ class TestModelA:
         (0.5, 20), (10.0, 0), (10.0, 20),  # the box's corners
     ])
     def test_sturmian_range_served(self, p, n):
-        # within 3.2e-7 of 2(n + p), worst at the corner (10, 20)
+        # within 3.2e-7 of 2(n + p); the box's dense table reads at most
+        # 4.9e-8, at the corner (10, 20)
         assert abs(oracle.sturmian_eigenvalue(p, n) - 2.0 * (n + p)) <= 3.2e-7 * 2.0 * (n + p)
 
     @pytest.mark.parametrize("p, n", [(10.01, 0), (0.5, 21)])
@@ -453,7 +413,7 @@ class TestModelA:
     @pytest.mark.parametrize("n, l", [(6, 3), (10, 2), (20, 0)])
     def test_level_past_old_wall_served(self, n, l):
         # outer turning points 19.4, 25.1 and 42: the fixed x-grid ending at
-        # x = 25 refused them, the log grid puts its wall at x_t + 20
+        # x = 25 refused them, the log grid puts its wall at x_t + 20 + n
         params = cm.MixedCoulombParams(q=0.5)
         e_plus = cm.candidate_energies(params, n, l)[0]
         assert cm.validate(params, n, l, e_plus, PARTICLE).status == BOUND
