@@ -131,6 +131,35 @@ class MixedCoulombParams:
             arg = 0.0
         return math.sqrt(arg) / c.hbar_c
 
+    def matching_function(self, lam: float):
+        """E -> gamma1(E)/epsilon(E) + lam, the oracle's matching function.
+
+        Every E-independent float of `gamma1` and `epsilon` is computed once
+        here, and the returned function repeats their float operations in the
+        same order, with `epsilon`'s two EnergyOutOfWindow checks: each value
+        is the two methods' float, bit for bit.
+        """
+        c = self.constants
+        V0, Q = self.V0, c.hbar_c
+        strength = 2.0 * (self.b - self.q) * c.rest_energy
+        slope = 2.0 * self.q * self.beta
+        edge = (1.0 + 1e-6) * c.rest_energy
+        mc2_sq = c.rest_energy * c.rest_energy
+        floor = -1e-12 * mc2_sq
+
+        def f(E: float) -> float:
+            e_tilde = E + V0
+            if abs(e_tilde) > edge:
+                raise EnergyOutOfWindow(f"|E + V0| = {abs(e_tilde)} > m0c^2")
+            arg = mc2_sq - e_tilde * e_tilde
+            if arg < 0.0:
+                if arg < floor:
+                    raise EnergyOutOfWindow(f"|E + V0| = {abs(e_tilde)} > m0c^2")
+                arg = 0.0
+            return (strength - slope * e_tilde) / Q / (math.sqrt(arg) / Q) + lam
+
+        return f
+
     def reduced_w(self, E: float, l: int, r):
         """W(r) of the reduced equation u'' = W(r) u at energy E."""
         return self.epsilon(E) ** 2 + self.gamma1(E) / r + self.gamma2(l) / r**2

@@ -13,8 +13,10 @@ Richardson step over the grid and its refinement.  Each solver rejects the
 The mixed model is solved in x = eps(E) r, where the coupling
 c = gamma1(E)/eps(E) of a level equals -lam_n(p).  lam_n(p) is solved once
 per (p, n) per process (`sturmian_eigenvalue`), and the energy is the root of
-a scalar matching function, bracketed by a scan and narrowed by Brent's
-method (`_brent`, which follows the brentq C loop step for step).
+a scalar matching function, bound once per solve with its E-independent
+floats computed once (`MixedCoulombParams.matching_function`), bracketed by a
+scan that stops at its first sign change and narrowed by Brent's method
+(`_brent`, which follows the brentq C loop step for step).
 
 The scalar model, in y = sqrt(alpha1) r, is the oscillator
 -u_yy + (p(p-1)/y^2 + y^2) u = sigma u.  With x = y^2 and u = y^(-1/2) w(x)
@@ -60,6 +62,7 @@ from .units import require_finite_square
 BISECTION_TOL = 1e-10  # root tolerance on E, in units of the rest energy
 BRENT_MAX_ITERATIONS = 100  # Brent steps per root before ConvergenceFailure
 STURMIAN_CACHE_SIZE = 4096  # memoized (p, n) keys; each holds one float
+BRENT_RTOL = 4.0 * sys.float_info.epsilon  # brentq's relative root tolerance
 # stebz's absolute tolerance: twice the underflow threshold, LAPACK's most
 # accurate value.  Its default, eps * |T|, stops up to 4e-2 off on the graded
 # log-grid matrix, whose entries reach 3e13
@@ -214,16 +217,15 @@ def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
     fa = f(a) and fb = f(b) of opposite signs (or one of them zero).
 
     It follows scipy's brentq C loop step for step, with the same float
-    operations in the same order: rtol = 4 eps, the same interpolate /
-    extrapolate / bisect rule and the same minimum step delta.  So it returns
-    brentq's float, without evaluating f at a and b again.  After
-    BRENT_MAX_ITERATIONS steps it raises ConvergenceFailure.
+    operations in the same order: rtol = 4 eps (BRENT_RTOL), the same
+    interpolate / extrapolate / bisect rule and the same minimum step delta.
+    So it returns brentq's float, without evaluating f at a and b again.
+    After BRENT_MAX_ITERATIONS steps it raises ConvergenceFailure.
     """
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
-    rtol = 4.0 * sys.float_info.epsilon
     xpre, xcur, fpre, fcur = a, b, fa, fb
     xblk = fblk = spre = scur = 0.0
     for _ in range(BRENT_MAX_ITERATIONS):
@@ -234,7 +236,7 @@ def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2.0
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -348,17 +350,21 @@ def solve_modelA(
     process by `sturmian_eigenvalue` (which rejects p > 10 and n > 20),
     gives a level as a root of f(E) = gamma1(E)/eps(E) + lam_n.  f has the
     signs and roots of mu_n(c(E)) + 1, mu_n the n-th eigenvalue at fixed c,
-    since mu_n increases with c.  f is evaluated on a scan of the (open)
-    energy window, at np.linspace's points computed in Python floats
-    (`_linspace`), and Brent's method (`_brent`, starting from the two scan
-    values) narrows the first sign change to 1e-10 * m0c^2.  On a memo hit
-    for lam_n no numpy call is made.
+    since mu_n increases with c.  f is bound once per call
+    (`params.matching_function`, the floats of gamma1/eps + lam_n bit for
+    bit) and evaluated along a scan of the (open) energy window, at
+    np.linspace's points computed in Python floats (`_linspace`).  The scan
+    stops at the first exact zero or sign change, and Brent's method
+    (`_brent`, starting from the two scan values) narrows that bracket to
+    1e-10 * m0c^2; only a scan with no sign change evaluates every point, and
+    NoBracket lists them all.  On a memo hit for lam_n no numpy call is made.
     `window` restricts the search, e.g. to isolate one of the
     particle/antiparticle roots; it does not change lam_n.  `scan_points`
     must be an integer of at least 2.
     """
     require_quantum_numbers(n, l)
-    if not isinstance(scan_points, numbers.Integral) or scan_points < 2:
+    # int first: numbers.Integral's ABC check costs 0.4 us even for an int
+    if not isinstance(scan_points, (int, numbers.Integral)) or scan_points < 2:
         raise InvalidParameter("scan_points must be an integer of at least 2")
     mc2 = params.constants.rest_energy
     p = params.effective_L(l) + 1.0
@@ -370,23 +376,18 @@ def solve_modelA(
     lo, hi = float(max(window[0], lo_phys)), float(min(window[1], hi_phys))
     if not lo < hi:
         raise InvalidParameter("empty energy window")
-    lam = sturmian_eigenvalue(p, n)
-
-    def f(E: float) -> float:
-        return params.gamma1(E) / params.epsilon(E) + lam
-
+    f = params.matching_function(sturmian_eigenvalue(p, n))
     scan = _linspace(lo, hi, scan_points)
-    values = [f(E) for E in scan]
-    for i, value in enumerate(values):
+    values = []
+    for E in scan:
+        value = f(E)
         if value == 0.0:
-            return scan[i]
-        if i and values[i - 1] * value < 0.0:
-            break
-    else:
-        table = ", ".join(f"f({E:.6g})={v:.6g}" for E, v in zip(scan, values))
-        raise NoBracket(
-            f"no sign change of the matching function on the scanned window: {table}",
-            scan=list(zip(scan, values)),
-        )
-
-    return float(_brent(f, scan[i - 1], scan[i], values[i - 1], values[i], BISECTION_TOL * mc2))
+            return E
+        if values and values[-1] * value < 0.0:
+            return _brent(f, scan[len(values) - 1], E, values[-1], value, BISECTION_TOL * mc2)
+        values.append(value)
+    table = ", ".join(f"f({E:.6g})={v:.6g}" for E, v in zip(scan, values))
+    raise NoBracket(
+        f"no sign change of the matching function on the scanned window: {table}",
+        scan=list(zip(scan, values)),
+    )

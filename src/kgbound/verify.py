@@ -7,7 +7,10 @@ carries two fixture sets: `full`, run by the acceptance gate
 (tests/test_acceptance.py, one test per criterion over this registry), and
 `quick`, run by the `verify` CLI command.  A check with no `quick` set is not
 in `verify`.  A row whose `in_verify` is False is an acceptance condition of
-a check that `verify` runs, printed by the gate only.
+a check that `verify` runs, printed by the gate only.  A fixture set may
+state `min_levels`, the level count its rows must cover: a row over fewer
+levels fails, so levels relabelled out of the checked set cannot leave a row
+passing over what remains.
 The printed-formula discrepancies of the scalar model are *reproduced* here
 on purpose: those checks pass when the expected mismatch is observed.
 """
@@ -36,16 +39,22 @@ class Check:
     observed: float
     levels: int  # levels (or cases) the observed value was taken over
     in_verify: bool = True  # False: an acceptance condition with no `verify` row
+    min_levels: int = 0  # the count its fixture set states; a row over fewer fails
 
     @property
     def passed(self) -> bool:
+        if self.levels < self.min_levels:
+            return False
         if self.comparison == "<=":
             return self.observed <= self.tolerance
         return self.observed >= self.tolerance
 
 
-def _upper(name, tol, observed, levels, in_verify=True):
-    return Check(name, "<=", tol, float(observed), levels, in_verify)
+def _upper(name, tol, observed, levels, in_verify=True, fx=None):
+    """A `<=` row; over a fixture set `fx` that states `min_levels`, it must
+    cover that many levels."""
+    return Check(name, "<=", tol, float(observed), levels, in_verify,
+                 getattr(fx, "min_levels", 0))
 
 
 @dataclass(frozen=True)
@@ -216,7 +225,8 @@ def _constant_mass(fx, mode):
 
 def _bound_residuals(fx, mode):
     residuals = [row.residual for _, row in _levels(fx)]
-    return [_upper("mixed-bound-residuals", 1e-10, max(residuals, default=0.0), len(residuals))]
+    return [_upper("mixed-bound-residuals", 1e-10, max(residuals, default=0.0), len(residuals),
+                   fx=fx)]
 
 
 def _duality(fx, mode):
@@ -259,7 +269,7 @@ def _mixed_oracle(fx, mode):
             worst = math.inf
             continue
         worst = max(worst, abs(e_num - row.energy) / abs(row.energy))
-    return [_upper("mixed-oracle-agreement", 1e-6, worst, count)]
+    return [_upper("mixed-oracle-agreement", 1e-6, worst, count, fx=fx)]
 
 
 def _mixed_normalization(fx, mode):
@@ -272,8 +282,8 @@ def _mixed_normalization(fx, mode):
         unit = max(unit, abs(ratio**2 - 1.0))
         count += 1
     return [
-        _upper("mixed-normalization-closed-vs-quadrature", 1e-8, pair, count),
-        _upper("mixed-normalization-unit-integral", 1e-8, unit, count, in_verify=False),
+        _upper("mixed-normalization-closed-vs-quadrature", 1e-8, pair, count, fx=fx),
+        _upper("mixed-normalization-unit-integral", 1e-8, unit, count, in_verify=False, fx=fx),
     ]
 
 
@@ -418,7 +428,7 @@ REGISTRY = (
             MixedCoulombParams(q=0.3, b=0.5, beta=-1.0),
             MixedCoulombParams(q=0.5, b=1.0, beta=1.0, V0=0.1),
         ), n_max=2, l_max=2),
-        full=Fixtures(params=_ACCEPTANCE_GRID, n_max=2, l_max=2),
+        full=Fixtures(params=_ACCEPTANCE_GRID, n_max=2, l_max=2, min_levels=234),
     ),
     CheckDef(3, "mixed", _duality, quick=_DUALITY, full=_DUALITY),
     CheckDef(
@@ -429,12 +439,13 @@ REGISTRY = (
             (MixedCoulombParams(q=0.3, b=0.5, beta=-1.0), 0, 0, "antiparticle"),
             (MixedCoulombParams(q=0.5, b=0.5, beta=1.0, V0=0.1), 0, 1, "particle"),
         ), half_width=0.02, scan_points=33),
-        full=Fixtures(params=_ACCEPTANCE_GRID, n_max=2, l_max=2, half_width=1e-5, scan_points=3),
+        full=Fixtures(params=_ACCEPTANCE_GRID, n_max=2, l_max=2, half_width=1e-5, scan_points=3,
+                      min_levels=234),
     ),
     CheckDef(
         6, "mixed", _mixed_normalization,
         quick=Fixtures(params=(MixedCoulombParams(q=0.5),), n_max=3, l_max=1),
-        full=Fixtures(params=_ACCEPTANCE_GRID, n_max=5, l_max=2),
+        full=Fixtures(params=_ACCEPTANCE_GRID, n_max=5, l_max=2, min_levels=468),
     ),
     CheckDef(
         4, "scalar-linear", _scalar_oracle,

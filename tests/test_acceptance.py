@@ -3,13 +3,15 @@
 Criteria 1-8 are the checks of `kgbound.verify.REGISTRY`, each defined once
 there and run here on its full fixture set by one test parametrized over the
 registry's criteria, so a check registered under any criterion is gated
-without a test of its own.  `kgbound verify` runs the same checks on their
-quick sets.  Criterion 9 holds the CLI contract.
+without a test of its own.  A full set that states `min_levels` fails a row
+over fewer levels.  `kgbound verify` runs the same checks on their quick
+sets.  Criterion 9 holds the CLI contract.
 Tolerances are frozen; loosening one is a release decision, not a test fix.
 """
 
 import json
 
+import numpy as np
 import pytest
 
 from kgbound import cli, coulomb_mixed as cm, verify
@@ -29,12 +31,39 @@ def test_criterion(capsys, criterion):
     """Every registry check of one criterion, run on its full fixture set."""
     _report(capsys, criterion, [
         (c.name, c.passed,
-         f"observed {c.observed:.3e} {c.comparison} {c.tolerance:g}, {c.levels} levels")
+         f"observed {c.observed:.3e} {c.comparison} {c.tolerance:g}, {c.levels} levels"
+         + (f" of {c.min_levels} stated" if c.min_levels else ""))
         for spec in verify.REGISTRY if spec.criterion == criterion
         for c in spec.measure(spec.full, "corrected")
     ])
 
 
+def test_rows_fail_over_fewer_levels(monkeypatch):
+    """With the mixed candidates of every V0 != 0 set scaled by 1 + 2e-6,
+    those levels fail back-substitution and leave the checked set; each row
+    that states its level count then fails by the count, though its values
+    alone would pass."""
+    candidates = cm._candidates
+
+    def shifted(q, b, beta, V0, mc2, B):
+        inner, e_plus, e_minus = candidates(q, b, beta, V0, mc2, B)
+        scale = np.where(V0 != 0.0, 1.0 + 2e-6, 1.0)
+        return inner, e_plus * scale, e_minus * scale
+
+    monkeypatch.setattr(cm, "_candidates", shifted)
+    rows = [c for spec in verify.REGISTRY if hasattr(spec.full, "min_levels")
+            for c in spec.measure(spec.full, "corrected")]
+    assert [(c.name, c.min_levels) for c in rows] == [
+        ("mixed-bound-residuals", 234),
+        ("mixed-oracle-agreement", 234),
+        ("mixed-normalization-closed-vs-quadrature", 468),
+        ("mixed-normalization-unit-integral", 468),
+    ]
+    for c in rows:
+        assert c.levels == c.min_levels // 2 and c.observed <= c.tolerance and not c.passed
+
+
+@pytest.mark.usefixtures("verify_once")
 def test_criterion_9_cli_contract(capsys):
     """Verify exit codes, deterministic output, JSON round-trip."""
     codes = (

@@ -420,6 +420,7 @@ GOLDEN_VERIFY = [
 ]
 
 
+@pytest.mark.usefixtures("verify_once")
 @pytest.mark.parametrize("argv, code, digest", GOLDEN_VERIFY,
                          ids=[argv for argv, _, _ in GOLDEN_VERIFY])
 def test_golden_verify_bytes(capsys, argv, code, digest):
@@ -508,11 +509,13 @@ class TestWavefunction:
 
 
 class TestVerify:
+    @pytest.mark.usefixtures("verify_once")
     def test_scalar_corrected_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--model", "scalar-linear")
         assert code == 0
         assert "FAIL" not in out
 
+    @pytest.mark.usefixtures("verify_once")
     def test_as_printed_fails_oracle_check(self, capsys):
         code, out, _ = run(capsys, "verify", "--model", "scalar-linear",
                            "--mode", "as_printed")
@@ -560,6 +563,7 @@ class TestVerify:
                 rows = spec.measure(spec.quick, "corrected")
                 assert any(c.in_verify for c in rows), [c.name for c in rows]
 
+    @pytest.mark.usefixtures("verify_once")
     def test_json_report(self, capsys):
         """Every row of each report, in order, with its rule and verdict;
         observed values come from the oracle and LAPACK, so they are not pinned."""

@@ -271,6 +271,22 @@ class TestModelA:
         assert list(energies) == np.linspace(0.7, 0.75, 3).tolist()
         assert len({math.copysign(1.0, v) for v in values}) == 1
 
+    def test_no_bracket_lists_every_point(self):
+        # 33 points and no sign change: the scan evaluates every point, and
+        # NoBracket lists each (E, f(E)) pair in order, f as gamma1/eps + lam_n
+        params = cm.MixedCoulombParams(q=0.5)
+        with pytest.raises(NoBracket) as info:
+            oracle.solve_modelA(params, 0, 0, window=(0.7, 0.75), scan_points=33)
+        lam = oracle.sturmian_eigenvalue(params.effective_L(0) + 1.0, 0)
+        energies = np.linspace(0.7, 0.75, 33).tolist()
+        assert info.value.scan == [
+            (E, params.gamma1(E) / params.epsilon(E) + lam) for E in energies
+        ]
+        table = ", ".join(f"f({E:.6g})={v:.6g}" for E, v in info.value.scan)
+        assert str(info.value) == (
+            f"no sign change of the matching function on the scanned window: {table}"
+        )
+
     @settings(derandomize=True, deadline=None, database=None, max_examples=100)
     @given(
         window=st.one_of(
@@ -574,11 +590,32 @@ class TestBrent:
         monkeypatch.setattr(oracle, "_brent", recorded)
         return calls
 
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """[(E, f(E)), ...] of every bound matching function, one list per
+        solve_modelA call."""
+        solves = []
+        bind = cm.MixedCoulombParams.matching_function
+
+        def recording(params, lam):
+            f, points = bind(params, lam), []
+            solves.append(points)
+
+            def recorded(E):
+                value = f(E)
+                points.append((E, value))
+                return value
+
+            return recorded
+
+        monkeypatch.setattr(cm.MixedCoulombParams, "matching_function", recording)
+        return solves
+
     @pytest.mark.parametrize("half_width, scan_points", [(1e-5, 3), (0.02, 33)])
-    def test_criterion_2_levels(self, brent_calls, half_width, scan_points):
+    def test_criterion_2_levels(self, brent_calls, evaluations, half_width, scan_points):
         fx = next(spec.full for spec in verify.REGISTRY if spec.measure is verify._mixed_oracle)
         levels = list(verify._levels(fx))
-        assert len(levels) == 234
+        assert len(levels) == fx.min_levels
         for params, row in levels:
             half = half_width * params.constants.rest_energy
             E = oracle.solve_modelA(
@@ -588,6 +625,23 @@ class TestBrent:
             assert E == brent_calls[-1][-1]
         # no scan point hit a root: every level went through _brent
         assert len(brent_calls) == len(levels)
+        # the scan runs up to its first sign change, the bracket [a, b], and
+        # no further: its points rise, none before b changes sign, and every
+        # later evaluation is Brent's, inside [a, b]
+        assert len(evaluations) == len(levels)
+        scanned = 0
+        for points, (_, a, b, _, _) in zip(evaluations, brent_calls):
+            k = [E for E, _ in points].index(b)
+            scan, narrowing = points[:k + 1], points[k + 1:]
+            assert 2 <= len(scan) <= scan_points and scan[-2][0] == a
+            assert all(x < y for (x, _), (y, _) in zip(scan, scan[1:]))
+            assert len({value > 0.0 for _, value in scan[:-1]}) == 1
+            assert all(a <= E <= b for E, _ in narrowing)
+            scanned += len(scan)
+        if scan_points == 33:
+            # each +/-0.02 window is centred on its level, so the scan stops
+            # near its middle: about half the points of a full scan
+            assert scanned < 0.6 * scan_points * len(levels)
         for f, a, b, xtol, root in brent_calls:
             assert root == scipy.optimize.brentq(f, a, b, xtol=xtol)
 

@@ -238,6 +238,40 @@ def test_mixed_reduction_matches_fields(params, cos_theta, l, r):
     assert verify.mixed_field_mismatch(params, E, l, r) <= 1e-12
 
 
+# The oracle's matching function, bound once per solve with its E-independent
+# floats computed once, is gamma1(E)/epsilon(E) + lam float for float, and
+# raises epsilon's EnergyOutOfWindow, in the same words, outside the window.
+@PROPERTY
+@given(params=mixed_params, cos_theta=st.floats(-1.0, 1.0), lam=finite)
+@example(params=cm.MixedCoulombParams(q=0.5), cos_theta=1.0, lam=0.0)  # eps = 0
+def test_matching_function_inside_window(params, cos_theta, lam):
+    E = -params.V0 + params.constants.rest_energy * cos_theta
+    f = params.matching_function(lam)
+    try:
+        expected = params.gamma1(E) / params.epsilon(E) + lam
+    except (EnergyOutOfWindow, ZeroDivisionError) as exc:  # E + V0 rounded onto an edge
+        with pytest.raises(type(exc)) as info:
+            f(E)
+        assert str(info.value) == str(exc)
+    else:
+        assert f(E).hex() == expected.hex()
+
+
+@PROPERTY
+@given(params=mixed_params, excess=st.floats(1e-9, 10.0), sign=st.sampled_from([1.0, -1.0]),
+       lam=finite)
+# |E + V0| between m0c^2 and its 1 + 1e-6 margin, then past the margin
+@example(params=cm.MixedCoulombParams(q=0.5), excess=1e-7, sign=-1.0, lam=0.0)
+@example(params=cm.MixedCoulombParams(q=0.5), excess=1e-3, sign=1.0, lam=0.0)
+def test_matching_function_outside_window(params, excess, sign, lam):
+    E = -params.V0 + sign * params.constants.rest_energy * (1.0 + excess)
+    with pytest.raises(EnergyOutOfWindow) as expected:
+        params.epsilon(E)
+    with pytest.raises(EnergyOutOfWindow) as info:
+        params.matching_function(lam)(E)
+    assert str(info.value) == str(expected.value)
+
+
 @PROPERTY
 @given(s=coupling, length_scale=st.floats(0.1, 10.0), consts=constants,
        E=st.floats(-10.0, 10.0), l=angular, r=radius)
