@@ -85,10 +85,6 @@ class MixedCoulombParams:
             return replace(self, q=-self.q, b=0.0, beta=-self.beta)
         raise InvalidParameter("duality partner defined only for b = 0 or b = 2q")
 
-    def ell_radicand(self, l: int) -> float:
-        """(l + 1/2)^2 + b(b - 2q) + q^2(1 - beta^2)."""
-        return _radicand(self.q, self.b, self.beta, l)
-
     def gamma2(self, l: int) -> float:
         return (
             self.b * (self.b - 2.0 * self.q)
@@ -97,7 +93,7 @@ class MixedCoulombParams:
         )
 
     def effective_L(self, l: int) -> float:
-        rad = self.ell_radicand(l)
+        rad = _radicand(self.q, self.b, self.beta, l)
         if rad < 0.0:
             raise UnrealRadicand(
                 f"(l+1/2)^2 + b(b-2q) + q^2(1-beta^2) = {rad} < 0"
@@ -120,9 +116,6 @@ class MixedCoulombParams:
         """Binding wavenumber sqrt(m0^2 c^4 - E_tilde^2)/(hbar c)."""
         c = self.constants
         e_tilde = E + self.V0
-        # the check below raises here too; comparing first keeps e_tilde^2 finite
-        if abs(e_tilde) > (1.0 + 1e-6) * c.rest_energy:
-            raise EnergyOutOfWindow(f"|E + V0| = {abs(e_tilde)} > m0c^2")
         mc2_sq = c.rest_energy * c.rest_energy
         arg = mc2_sq - e_tilde * e_tilde
         if arg < 0.0:
@@ -136,21 +129,18 @@ class MixedCoulombParams:
 
         Every E-independent float of `gamma1` and `epsilon` is computed once
         here, and the returned function repeats their float operations in the
-        same order, with `epsilon`'s two EnergyOutOfWindow checks: each value
+        same order, with `epsilon`'s EnergyOutOfWindow check: each value
         is the two methods' float, bit for bit.
         """
         c = self.constants
         V0, Q = self.V0, c.hbar_c
         strength = 2.0 * (self.b - self.q) * c.rest_energy
         slope = 2.0 * self.q * self.beta
-        edge = (1.0 + 1e-6) * c.rest_energy
         mc2_sq = c.rest_energy * c.rest_energy
         floor = -1e-12 * mc2_sq
 
         def f(E: float) -> float:
             e_tilde = E + V0
-            if abs(e_tilde) > edge:
-                raise EnergyOutOfWindow(f"|E + V0| = {abs(e_tilde)} > m0c^2")
             arg = mc2_sq - e_tilde * e_tilde
             if arg < 0.0:
                 if arg < floor:

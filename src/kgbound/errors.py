@@ -26,7 +26,8 @@ class UnrealRadicand(KGBoundError):
 
 
 class EnergyOutOfWindow(KGBoundError):
-    """|E + V0| exceeds the rest energy; epsilon would be imaginary."""
+    """|E + V0| exceeds the rest energy, where epsilon would be imaginary, or
+    an oracle window end meets it, where epsilon is 0."""
 
 
 class NotBound(KGBoundError):

@@ -54,7 +54,7 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 import numpy as np
 
 from .coulomb_mixed import MixedCoulombParams
-from .errors import ConvergenceFailure, InvalidParameter, NoBracket
+from .errors import ConvergenceFailure, EnergyOutOfWindow, InvalidParameter, NoBracket
 from .levels import require_quantum_numbers
 from .scalar_linear import LinearMassParams
 from .units import require_finite_square
@@ -359,8 +359,11 @@ def solve_modelA(
     1e-10 * m0c^2; only a scan with no sign change evaluates every point, and
     NoBracket lists them all.  On a memo hit for lam_n no numpy call is made.
     `window` restricts the search, e.g. to isolate one of the
-    particle/antiparticle roots; it does not change lam_n.  `scan_points`
-    must be an integer of at least 2.
+    particle/antiparticle roots; it does not change lam_n.  The physical
+    window is padded 1e-9 m0c^2 inside the continuum edges; where |V0| is so
+    large that rounding loses the pad, a window end with eps = 0 raises
+    EnergyOutOfWindow before any evaluation.  `scan_points` must be an
+    integer of at least 2.
     """
     require_quantum_numbers(n, l)
     # int first: numbers.Integral's ABC check costs 0.4 us even for an int
@@ -376,6 +379,9 @@ def solve_modelA(
     lo, hi = float(max(window[0], lo_phys)), float(min(window[1], hi_phys))
     if not lo < hi:
         raise InvalidParameter("empty energy window")
+    # at |V0| >> m0c^2 the pad can be lost when the ends are rounded
+    if params.epsilon(lo) == 0.0 or params.epsilon(hi) == 0.0:
+        raise EnergyOutOfWindow(f"eps = 0 at an end of the energy window [{lo!r}, {hi!r}]")
     f = params.matching_function(sturmian_eigenvalue(p, n))
     scan = _linspace(lo, hi, scan_points)
     values = []

@@ -7,7 +7,12 @@ carries two fixture sets: `full`, run by the acceptance gate
 (tests/test_acceptance.py, one test per criterion over this registry), and
 `quick`, run by the `verify` CLI command.  A check with no `quick` set is not
 in `verify`.  A row whose `in_verify` is False is an acceptance condition of
-a check that `verify` runs, printed by the gate only.  A fixture set may
+a check that `verify` runs, printed by the gate only.  Each `<=` row is
+reduced by `_upper` from one deviation per level (or case): its observed
+value is the worst deviation, a NaN anywhere makes it NaN and fails the row,
+and its level count is the number of deviations.  A check marks a level it
+cannot measure (unconfirmed by the oracle, mislabelled) with an infinite
+deviation, and a counting row gives 0.0 or 1.0 per case.  A fixture set may
 state `min_levels`, the level count its rows must cover: a row over fewer
 levels fails, so levels relabelled out of the checked set cannot leave a row
 passing over what remains.
@@ -50,11 +55,12 @@ class Check:
         return self.observed >= self.tolerance
 
 
-def _upper(name, tol, observed, levels, in_verify=True, fx=None):
-    """A `<=` row; over a fixture set `fx` that states `min_levels`, it must
-    cover that many levels."""
-    return Check(name, "<=", tol, float(observed), levels, in_verify,
-                 getattr(fx, "min_levels", 0))
+def _upper(name, tol, deviations, in_verify=True, fx=None):
+    """A `<=` row over a list of deviations, one per level: it observes the
+    worst, NaN if any is NaN and 0.0 over none.  Over a fixture set `fx` that
+    states `min_levels`, it must cover that many levels."""
+    return Check(name, "<=", tol, float(np.max(deviations, initial=0.0)), len(deviations),
+                 in_verify, getattr(fx, "min_levels", 0))
 
 
 @dataclass(frozen=True)
@@ -98,13 +104,13 @@ def _nu_engine(fx, mode):
     problem = coulomb_mixed.nu_problem(params, 0, fx.energy)
     branch = nu.select(nu.branches(problem), problem)
     root = math.sqrt(1.0 + 4.0 * params.gamma2(0))
-    coulomb = max(
+    coulomb = [
         abs(branch.pi.c1 + eps),
         abs(branch.pi.c0 - 0.5 * (1.0 + root)),
         abs(branch.k + params.gamma1(fx.energy) + eps * root),
         abs(branch.tau_prime + 2.0 * eps),
         abs(branch.tau.c0 - (1.0 + root)),
-    )
+    ]
 
     # oscillator-form reduction at its ground-state energy
     sparams = scalar_linear.LinearMassParams(s=fx.s)
@@ -112,29 +118,20 @@ def _nu_engine(fx, mode):
     sproblem = scalar_linear.nu_problem(sparams, 0, e0)
     sbranch = nu.select(nu.branches(sproblem), sproblem)
     sroot = math.sqrt(4.0 * sparams.alpha2(0) + 1.0)
-    oscillator = max(
-        abs(sbranch.tau.c1 + 2.0 * sparams.alpha1),
-        abs(sbranch.tau.c0 - (2.0 + sroot)),
-    )
+    oscillator = [abs(sbranch.tau.c1 + 2.0 * sparams.alpha1), abs(sbranch.tau.c0 - (2.0 + sroot))]
 
-    # perfect-square property of every solved k
-    discriminant = 0.0
-    for prob in (problem, sproblem):
-        for k in nu.solve_k(prob):
-            rad = nu.radicand(prob, k)
-            disc = rad.c1**2 - 4.0 * rad.c0 * rad.c2
-            discriminant = max(discriminant, abs(disc) / max(rad.scale() ** 2, 1.0))
+    # perfect-square property of every solved k, relative to the radicand's scale
+    radicands = [nu.radicand(prob, k) for prob in (problem, sproblem) for k in nu.solve_k(prob)]
+    discriminant = [abs(rad.c1**2 - 4.0 * rad.c0 * rad.c2) / max(rad.scale() ** 2, 1.0)
+                    for rad in radicands]
 
     # ground-state quantization vanishes identically
-    ground = max(
-        abs(nu.quantize(branch, problem, 0)[1]),
-        abs(nu.quantize(sbranch, sproblem, 0)[1]),
-    )
+    ground = [abs(nu.quantize(branch, problem, 0)[1]), abs(nu.quantize(sbranch, sproblem, 0)[1])]
     return [
-        _upper("nu-branch-regression-coulomb", 1e-12, coulomb, 1),
-        _upper("nu-branch-regression-oscillator", 1e-12, oscillator, 1),
-        _upper("nu-discriminant-zero", 1e-12, discriminant, 2),
-        _upper("nu-quantize-ground", 0.0, ground, 2),
+        _upper("nu-branch-regression-coulomb", 1e-12, coulomb),
+        _upper("nu-branch-regression-oscillator", 1e-12, oscillator),
+        _upper("nu-discriminant-zero", 1e-12, discriminant),
+        _upper("nu-quantize-ground", 0.0, ground),
     ]
 
 
@@ -181,23 +178,20 @@ def scalar_field_mismatch(params: scalar_linear.LinearMassParams, E: float, l: i
 
 def _mixed_fields(fx, mode):
     """Every params of the set at E = -V0 + m0c^2 cos(theta), l <= l_max."""
-    worst, count = 0.0, 0
-    for params, theta, l, r in itertools.product(fx.params, fx.thetas, range(fx.l_max + 1),
-                                                 fx.radii):
-        E = -params.V0 + params.constants.rest_energy * math.cos(theta)
-        worst = max(worst, mixed_field_mismatch(params, E, l, r))
-        count += 1
-    return [_upper("mixed-field-reduction", 1e-12, worst, count)]
+    return [_upper("mixed-field-reduction", 1e-12, [
+        mixed_field_mismatch(params, -params.V0 + params.constants.rest_energy * math.cos(theta),
+                             l, r)
+        for params, theta, l, r in itertools.product(fx.params, fx.thetas, range(fx.l_max + 1),
+                                                     fx.radii)
+    ])]
 
 
 def _scalar_fields(fx, mode):
-    worst, count = 0.0, 0
-    for s, L, E, l, r in itertools.product(fx.s_values, fx.length_scales, fx.energies,
-                                           range(fx.l_max + 1), fx.radii):
-        params = scalar_linear.LinearMassParams(s=s, length_scale=L)
-        worst = max(worst, scalar_field_mismatch(params, E, l, r))
-        count += 1
-    return [_upper("scalar-field-reduction", 1e-12, worst, count)]
+    return [_upper("scalar-field-reduction", 1e-12, [
+        scalar_field_mismatch(scalar_linear.LinearMassParams(s=s, length_scale=L), E, l, r)
+        for s, L, E, l, r in itertools.product(fx.s_values, fx.length_scales, fx.energies,
+                                               range(fx.l_max + 1), fx.radii)
+    ])]
 
 
 # ---------------------------------------------------------------------------
@@ -205,85 +199,74 @@ def _scalar_fields(fx, mode):
 
 
 def _constant_mass(fx, mode):
-    """Equal-mix E+ against (N^2 - q^2)/(N^2 + q^2); E- must sit at the threshold."""
-    worst, mislabeled, count = 0.0, 0, 0
+    """Equal-mix E+ against (N^2 - q^2)/(N^2 + q^2); E- must sit at the
+    threshold, a 1.0 flag where it does not."""
+    spectrum, mislabeled = [], []
     for q in fx.qs:
         params = MixedCoulombParams.equal_mix(q)
         for n, l in _quantum_numbers(fx):
             e_plus, e_minus = coulomb_mixed.candidate_energies(params, n, l)
             N = n + l + 1
-            worst = max(worst, abs(e_plus - (N * N - q * q) / (N * N + q * q)))
+            spectrum.append(abs(e_plus - (N * N - q * q) / (N * N + q * q)))
             row = coulomb_mixed.validate(params, n, l, e_minus, "antiparticle")
-            if row.status != THRESHOLD or abs(row.energy + 1.0) > 1e-12:
-                mislabeled += 1
-            count += 1
+            mislabeled.append(float(row.status != THRESHOLD or not abs(row.energy + 1.0) <= 1e-12))
     return [
-        _upper("mixed-constant-mass-spectrum", 1e-12, worst, count),
-        _upper("mixed-antiparticle-threshold", 0.0, mislabeled, count),
+        _upper("mixed-constant-mass-spectrum", 1e-12, spectrum),
+        _upper("mixed-antiparticle-threshold", 0.0, mislabeled),
     ]
 
 
 def _bound_residuals(fx, mode):
-    residuals = [row.residual for _, row in _levels(fx)]
-    return [_upper("mixed-bound-residuals", 1e-10, max(residuals, default=0.0), len(residuals),
+    return [_upper("mixed-bound-residuals", 1e-10, [row.residual for _, row in _levels(fx)],
                    fx=fx)]
 
 
 def _duality(fx, mode):
     """q = b/2 varying-mass tables equal their constant-mass partners', row by
-    row: energies, and labels (n, l, branch, status)."""
-    worst, count = 0.0, 0
+    row: energies, and labels (n, l, branch, status).  A label mismatch
+    deviates infinitely; an unreal row's NaN energy would read NaN (the
+    fixtures have no unreal rows)."""
+    deviations = []
     for q, beta in itertools.product(fx.qs, fx.betas):
         varying = MixedCoulombParams(q=q, b=2.0 * q, beta=beta)
         for a, b in zip(
             coulomb_mixed.spectrum(varying, fx.n_max, fx.l_max),
             coulomb_mixed.spectrum(varying.dual(), fx.n_max, fx.l_max),
         ):
-            if (a.n, a.l, a.branch, a.status) != (b.n, b.l, b.branch, b.status):
-                worst = math.inf
-            worst = max(worst, abs(a.energy - b.energy))
-            count += 1
-    return [_upper("mixed-mass-duality", 1e-12, worst, count)]
+            same = (a.n, a.l, a.branch, a.status) == (b.n, b.l, b.branch, b.status)
+            deviations.append(abs(a.energy - b.energy) if same else math.inf)
+    return [_upper("mixed-mass-duality", 1e-12, deviations)]
+
+
+def _oracle_deviation(fx, params, row):
+    """Relative deviation of one level from the oracle, searching
+    +/- half_width * m0c^2 around it; a level that is not bound, or that the
+    oracle cannot confirm, deviates infinitely."""
+    if row.status != BOUND:
+        return math.inf
+    half = fx.half_width * params.constants.rest_energy
+    try:
+        e_num = oracle.solve_modelA(params, row.n, row.l, (row.energy - half, row.energy + half),
+                                    fx.scan_points)
+    except KGBoundError:  # NoBracket, ConvergenceFailure, ...
+        return math.inf
+    return abs(e_num - row.energy) / abs(row.energy)
 
 
 def _mixed_oracle(fx, mode):
-    """Relative deviation from the oracle, searching +/- half_width * m0c^2
-    around each closed-form level; a level that is not bound, or that the
-    oracle cannot confirm, counts as infinite."""
-    worst, count = 0.0, 0
-    for params, row in _levels(fx):
-        count += 1
-        if row.status != BOUND:
-            worst = math.inf
-            continue
-        half = fx.half_width * params.constants.rest_energy
-        try:
-            e_num = oracle.solve_modelA(
-                params,
-                row.n,
-                row.l,
-                window=(row.energy - half, row.energy + half),
-                scan_points=fx.scan_points,
-            )
-        except KGBoundError:  # NoBracket, ConvergenceFailure, ...
-            worst = math.inf
-            continue
-        worst = max(worst, abs(e_num - row.energy) / abs(row.energy))
-    return [_upper("mixed-oracle-agreement", 1e-6, worst, count, fx=fx)]
+    return [_upper("mixed-oracle-agreement", 1e-6,
+                   [_oracle_deviation(fx, params, row) for params, row in _levels(fx)], fx=fx)]
 
 
 def _mixed_normalization(fx, mode):
     """Closed-form norm against quadrature, and the unit integral of u^2."""
-    pair, unit, count = 0.0, 0.0, 0
-    for params, row in _levels(fx):
-        wf = wavefunctions.build_mixed(params, row)
-        ratio = wavefunctions.norm_closed_mixed(params, row) / wf.norm
-        pair = max(pair, abs(ratio - 1.0))
-        unit = max(unit, abs(ratio**2 - 1.0))
-        count += 1
+    ratios = [wavefunctions.norm_closed_mixed(params, row)
+              / wavefunctions.build_mixed(params, row).norm for params, row in _levels(fx)]
     return [
-        _upper("mixed-normalization-closed-vs-quadrature", 1e-8, pair, count, fx=fx),
-        _upper("mixed-normalization-unit-integral", 1e-8, unit, count, in_verify=False, fx=fx),
+        _upper("mixed-normalization-closed-vs-quadrature", 1e-8,
+               [abs(ratio - 1.0) for ratio in ratios], fx=fx),
+        _upper("mixed-normalization-unit-integral", 1e-8,
+               [abs(ratio**2 - 1.0) for ratio in ratios], in_verify=False, fx=fx),
     ]
 
 
@@ -293,27 +276,25 @@ def _mixed_normalization(fx, mode):
 
 def _scalar_oracle(fx, mode):
     """E^2 of `mode` against the oracle; at s = 0, also against (4n + 2l + 3)/L."""
-    worst, ladder, count, ladder_count = 0.0, 0.0, 0, 0
+    agreement, ladder = [], []
     for s, L in itertools.product(fx.s_values, fx.length_scales):
         params = scalar_linear.LinearMassParams(s=s, length_scale=L)
         for n, l in _quantum_numbers(fx):
             e2 = scalar_linear.energy_squared(params, n, l, mode)
             e2_num = oracle.solve_modelB(params, n, l)
-            worst = max(worst, abs(e2 - e2_num) / abs(e2_num))
+            agreement.append(abs(e2 - e2_num) / abs(e2_num))
             if s == 0.0:
                 exact = (4 * n + 2 * l + 3) / L
-                ladder = max(ladder, abs(e2 - exact) / exact)
-                ladder_count += 1
-            count += 1
+                ladder.append(abs(e2 - exact) / exact)
     return [
-        _upper(f"scalar-oracle-agreement[{mode}]", 1e-6, worst, count),
-        _upper("scalar-uncoupled-ladder", 1e-6, ladder, ladder_count, in_verify=False),
+        _upper(f"scalar-oracle-agreement[{mode}]", 1e-6, agreement),
+        _upper("scalar-uncoupled-ladder", 1e-6, ladder, in_verify=False),
     ]
 
 
 def _printed_offset(fx, mode):
     """The two modes differ by exactly (m0c^2 hbar c / L)(2n + 1)."""
-    worst, count = 0.0, 0
+    deviations = []
     for L in fx.length_scales:
         params = scalar_linear.LinearMassParams(s=fx.s, length_scale=L)
         c = params.constants
@@ -321,30 +302,28 @@ def _printed_offset(fx, mode):
         for n, l in _quantum_numbers(fx):
             gap = scalar_linear.energy_squared(params, n, l, "as_printed") - \
                 scalar_linear.energy_squared(params, n, l, "corrected")
-            worst = max(worst, abs(gap + unit * (2 * n + 1)))
-            count += 1
-    return [_upper("scalar-printed-offset-identity", 1e-12, worst, count)]
+            deviations.append(abs(gap + unit * (2 * n + 1)))
+    return [_upper("scalar-printed-offset-identity", 1e-12, deviations)]
 
 
 def _printed_forms(fx, mode):
     """The corrected exponent solves the radial equation and the printed one
-    does not; the printed norm is right at n = 0 and infinite for n >= 1."""
+    does not; the printed norm is right at n = 0 and infinite for n >= 1, a
+    1.0 flag for each (n, l) where it is not."""
     params = scalar_linear.LinearMassParams(s=fx.s)
     E = math.sqrt(scalar_linear.energy_squared(params, 0, 0))
     good = wavefunctions.build_scalar(params, 0, 0, E)
     bad = wavefunctions.build_scalar(params, 0, 0, E, as_printed=True)
     n0 = abs(wavefunctions.norm_closed_scalar_printed(params, 0, 0) / good.norm - 1.0)
-    finite = sum(
-        not math.isinf(wavefunctions.norm_closed_scalar_printed(params, n, l))
-        for n, l in itertools.product(fx.ns, fx.ls)
-    )
+    finite = [float(not math.isinf(wavefunctions.norm_closed_scalar_printed(params, n, l)))
+              for n, l in itertools.product(fx.ns, fx.ls)]
     return [
         _upper("scalar-corrected-exponent-residual", 1e-6,
-               wavefunctions.ode_residual(good, params, E, fx.grid), 1),
+               [wavefunctions.ode_residual(good, params, E, fx.grid)]),
         Check("scalar-printed-exponent-residual", ">=", 1e-2,
               wavefunctions.ode_residual(bad, params, E, fx.grid), 1),
-        _upper("scalar-printed-normalization-n0", 1e-8, n0, 1),
-        _upper("scalar-printed-normalization-unusable-n>=1", 0.0, finite, len(fx.ns) * len(fx.ls)),
+        _upper("scalar-printed-normalization-n0", 1e-8, [n0]),
+        _upper("scalar-printed-normalization-unusable-n>=1", 0.0, finite),
     ]
 
 
@@ -357,13 +336,12 @@ def _universal_eigenvalues(fx, mode):
     not the NU closed form: lam_n(p) = 2(n + p), the Coulomb-Sturmian
     (hydrogen-like) coupling, and sigma_n(p) = 4n + 2p + 1, the radial
     oscillator."""
-    worst, count = 0.0, 0
+    deviations = []
     for p, n in itertools.product(fx.ps, range(fx.n_max + 1)):
         lam, sigma = 2.0 * (n + p), 4.0 * n + 2.0 * p + 1.0
-        worst = max(worst, abs(oracle.sturmian_eigenvalue(p, n) - lam) / lam,
-                    abs(oracle.oscillator_eigenvalue(p, n) - sigma) / sigma)
-        count += 2
-    return [_upper("oracle-universal-eigenvalues", 1e-7, worst, count)]
+        deviations += [abs(oracle.sturmian_eigenvalue(p, n) - lam) / lam,
+                       abs(oracle.oscillator_eigenvalue(p, n) - sigma) / sigma]
+    return [_upper("oracle-universal-eigenvalues", 1e-7, deviations)]
 
 
 def _textbook_schemes(fx, mode):
@@ -383,8 +361,7 @@ def _textbook_schemes(fx, mode):
         for i, c in enumerate(coarse)
     ]
     rows = [
-        _upper(f"hydrogen-{kind}", 1e-4,
-               max(abs(v - e) / e for v, e in zip(values, fx.exact)), len(fx.exact))
+        _upper(f"hydrogen-{kind}", 1e-4, [abs(v - e) / e for v, e in zip(values, fx.exact)])
         for kind, values in (("coarse", coarse), ("richardson", richardson))
     ]
     errors = [
@@ -392,7 +369,7 @@ def _textbook_schemes(fx, mode):
             - fx.exact[0])
         for points in fx.h2_points
     ]
-    rows.append(_upper("hydrogen-h2-factor", 0.5, abs(errors[0] / errors[1] - 4.0), 1))
+    rows.append(_upper("hydrogen-h2-factor", 0.5, [abs(errors[0] / errors[1] - 4.0)]))
     return rows
 
 

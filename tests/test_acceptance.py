@@ -10,11 +10,12 @@ Tolerances are frozen; loosening one is a release decision, not a test fix.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from kgbound import cli, coulomb_mixed as cm, verify
+from kgbound import cli, coulomb_mixed as cm, oracle, verify
 
 
 def _report(capsys, criterion: int, rows):
@@ -61,6 +62,19 @@ def test_rows_fail_over_fewer_levels(monkeypatch):
     ]
     for c in rows:
         assert c.levels == c.min_levels // 2 and c.observed <= c.tolerance and not c.passed
+
+
+def test_nan_oracle_fails_its_rows(monkeypatch):
+    """With both oracles returning NaN, the rows of criteria 2 and 4 that
+    compare against them read NaN over every level and fail."""
+    monkeypatch.setattr(oracle, "solve_modelA", lambda *args, **kwargs: math.nan)
+    monkeypatch.setattr(oracle, "solve_modelB", lambda *args, **kwargs: math.nan)
+    rows = {c.name: c for spec in verify.REGISTRY if spec.criterion in (2, 4)
+            for c in spec.measure(spec.full, "corrected")}
+    for name, levels in (("mixed-oracle-agreement", 234),
+                         ("scalar-oracle-agreement[corrected]", 192)):
+        row = rows[name]
+        assert math.isnan(row.observed) and row.levels == levels and not row.passed
 
 
 @pytest.mark.usefixtures("verify_once")

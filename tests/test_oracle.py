@@ -16,7 +16,8 @@ from scipy.linalg import eigh_tridiagonal
 from hypothesis import assume, example, given, settings, strategies as st
 
 from kgbound import coulomb_mixed as cm, oracle, scalar_linear as sl, verify
-from kgbound.errors import ConvergenceFailure, InvalidParameter, NoBracket, UnrealRadicand
+from kgbound.errors import (ConvergenceFailure, EnergyOutOfWindow, InvalidParameter, NoBracket,
+                            UnrealRadicand)
 from kgbound.levels import ANTIPARTICLE, BOUND, PARTICLE
 from kgbound.units import PhysicalConstants
 
@@ -571,6 +572,20 @@ class TestModelA:
         params = cm.MixedCoulombParams(q=0.5)
         with pytest.raises(ValueError):
             oracle.solve_modelA(params, 0, 0, window=(2.0, 3.0))
+
+    @pytest.mark.parametrize("V0", [1e9, -1e9])
+    def test_window_end_rounded_onto_continuum(self, eigensolves, V0):
+        # at |V0| = 1e9 m0c^2, -m0c^2 - V0 + 1e-9 m0c^2 rounds to -m0c^2 - V0:
+        # eps = 0 at both ends of the physical window, refused before any
+        # evaluation or eigensolve.  A +/-1e-5 window around the level solves
+        params = cm.MixedCoulombParams(q=0.5, V0=V0)
+        with pytest.raises(EnergyOutOfWindow, match="eps = 0 at an end"):
+            oracle.solve_modelA(params, 0, 0)
+        assert eigensolves == []
+        e_plus = cm.candidate_energies(params, 0, 0)[0]
+        E = oracle.solve_modelA(params, 0, 0, window=(e_plus - 1e-5, e_plus + 1e-5),
+                                scan_points=3)
+        assert E == e_plus == 0.6 - V0
 
 
 class TestBrent:

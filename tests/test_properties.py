@@ -260,7 +260,7 @@ def test_matching_function_inside_window(params, cos_theta, lam):
 @PROPERTY
 @given(params=mixed_params, excess=st.floats(1e-9, 10.0), sign=st.sampled_from([1.0, -1.0]),
        lam=finite)
-# |E + V0| between m0c^2 and its 1 + 1e-6 margin, then past the margin
+# |E + V0| just past m0c^2, then well past it
 @example(params=cm.MixedCoulombParams(q=0.5), excess=1e-7, sign=-1.0, lam=0.0)
 @example(params=cm.MixedCoulombParams(q=0.5), excess=1e-3, sign=1.0, lam=0.0)
 def test_matching_function_outside_window(params, excess, sign, lam):
@@ -278,6 +278,33 @@ def test_matching_function_outside_window(params, excess, sign, lam):
 def test_scalar_reduction_matches_fields(s, length_scale, consts, E, l, r):
     params = sl.LinearMassParams(s=s, length_scale=length_scale, constants=consts)
     assert verify.scalar_field_mismatch(params, E, l, r) <= 1e-12
+
+
+# A registry `<=` row is reduced from one deviation per level by
+# verify._upper: the worst deviation, NaN wherever a NaN sits.
+deviation_lists = st.lists(st.floats(allow_nan=False), max_size=8)
+tolerance = st.floats(allow_nan=False)
+
+
+@PROPERTY
+@given(deviations=deviation_lists, tol=tolerance)
+def test_upper_observes_worst_deviation(deviations, tol):
+    row = verify._upper("row", tol, deviations)
+    assert row.observed == max([0.0, *deviations]) and row.levels == len(deviations)
+    assert row.passed == (row.observed <= tol)
+
+
+@PROPERTY
+@given(deviations=deviation_lists, tol=tolerance, data=st.data())
+def test_upper_fails_on_nan_anywhere(deviations, tol, data):
+    deviations.insert(data.draw(st.integers(0, len(deviations))), math.nan)
+    row = verify._upper("row", tol, deviations)
+    assert math.isnan(row.observed) and row.levels == len(deviations) and not row.passed
+
+
+def test_upper_over_no_levels():
+    row = verify._upper("row", 0.0, [])
+    assert (row.observed, row.levels, row.passed) == (0.0, 0, True)
 
 
 def _spectrum_json(*argv) -> dict:
