@@ -97,7 +97,8 @@ def _params(args, swept: str | None = None):
     """The parameters of `--model` from the flags that are set; an unset
     flag leaves its dataclass default. A coupling of the other model exits 2,
     and so does an unset required coupling (q or s) unless it is the `swept`
-    one, which then reads 0: each sweep row carries its own value."""
+    one, which then reads 0: the sweep's tables take that field from its
+    column of values, never from these parameters."""
     values = _set(args, _COUPLINGS[args.model])
     for field in _COUPLINGS[args.model]:
         if field.default is dataclasses.MISSING and field.name not in values:
@@ -255,19 +256,17 @@ def _meta(args, command: str, params, **before_params) -> dict:
     return meta
 
 
-def _spectrum_columns(args, params_seq: list, unit: float) -> dict[str, np.ndarray]:
-    """The `spectrum` table of each params in `params_seq`, one after another,
-    with energies in `unit`."""
-    # numpy refuses an array of over sys.maxsize bytes with a bare ValueError;
-    # a column holds two 8-byte cells per (params, l, n)
-    if 16 * len(params_seq) * max(args.n_max + 1, 0) * max(args.l_max + 1, 0) > sys.maxsize:
-        raise InvalidParameter("--n-max and --l-max ask for a table larger than an array can hold")
+def _spectrum_columns(args, params, unit: float, key=None, values=None) -> dict[str, np.ndarray]:
+    """The `spectrum` table of `params`, or given a field `key` and a float
+    array `values`, the tables of `params` with `key` set to each value, one
+    after another, with energies in `unit`."""
     if args.model == "mixed":
-        cols = coulomb_mixed.spectrum_columns(params_seq, args.n_max, args.l_max)
+        cols = coulomb_mixed.spectrum_columns(params, args.n_max, args.l_max, key, values)
         names = ("n", "l", "branch", "energy", "status", "residual")
         cols["residual"] = cols["residual"] / unit
     else:
-        cols = scalar_linear.spectrum_columns(params_seq, args.n_max, args.l_max, args.mode)
+        cols = scalar_linear.spectrum_columns(params, args.n_max, args.l_max, args.mode,
+                                              key, values)
         names = ("n", "l", "branch", "energy", "energy_squared", "status")
         cols["energy_squared"] = cols["energy_squared"] / (unit * unit)
     cols["energy"] = cols["energy"] / unit
@@ -280,7 +279,7 @@ def _spectrum_columns(args, params_seq: list, unit: float) -> dict[str, np.ndarr
 
 def cmd_spectrum(args) -> int:
     params = _params(args)
-    columns = _spectrum_columns(args, [params], _energy_unit(args))
+    columns = _spectrum_columns(args, params, _energy_unit(args))
     _emit(args, _meta(args, "spectrum", params), columns)
     return 0
 
@@ -413,17 +412,15 @@ def cmd_sweep(args) -> int:
             f" (choose from {', '.join(keys)})"
         )
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        values = np.array([float(v) for v in args.values.split(",") if v.strip()])
     except ValueError:
-        values = []
-    if not values:
+        values = np.array([])
+    if not len(values):
         raise InvalidParameter(f"--values takes comma-separated numbers, got {args.values!r}")
     unit = _energy_unit(args)
     base = _params(args, swept=args.key)
-    table = _spectrum_columns(
-        args, [dataclasses.replace(base, **{args.key: value}) for value in values], unit)
-    per_value = len(table["n"]) // len(values)
-    columns = {args.key: np.repeat(np.array(values), per_value), **table}
+    table = _spectrum_columns(args, base, unit, args.key, values)
+    columns = {args.key: np.repeat(values, len(table["n"]) // len(values)), **table}
     _emit(args, _meta(args, "sweep", base, sweep_key=args.key), columns, blocks=len(values))
     return 0
 

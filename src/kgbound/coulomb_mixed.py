@@ -15,7 +15,6 @@ bound.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,9 +56,17 @@ class MixedCoulombParams:
     constants: PhysicalConstants = NATURAL
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.q, self.b, self.beta, self.V0))):
-            raise InvalidParameter("q, b, beta and V0 must be finite")
-        require_finite_square(q=self.q, b=self.b, beta=self.beta)
+        if not self.admits(self.q, self.b, self.beta, self.V0):
+            if not all(map(math.isfinite, (self.q, self.b, self.beta, self.V0))):
+                raise InvalidParameter("q, b, beta and V0 must be finite")
+            require_finite_square(q=self.q, b=self.b, beta=self.beta)
+
+    @staticmethod
+    def admits(q, b, beta, V0):
+        """Whether the couplings pass the check of `__post_init__`: V0 is
+        finite and q, b and beta have finite squares.  Floats, or arrays
+        that broadcast, elementwise; a sweep checks its values with it."""
+        return (q * q < np.inf) & (b * b < np.inf) & (beta * beta < np.inf) & (abs(V0) < np.inf)
 
     @classmethod
     def equal_mix(cls, q, b=0.0, constants=NATURAL):
@@ -207,9 +214,11 @@ def _classify(q, b, beta, V0, mc2, Q, B, E):
         return code, np.where(outside, math.inf, residual)
 
 
-def _couplings(params: MixedCoulombParams):
-    c = params.constants
-    return params.q, params.b, params.beta, params.V0, c.rest_energy, c.hbar_c
+def _couplings(params: MixedCoulombParams, key: str | None = None, values=None):
+    """q, b, beta, V0, m0c^2 and hbar*c of `params`; a swept field `key` takes
+    the float array `values` on the first axis of (value, l, n, branch)."""
+    return (*levels.swept(params, ("q", "b", "beta", "V0"), key, values, 4),
+            params.constants.rest_energy, params.constants.hbar_c)
 
 
 def candidate_energies(params: MixedCoulombParams, n: int, l: int):
@@ -231,20 +240,19 @@ def validate(params: MixedCoulombParams, n: int, l: int, E: float, branch: str) 
 
 
 def spectrum_columns(
-    params_seq: Sequence[MixedCoulombParams], n_max: int, l_max: int
+    params: MixedCoulombParams, n_max: int, l_max: int, key: str | None = None, values=None
 ) -> dict[str, np.ndarray]:
-    """The `spectrum` tables of every params in `params_seq`, one after
-    another, as columns named after the EnergyLevel fields.
+    """The `spectrum` table of `params` as columns named after the EnergyLevel
+    fields; given a field `key` and a float array `values`, the tables of
+    `params` with `key` set to each value, one after another.
 
-    One array pass: rows run over (params, l, n, branch), and B, with its
-    effective L, is computed once per (params, l, n).
+    The values are checked as one array by `MixedCoulombParams.admits`
+    before any table is built. One array pass: rows run over (value, l, n,
+    branch), and B, with its effective L, is computed once per (value, l, n).
     """
-    if n_max < 0 or l_max < 0:
-        raise InvalidParameter("n_max and l_max must be nonnegative")
-    # axes (params, l, n, branch)
-    q, b, beta, V0, mc2, Q = (
-        np.array([_couplings(p) for p in params_seq]).reshape(-1, 6).T[:, :, None, None, None]
-    )
+    # axes (value, l, n, branch)
+    q, b, beta, V0, mc2, Q = _couplings(params, key, values)
+    levels.require_table(n_max, l_max, 1 if key is None else len(values))
     l = np.arange(l_max + 1).reshape(-1, 1, 1)
     n = np.arange(n_max + 1).reshape(-1, 1)
     with np.errstate(all="ignore"):
@@ -272,7 +280,7 @@ def spectrum(params: MixedCoulombParams, n_max: int, l_max: int) -> list[EnergyL
     energies, never aborting the table.  Rows come in (l, n, branch) order:
     antiparticle sorts before particle.
     """
-    return levels.from_columns(spectrum_columns([params], n_max, l_max))
+    return levels.from_columns(spectrum_columns(params, n_max, l_max))
 
 
 def bound_levels(rows: list[EnergyLevel]) -> list[EnergyLevel]:

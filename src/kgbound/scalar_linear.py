@@ -14,7 +14,6 @@ silently fixed.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +35,18 @@ class LinearMassParams:
     constants: PhysicalConstants = NATURAL
 
     def __post_init__(self):
-        if not math.isfinite(self.s):
-            raise InvalidParameter("s must be finite")
-        require_finite_square(s=self.s)
-        if not 0.0 < self.length_scale < math.inf:
+        if not self.admits(self.s, self.length_scale):
+            if not math.isfinite(self.s):
+                raise InvalidParameter("s must be finite")
+            require_finite_square(s=self.s)
             raise InvalidParameter("length_scale must be positive and finite")
+
+    @staticmethod
+    def admits(s, length_scale):
+        """Whether the couplings pass the check of `__post_init__`: s has a
+        finite square and 0 < length_scale < inf.  Floats, or arrays that
+        broadcast, elementwise; a sweep checks its values with it."""
+        return (s * s < np.inf) & (0.0 < length_scale) & (length_scale < np.inf)
 
     @property
     def alpha1(self) -> float:
@@ -104,9 +110,11 @@ def _coef(n, mode: str):
     return 4 * n + 2 if mode == "corrected" else 2 * n + 1
 
 
-def _couplings(params: LinearMassParams):
+def _couplings(params: LinearMassParams, key: str | None = None, values=None):
+    """s, L, hbar*c and m0c^2 of `params`; a swept field `key` takes the float
+    array `values` on the first axis of (value, l, n)."""
     c = params.constants
-    return params.s, params.length_scale, c.hbar_c, c.rest_energy
+    return (*levels.swept(params, ("s", "length_scale"), key, values, 3), c.hbar_c, c.rest_energy)
 
 
 def energy_squared(params: LinearMassParams, n: int, l: int, mode: str = "corrected") -> float:
@@ -120,20 +128,21 @@ def energy_squared(params: LinearMassParams, n: int, l: int, mode: str = "correc
 
 
 def spectrum_columns(
-    params_seq: Sequence[LinearMassParams], n_max: int, l_max: int, mode: str = "corrected"
+    params: LinearMassParams, n_max: int, l_max: int, mode: str = "corrected",
+    key: str | None = None, values=None
 ) -> dict[str, np.ndarray]:
-    """The `spectrum` tables of every params in `params_seq`, one after
-    another, as columns named after the EnergyLevel fields, plus each row's
-    `energy_squared`.  One array pass: rows run over (params, l, n, branch).
+    """The `spectrum` table of `params` as columns named after the EnergyLevel
+    fields, plus each row's `energy_squared`; given a field `key` and a float
+    array `values`, the tables of `params` with `key` set to each value, one
+    after another.  The values are checked as one array by
+    `LinearMassParams.admits` before any table is built.  One array pass:
+    rows run over (value, l, n, branch).
     """
-    if n_max < 0 or l_max < 0:
-        raise InvalidParameter("n_max and l_max must be nonnegative")
+    # axes (value, l, n)
+    s, length_scale, Q, mc2 = _couplings(params, key, values)
+    levels.require_table(n_max, l_max, 1 if key is None else len(values))
     n = np.arange(n_max + 1)
     coef = _coef(n, mode)
-    # axes (params, l, n)
-    s, length_scale, Q, mc2 = (
-        np.array([_couplings(p) for p in params_seq]).reshape(-1, 4).T[:, :, None, None]
-    )
     l = np.arange(l_max + 1).reshape(-1, 1)
     e2 = _energy_squared(s, length_scale, Q, mc2, coef, l)
     e = np.sqrt(e2)
@@ -156,4 +165,4 @@ def spectrum(
 
     Rows come in (l, n, branch) order: antiparticle sorts before particle.
     """
-    return levels.from_columns(spectrum_columns([params], n_max, l_max, mode))
+    return levels.from_columns(spectrum_columns(params, n_max, l_max, mode))

@@ -285,6 +285,28 @@ class TestTableWriter:
         assert code == 0 and len(out.splitlines()) == 6 + 1 + 3200  # header, names, rows
         assert [formatted[v] for v in values] == [1] * 100
 
+    @pytest.mark.parametrize("model, key", [
+        (("--model", "mixed", "--b", "0.5", "--q", "0.3"), "q"),
+        (("--model", "scalar-linear", "--s", "1", "--length-scale", "2"), "s"),
+    ])
+    def test_sweep_checks_its_values_as_one_column(self, capsys, monkeypatch, model, key):
+        """A 100-value sweep builds its base parameters and no params per value."""
+        cls = cli._PARAMS[model[1]]
+        checks = []
+        check = cls.__post_init__
+
+        def spy(params):
+            checks.append(params)
+            return check(params)
+
+        monkeypatch.setattr(cls, "__post_init__", spy)
+        values = [0.05 + 0.009 * k for k in range(100)]
+        code, out, _ = run(capsys, "sweep", *model, "--key", key,
+                           "--values", ",".join(map(repr, values)))
+        # the header (the scalar model's has its mode line), the names, the rows
+        assert code == 0 and len(out.splitlines()) == 6 + (model[1] != "mixed") + 1 + 3200
+        assert len(checks) <= 1
+
     def test_sweep_fills_repeated_columns_once(self, capsys, monkeypatch):
         """A 100-value, 3200-row sweep hands `_cells` one 32-row block of the
         columns that every block repeats: n, l and branch."""

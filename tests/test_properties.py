@@ -6,13 +6,15 @@ import io
 import json
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kgbound import cli, coulomb_mixed as cm, scalar_linear as sl, verify
-from kgbound.errors import EnergyOutOfWindow, InvalidParameter, UnrealRadicand
+from kgbound.errors import EnergyOutOfWindow, InvalidParameter, KGBoundError, UnrealRadicand
 from kgbound.levels import ANTIPARTICLE, BOUND, PARTICLE, SPURIOUS, THRESHOLD, UNREAL
 from kgbound.units import NATURAL, PhysicalConstants
 
@@ -176,50 +178,120 @@ table_params = st.builds(cm.MixedCoulombParams, q=special | coupling, b=special 
 LEVEL_FIELDS = ("n", "l", "branch", "energy", "status", "residual")
 
 
+def _swept(params, sweep):
+    """The parameters of each table of a sweep, one `replace` per value: the
+    route the column pass replaced, kept as its reference."""
+    if sweep is None:
+        return [params]
+    key, values = sweep
+    return [replace(params, **{key: value}) for value in values]
+
+
+def _sweep_args(sweep) -> tuple:
+    return () if sweep is None else (sweep[0], np.array(sweep[1]))
+
+
+def sweeps(**values):
+    """None (one table) or a field name with a list of its values."""
+    return st.none() | st.one_of(*(st.tuples(st.just(key), st.lists(draw, min_size=1, max_size=3))
+                                   for key, draw in values.items()))
+
+
 @PROPERTY
-@given(seq=st.lists(table_params, min_size=1, max_size=3), n_max=sizes, l_max=sizes)
-@example(seq=[cm.MixedCoulombParams(q=1.0, b=1.0), cm.MixedCoulombParams(q=0.0)], n_max=2, l_max=2)
+@given(params=table_params, n_max=sizes, l_max=sizes,
+       sweep=sweeps(q=special | coupling, b=special | coupling, beta=special | coupling,
+                    V0=special | coupling | st.floats(-1e5, 1e5)))
+@example(params=cm.MixedCoulombParams(q=1.0, b=1.0), sweep=("q", [1.0, 0.0]), n_max=2, l_max=2)
 @example(  # out-of-window candidates: unreal rows with an infinite residual
-    seq=[cm.MixedCoulombParams(q=1.0, V0=-31350.455522678614,
-                               constants=PhysicalConstants(rest_energy=0.001242033433596999))],
-    n_max=2, l_max=2)
+    params=cm.MixedCoulombParams(q=1.0, V0=-31350.455522678614,
+                                 constants=PhysicalConstants(rest_energy=0.001242033433596999)),
+    sweep=None, n_max=2, l_max=2)
 @example(  # candidates just past the window: the first raises EnergyOutOfWindow
-    seq=[cm.MixedCoulombParams(q=0.5), cm.MixedCoulombParams(
-        q=0.3, V0=278.51865461056667, constants=PhysicalConstants(rest_energy=0.022546962785822505)),
-        cm.MixedCoulombParams(
-        q=1.0, V0=3611.522967859111, constants=PhysicalConstants(rest_energy=0.11426086114709125))],
-    n_max=2, l_max=2)
-@example(seq=[cm.MixedCoulombParams(q=UNEVEN_SQUARE, b=0.5, beta=UNEVEN_SQUARE / 2)],
-         n_max=3, l_max=3)
-def test_mixed_table_matches_level_loop(seq, n_max, l_max):
+    params=cm.MixedCoulombParams(q=0.3, constants=PhysicalConstants(rest_energy=0.022546962785822505)),
+    sweep=("V0", [0.0, 278.51865461056667, 3611.522967859111]), n_max=2, l_max=2)
+@example(params=cm.MixedCoulombParams(q=UNEVEN_SQUARE, b=0.5, beta=UNEVEN_SQUARE / 2),
+         sweep=None, n_max=3, l_max=3)
+def test_mixed_table_matches_level_loop(params, sweep, n_max, l_max):
+    seq = _swept(params, sweep)
     try:
-        expected = [_bits(row) for params in seq for row in _reference_mixed(params, n_max, l_max)]
+        expected = [_bits(row) for p in seq for row in _reference_mixed(p, n_max, l_max)]
     except EnergyOutOfWindow as exc:
         with pytest.raises(EnergyOutOfWindow, match=re.escape(str(exc))):
-            cm.spectrum_columns(seq, n_max, l_max)
+            cm.spectrum_columns(params, n_max, l_max, *_sweep_args(sweep))
         return
-    assert _table_rows(cm.spectrum_columns(seq, n_max, l_max), LEVEL_FIELDS) == expected
+    columns = cm.spectrum_columns(params, n_max, l_max, *_sweep_args(sweep))
+    assert _table_rows(columns, LEVEL_FIELDS) == expected
 
 
 @PROPERTY
-@given(seq=st.lists(st.builds(sl.LinearMassParams, s=special | coupling,
-                              length_scale=st.floats(0.1, 10.0),
-                              constants=st.just(NATURAL) | constants), min_size=1, max_size=3),
+@given(params=st.builds(sl.LinearMassParams, s=special | coupling, length_scale=st.floats(0.1, 10.0),
+                        constants=st.just(NATURAL) | constants),
+       sweep=sweeps(s=special | coupling, length_scale=st.floats(0.1, 10.0)),
        n_max=sizes, l_max=sizes, mode=st.sampled_from(sl.MODES))
-@example(seq=[sl.LinearMassParams(s=UNEVEN_SQUARE), sl.LinearMassParams(s=-UNEVEN_SQUARE)],
+@example(params=sl.LinearMassParams(s=UNEVEN_SQUARE), sweep=("s", [UNEVEN_SQUARE, -UNEVEN_SQUARE]),
          n_max=3, l_max=3, mode="corrected")
-def test_scalar_table_matches_level_loop(seq, n_max, l_max, mode):
+def test_scalar_table_matches_level_loop(params, sweep, n_max, l_max, mode):
     expected = []
-    for params in seq:
+    for p in _swept(params, sweep):
         for l in range(l_max + 1):
             for n in range(n_max + 1):
-                e2 = _reference_energy_squared(params, n, l, mode)
-                assert sl.energy_squared(params, n, l, mode) == e2
+                e2 = _reference_energy_squared(p, n, l, mode)
+                assert sl.energy_squared(p, n, l, mode) == e2
                 e = math.sqrt(e2)
                 expected += [_bits((n, l, ANTIPARTICLE, -e, BOUND, 0.0, e2)),
                              _bits((n, l, PARTICLE, e, BOUND, 0.0, e2))]
-    columns = sl.spectrum_columns(seq, n_max, l_max, mode)
+    columns = sl.spectrum_columns(params, n_max, l_max, mode, *_sweep_args(sweep))
     assert _table_rows(columns, LEVEL_FIELDS + ("energy_squared",)) == expected
+
+
+# A sweep's values are checked once, as one column; its bytes, stderr and exit
+# code are those of the route that built one params per value, each checked
+# by its own __post_init__, whose tables the same writer then wrote.
+SWEEP_BASE = {"q": ("mixed", "--q", "0.5"), "b": ("mixed", "--q", "0.5"),
+              "beta": ("mixed", "--q", "0.5"), "V0": ("mixed", "--q", "0.5"),
+              "s": ("scalar-linear", "--s", "1"), "length_scale": ("scalar-linear", "--s", "1")}
+sweep_values = st.lists(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -1e200, 0.0, -0.0, -1.0, 1.5e154])
+    | coupling | st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=4)
+
+
+def _reference_sweep(argv: list[str], key: str, values: list[float]) -> tuple[int, str, str]:
+    args = cli.build_parser().parse_args(argv)
+    out = io.StringIO()
+    try:
+        base = cli._params(args, swept=key)
+        seq = [replace(base, **{key: value}) for value in values]
+        tables = [cli._spectrum_columns(args, p, cli._energy_unit(args)) for p in seq]
+        columns = {name: np.concatenate([t[name] for t in tables]) for name in tables[0]}
+        per_value = len(columns["n"]) // len(values)
+        columns = {key: np.repeat(np.array(values), per_value), **columns}
+        with contextlib.redirect_stdout(out):
+            cli._emit(args, cli._meta(args, "sweep", base, sweep_key=key), columns,
+                      blocks=len(values))
+    except KGBoundError as exc:
+        return 2, "", f"error: {exc}\n"
+    return 0, out.getvalue(), ""
+
+
+@PROPERTY
+@given(key=st.sampled_from(sorted(SWEEP_BASE)), values=sweep_values,
+       output=st.sampled_from(["csv", "json"]), size=st.sampled_from(["1", "100000000000"]))
+@example(key="length_scale", values=[1.0, -0.0, math.nan], output="csv", size="1")
+@example(key="beta", values=[1.0, 1e200], output="csv", size="1")
+@example(key="V0", values=[1e200, -math.inf], output="json", size="1")
+@example(key="q", values=[0.5, math.nan, 1e200], output="csv", size="1")  # two messages: the first's
+@example(key="s", values=[-1e200, math.inf], output="csv", size="1")
+# a bad value and a table too large to allocate: the value is named
+@example(key="q", values=[math.nan], output="csv", size="100000000000")
+@example(key="length_scale", values=[2.0, 0.0], output="csv", size="100000000000")
+def test_sweep_matches_per_value_params(key, values, output, size):
+    model, *flags = SWEEP_BASE[key]
+    argv = ["sweep", "--model", model, *flags, "--key", key, "--values=" + ",".join(map(repr, values)),
+            "--n-max", size, "--l-max", size, "--output", output]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, out.getvalue(), err.getvalue()) == _reference_sweep(argv, key, values)
 
 
 # The reduction against the physical fields: k^2(r) rebuilt point by point
