@@ -124,13 +124,40 @@ def _bulk(spec: str, x: np.ndarray) -> list[str]:
     return (f"{spec}\n" * len(x) % tuple(x.tolist())).split("\n")[:-1]
 
 
+def _spec(col: np.ndarray, as_json: bool) -> tuple[str, np.ndarray]:
+    """The conversion spec of a float column and the mask of the cells that
+    spec would get wrong."""
+    if as_json:
+        return "%r", ~np.isfinite(col)
+    return "%.12g", np.abs(col) < 1e-3  # ±0 and the tiny cells; false for nan
+
+
+def _strings(col: np.ndarray, as_json: bool) -> list[str]:
+    """Each float of `col` as its cell: the column formatted in bulk by its
+    spec, and the cells the spec would get wrong patched."""
+    spec, odd = _spec(col, as_json)
+    if not odd.any():
+        return _bulk(spec, col)
+    cells = np.empty(len(col), dtype=object)
+    cells[~odd] = _bulk(spec, col[~odd])
+    if as_json:
+        x = col[odd]
+        cells[odd] = np.where(np.isnan(x), "NaN", np.where(x > 0, "Infinity", "-Infinity")).tolist()
+    else:
+        cells[odd] = _bulk("%.11e", col[odd])
+        cells[col == 0] = "0"  # not %.11e's 0.00000000000e+00
+    return cells.tolist()
+
+
 def _cells(col: np.ndarray, as_json: bool) -> tuple[str, list]:
     """One column's conversion spec and the values it converts, by
     :func:`_emit`'s cell rule and the column's dtype. A float column whose
-    runs of equal cells (equal bits, so 0.0 and -0.0 differ) at least halve
-    it has each run formatted once and the string repeated. Otherwise the
-    cells a float spec would get wrong are found by one mask; the column is
-    then formatted in bulk, those cells are patched, and it takes `%s`."""
+    runs of equal magnitude (equal bits but the sign's, so x and -x, 0.0 and
+    -0.0 share a run) at least halve it has each run's |x| formatted once;
+    each cell takes that string, with a `-` where its sign bit is set, but
+    for NaN and a CSV zero, which print unsigned. A float column with a cell
+    its spec would get wrong is formatted by :func:`_strings`. Both take
+    `%s`."""
     if col.dtype.kind == "i":
         return "%d", col.tolist()
     if col.dtype.kind != "f":
@@ -140,29 +167,23 @@ def _cells(col: np.ndarray, as_json: bool) -> tuple[str, list]:
         encoded = {label: json.dumps(label) for label in set(labels)}
         return "%s", list(map(encoded.__getitem__, labels))
     bits = col.view(np.int64)
-    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    if 2 * len(starts) <= len(col):  # never true of col[starts] itself
-        firsts = col[starts]
-        spec, cells = _cells(firsts, as_json)
-        if spec != "%s":
-            cells = _bulk(spec, firsts)
-        runs = np.diff(starts, append=len(col))
-        return "%s", np.repeat(np.array(cells, dtype=object), runs).tolist()
-    if as_json:
-        spec, odd = "%r", ~np.isfinite(col)
-    else:
-        spec, odd = "%.12g", np.abs(col) < 1e-3  # ±0 and the tiny cells; false for nan
-    if not odd.any():
-        return spec, col.tolist()
-    cells = np.empty(len(col), dtype=object)
-    cells[~odd] = _bulk(spec, col[~odd])
-    if as_json:
-        x = col[odd]
-        cells[odd] = np.where(np.isnan(x), "NaN", np.where(x > 0, "Infinity", "-Infinity")).tolist()
-    else:
-        cells[odd] = _bulk("%.11e", col[odd])
-        cells[col == 0] = "0"  # not %.11e's 0.00000000000e+00
-    return "%s", cells.tolist()
+    magnitude = bits & np.int64(0x7FFF_FFFF_FFFF_FFFF)
+    starts = np.concatenate(([True], magnitude[1:] != magnitude[:-1]))
+    runs = np.count_nonzero(starts)
+    if 2 * runs <= len(col):
+        cells = _strings(magnitude[starts].view(np.float64), as_json)
+        signed = (bits < 0) & ~np.isnan(col)
+        if not as_json:
+            signed &= col != 0  # fmt(-0.0) is 0
+        index = np.cumsum(starts) - 1  # each cell's run
+        if signed.any():  # the negative of run k's cell is cells[k + runs]
+            index += runs * signed
+            cells += ["-" + cell for cell in cells]
+        return "%s", np.array(cells, dtype=object)[index].tolist()
+    spec, odd = _spec(col, as_json)
+    if odd.any():
+        return "%s", _strings(col, as_json)
+    return spec, col.tolist()
 
 
 def _row_major(values: list[list], nrows: int) -> tuple:
@@ -191,10 +212,11 @@ def _emit(args, meta: dict, columns: dict[str, np.ndarray], blocks: int = 1) -> 
     JSON float is its `repr`, with `NaN`, `Infinity` and `-Infinity`, so the
     bytes are `json.dumps(..., indent=2)`'s.
 
-    A table of `blocks` equal-length blocks, such as a sweep's spectra, has
-    the columns that read the same in every block filled into one block's
-    rows by a first `%`; that block is repeated, and the final `%` fills only
-    the other columns.
+    A table of `blocks` equal-length blocks, such as a sweep's spectra or a
+    spectrum's l-blocks, has the columns that read the same in every block
+    filled into one block's rows by a first `%`; that block is repeated, and
+    the final `%` fills only the other columns. A float column's runs of
+    equal magnitude are formatted once, as :func:`_cells` says.
     """
     as_json = args.output == "json"
     nrows = len(next(iter(columns.values())))
@@ -280,7 +302,8 @@ def _spectrum_columns(args, params, unit: float, key=None, values=None) -> dict[
 def cmd_spectrum(args) -> int:
     params = _params(args)
     columns = _spectrum_columns(args, params, _energy_unit(args))
-    _emit(args, _meta(args, "spectrum", params), columns)
+    # rows run over (l, n, branch): one block per l
+    _emit(args, _meta(args, "spectrum", params), columns, blocks=args.l_max + 1)
     return 0
 
 

@@ -26,8 +26,11 @@ from .units import NATURAL, PhysicalConstants, require_finite_square
 
 # epsilon below this (in units of m0*c^2/hbar*c) counts as a continuum edge
 THRESHOLD_TOL = 1e-12
-# unsquared-condition residual below this (in units of m0*c^2) counts as bound
+# unsquared-condition residual below this (in units of m0*c^2), plus the
+# allowance for V0's rounding that `_classify` states, counts as bound
 RESIDUAL_TOL = 1e-10
+# the relative spacing of floats: |x| * _ULP is at least one ulp of x
+_ULP = np.finfo(float).eps
 
 # statuses by the codes `_classify` gives them, and the branches of a level
 _STATUSES = np.array([UNREAL, THRESHOLD, BOUND, SPURIOUS], dtype=object)
@@ -205,12 +208,21 @@ def _classify(q, b, beta, V0, mc2, Q, B, E):
         if far.any():
             first = np.extract(far, np.broadcast_to(e_tilde, far.shape))[0]
             raise EnergyOutOfWindow(f"|E + V0| = {float(abs(first))} > m0c^2")
-        eps = np.sqrt(np.maximum(arg, 0.0)) / Q
+        root = np.sqrt(np.maximum(arg, 0.0))  # eps * hbar*c
+        eps = root / Q
         gamma1 = (2.0 * (b - q) * mc2 - 2.0 * q * beta * e_tilde) / Q
         residual = abs(2.0 * B * eps + gamma1) * Q
+        # E = -V0 + ... carries V0's rounding into E + V0, up to an ulp of V0
+        # (1.2e-7 at |V0| = 1e9). The bound test allows for it times the
+        # residual's slope in E + V0, 2*(B*|E + V0|/(eps*hbar*c) + |q*beta|),
+        # up to B*eps*hbar*c: a quarter of the residual of a spurious
+        # candidate, whose gamma1 is +2*B*eps
+        rounding = 2.0 * _ULP * abs(V0)
+        allowance = np.minimum(rounding * (B * abs(inside) / root + abs(q * beta)), B * root)
+        bound = residual < RESIDUAL_TOL * mc2 + allowance
         # the first rule that holds sets the status: unreal, threshold, bound, else spurious
         code = np.where(outside, 0, np.where(eps <= THRESHOLD_TOL * mc2 / Q, 1,
-                                             np.where(residual < RESIDUAL_TOL * mc2, 2, 3)))
+                                             np.where(bound, 2, 3)))
         return code, np.where(outside, math.inf, residual)
 
 

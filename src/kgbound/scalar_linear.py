@@ -153,7 +153,7 @@ def spectrum_columns(
         "branch": np.broadcast_to(np.array(BRANCHES, dtype=object), shape).ravel(),
         "energy": np.stack((-e, e), axis=-1).ravel(),
         "energy_squared": np.repeat(e2.ravel(), 2),
-        "status": np.full(e.size * 2, BOUND, dtype=object),
+        "status": np.broadcast_to(np.array(BOUND, dtype=object), e.size * 2),
         "residual": np.zeros(e.size * 2),
     }
 

@@ -148,6 +148,30 @@ class TestValidate:
         assert row.status == SPURIOUS
         assert row.residual == pytest.approx(3.2, abs=1e-12)
 
+    @pytest.mark.parametrize("V0", [1e9, -1e9])
+    def test_bound_at_large_offset(self, V0):
+        # E + V0 carries the rounding of E, an ulp of 1e9 being 1.2e-7, so the
+        # n = 0 particle level's residual is far past RESIDUAL_TOL; it is bound
+        p = cm.MixedCoulombParams(q=0.5, V0=V0)
+        e_plus, _ = cm.candidate_energies(p, 0, 0)
+        row = cm.spectrum(p, 0, 0)[1]
+        assert (row.branch, row.energy, row.status) == ("particle", e_plus, BOUND)
+        assert row.residual > cm.RESIDUAL_TOL
+        assert cm.validate(p, 0, 0, e_plus, "particle").status == BOUND
+        # the squaring artifact of test_spurious_squaring_artifact stays spurious
+        p = cm.MixedCoulombParams(q=0.5, b=1.0, beta=1.0, V0=V0)
+        _, e_minus = cm.candidate_energies(p, 0, 0)
+        assert cm.validate(p, 0, 0, e_minus, "antiparticle").status == SPURIOUS
+
+    def test_squaring_artifact_at_the_edge(self):
+        # E + V0 sits one ulp from -m0c^2, where the residual's slope in
+        # E + V0 is about 2e9; in exact arithmetic this candidate's unsquared
+        # condition misses by 4e-9, so the allowance for V0's rounding must
+        # stop at its cap, B*eps*hbar*c, and leave it spurious
+        p = cm.MixedCoulombParams(q=1.0, beta=1.000000001, V0=-1.9158713332215074)
+        _, e_minus = cm.candidate_energies(p, 14, 0)
+        assert cm.validate(p, 14, 0, e_minus, "antiparticle").status == SPURIOUS
+
     def test_unreal_energy(self):
         p = cm.MixedCoulombParams(q=0.5)
         row = cm.validate(p, 0, 0, 1.5, "particle")
