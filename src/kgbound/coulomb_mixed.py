@@ -8,8 +8,9 @@ moves by -V0).  The radial problem reduces to
 
 whose closed-form levels come in a particle/antiparticle pair per (n, l).
 The pair is obtained by squaring the unsquared condition 2*B*eps = -gamma1,
-so every candidate is re-validated by back-substitution before it is called
-bound.
+so a candidate is a level only where gamma1 < 0: it is labelled by that sign,
+past a continuum edge set by float resolution, and its back-substitution
+residual is reported as a check of the formula.
 """
 
 from __future__ import annotations
@@ -24,13 +25,10 @@ from .errors import EnergyOutOfWindow, InvalidParameter, UnrealRadicand
 from .levels import BOUND, BRANCHES, SPURIOUS, THRESHOLD, UNREAL, EnergyLevel
 from .units import NATURAL, PhysicalConstants, require_finite_square
 
-# epsilon below this (in units of m0*c^2/hbar*c) counts as a continuum edge
-THRESHOLD_TOL = 1e-12
-# unsquared-condition residual below this (in units of m0*c^2), plus the
-# allowance for V0's rounding that `_classify` states, counts as bound
-RESIDUAL_TOL = 1e-10
-# the relative spacing of floats: |x| * _ULP is at least one ulp of x
-_ULP = np.finfo(float).eps
+# E + V0 carries the rounding of E and of V0, a few ulps of m0c^2 + |V0|, so
+# eps^2 (hbar c)^2 = m0^2c^4 - (E + V0)^2 is resolved no finer than this
+# times m0c^2 (m0c^2 + |V0|): a candidate below it sits on the continuum edge
+_EDGE_ULPS = 8.0 * np.finfo(float).eps
 
 # statuses by the codes `_classify` gives them, and the branches of a level
 _STATUSES = np.array([UNREAL, THRESHOLD, BOUND, SPURIOUS], dtype=object)
@@ -192,11 +190,17 @@ def _outside(e_tilde, mc2):
 
 
 def _classify(q, b, beta, V0, mc2, Q, B, E):
-    """Status codes (indices into _STATUSES) and residuals of the energies E
-    at B, by back-substituting the unsquared condition 2*B*eps = -gamma1.
-    Floats or broadcasting arrays; the energies and their flattened order
-    set the result's.  An in-window energy whose eps^2 is below
-    -1e-12 m0^2c^4 raises EnergyOutOfWindow, the first in that order."""
+    """Status codes (indices into _STATUSES) and residuals of the candidate
+    energies E at B.  Floats or broadcasting arrays; the energies and their
+    flattened order set the result's.  An in-window energy whose eps^2 is
+    below -1e-12 m0^2c^4 raises EnergyOutOfWindow, the first in that order.
+
+    The squared condition has the roots gamma1 = -+2*B*eps, and only
+    gamma1 = -2*B*eps solves the unsquared 2*B*eps = -gamma1, so the first
+    rule that holds sets the status: unreal outside the window; threshold
+    where eps^2 (hbar c)^2 is within float resolution of 0 (`_EDGE_ULPS`);
+    bound where gamma1 < 0; else spurious.  The residual
+    |2*B*eps + gamma1|*hbar*c is reported, not used: it checks the candidate."""
     with np.errstate(all="ignore"):
         e_tilde = E + V0
         outside = _outside(e_tilde, mc2)
@@ -208,21 +212,11 @@ def _classify(q, b, beta, V0, mc2, Q, B, E):
         if far.any():
             first = np.extract(far, np.broadcast_to(e_tilde, far.shape))[0]
             raise EnergyOutOfWindow(f"|E + V0| = {float(abs(first))} > m0c^2")
-        root = np.sqrt(np.maximum(arg, 0.0))  # eps * hbar*c
-        eps = root / Q
+        eps = np.sqrt(np.maximum(arg, 0.0)) / Q
         gamma1 = (2.0 * (b - q) * mc2 - 2.0 * q * beta * e_tilde) / Q
         residual = abs(2.0 * B * eps + gamma1) * Q
-        # E = -V0 + ... carries V0's rounding into E + V0, up to an ulp of V0
-        # (1.2e-7 at |V0| = 1e9). The bound test allows for it times the
-        # residual's slope in E + V0, 2*(B*|E + V0|/(eps*hbar*c) + |q*beta|),
-        # up to B*eps*hbar*c: a quarter of the residual of a spurious
-        # candidate, whose gamma1 is +2*B*eps
-        rounding = 2.0 * _ULP * abs(V0)
-        allowance = np.minimum(rounding * (B * abs(inside) / root + abs(q * beta)), B * root)
-        bound = residual < RESIDUAL_TOL * mc2 + allowance
-        # the first rule that holds sets the status: unreal, threshold, bound, else spurious
-        code = np.where(outside, 0, np.where(eps <= THRESHOLD_TOL * mc2 / Q, 1,
-                                             np.where(bound, 2, 3)))
+        edge = arg <= _EDGE_ULPS * mc2 * (mc2 + abs(V0))
+        code = np.where(outside, 0, np.where(edge, 1, np.where(gamma1 < 0.0, 2, 3)))
         return code, np.where(outside, math.inf, residual)
 
 
@@ -244,7 +238,8 @@ def candidate_energies(params: MixedCoulombParams, n: int, l: int):
 
 
 def validate(params: MixedCoulombParams, n: int, l: int, E: float, branch: str) -> EnergyLevel:
-    """Classify a candidate energy by back-substituting the unsquared condition."""
+    """Label a candidate energy of (n, l), as `_classify` states, with its
+    back-substitution residual."""
     levels.require_quantum_numbers(n, l)
     B = math.nan if _outside(E + params.V0, params.constants.rest_energy) else params.B(n, l)
     code, residual = _classify(*_couplings(params), B, E)

@@ -34,6 +34,11 @@ from . import coulomb_mixed, nu, oracle, scalar_linear, wavefunctions
 from .coulomb_mixed import MixedCoulombParams
 from .errors import InvalidParameter, KGBoundError
 from .levels import BOUND, PARTICLE, THRESHOLD
+from .units import PhysicalConstants
+
+# back-substitution residual |2*B*eps + gamma1|*hbar*c of a bound level, in
+# units of m0c^2 (the mixed fixtures' natural units); the label does not read it
+RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -199,17 +204,19 @@ def _scalar_fields(fx, mode):
 
 
 def _constant_mass(fx, mode):
-    """Equal-mix E+ against (N^2 - q^2)/(N^2 + q^2); E- must sit at the
-    threshold, a 1.0 flag where it does not."""
+    """Equal-mix E+ against m0c^2 (N^2 - q^2)/(N^2 + q^2), relative to m0c^2,
+    at each rest energy; E- must sit at the threshold -m0c^2, a 1.0 flag
+    where it does not."""
     spectrum, mislabeled = [], []
-    for q in fx.qs:
-        params = MixedCoulombParams.equal_mix(q)
+    for q, mc2 in itertools.product(fx.qs, fx.rest_energies):
+        params = MixedCoulombParams.equal_mix(q, constants=PhysicalConstants(rest_energy=mc2))
         for n, l in _quantum_numbers(fx):
             e_plus, e_minus = coulomb_mixed.candidate_energies(params, n, l)
             N = n + l + 1
-            spectrum.append(abs(e_plus - (N * N - q * q) / (N * N + q * q)))
+            spectrum.append(abs(e_plus - mc2 * (N * N - q * q) / (N * N + q * q)) / mc2)
             row = coulomb_mixed.validate(params, n, l, e_minus, "antiparticle")
-            mislabeled.append(float(row.status != THRESHOLD or not abs(row.energy + 1.0) <= 1e-12))
+            mislabeled.append(float(row.status != THRESHOLD
+                                    or not abs(row.energy + mc2) <= 1e-12 * mc2))
     return [
         _upper("mixed-constant-mass-spectrum", 1e-12, spectrum),
         _upper("mixed-antiparticle-threshold", 0.0, mislabeled),
@@ -217,8 +224,8 @@ def _constant_mass(fx, mode):
 
 
 def _bound_residuals(fx, mode):
-    return [_upper("mixed-bound-residuals", 1e-10, [row.residual for _, row in _levels(fx)],
-                   fx=fx)]
+    return [_upper("mixed-bound-residuals", RESIDUAL_TOL,
+                   [row.residual for _, row in _levels(fx)], fx=fx)]
 
 
 def _duality(fx, mode):
@@ -395,8 +402,9 @@ REGISTRY = (
     CheckDef(7, "scalar-linear", _scalar_fields, quick=None, full=_SCALAR_FIELDS),
     CheckDef(
         1, "mixed", _constant_mass,
-        quick=Fixtures(qs=(0.3, 0.5), n_max=2, l_max=2),
-        full=Fixtures(qs=(0.1, 0.3, 0.5, 0.9), n_max=3, l_max=3),
+        quick=Fixtures(qs=(0.3, 0.5), rest_energies=(1.0,), n_max=2, l_max=2),
+        full=Fixtures(qs=(0.1, 0.3, 0.5, 0.9), rest_energies=(1.0, 0.511, 204.94, 938.272),
+                      n_max=3, l_max=3),
     ),
     CheckDef(
         2, "mixed", _bound_residuals,
@@ -404,7 +412,7 @@ REGISTRY = (
             MixedCoulombParams(q=0.5),
             MixedCoulombParams(q=0.3, b=0.5, beta=-1.0),
             MixedCoulombParams(q=0.5, b=1.0, beta=1.0, V0=0.1),
-        ), n_max=2, l_max=2),
+        ), n_max=2, l_max=2, min_levels=18),
         full=Fixtures(params=_ACCEPTANCE_GRID, n_max=2, l_max=2, min_levels=234),
     ),
     CheckDef(3, "mixed", _duality, quick=_DUALITY, full=_DUALITY),
@@ -415,13 +423,13 @@ REGISTRY = (
             (MixedCoulombParams(q=0.5), 1, 0, "particle"),
             (MixedCoulombParams(q=0.3, b=0.5, beta=-1.0), 0, 0, "antiparticle"),
             (MixedCoulombParams(q=0.5, b=0.5, beta=1.0, V0=0.1), 0, 1, "particle"),
-        ), half_width=0.02, scan_points=33),
+        ), half_width=0.02, scan_points=33, min_levels=4),
         full=Fixtures(params=_ACCEPTANCE_GRID, n_max=2, l_max=2, half_width=1e-5, scan_points=3,
                       min_levels=234),
     ),
     CheckDef(
         6, "mixed", _mixed_normalization,
-        quick=Fixtures(params=(MixedCoulombParams(q=0.5),), n_max=3, l_max=1),
+        quick=Fixtures(params=(MixedCoulombParams(q=0.5),), n_max=3, l_max=1, min_levels=8),
         full=Fixtures(params=_ACCEPTANCE_GRID, n_max=5, l_max=2, min_levels=468),
     ),
     CheckDef(

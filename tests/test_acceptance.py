@@ -39,19 +39,24 @@ def test_criterion(capsys, criterion):
     ])
 
 
-def test_rows_fail_over_fewer_levels(monkeypatch):
-    """With the mixed candidates of every V0 != 0 set scaled by 1 + 2e-6,
-    those levels fail back-substitution and leave the checked set; each row
-    that states its level count then fails by the count, though its values
-    alone would pass."""
+def _scaled_where_offset(monkeypatch, scale):
+    """Patch the mixed candidates of every V0 != 0 set to be multiplied by
+    `scale`."""
     candidates = cm._candidates
 
-    def shifted(q, b, beta, V0, mc2, B):
+    def scaled(q, b, beta, V0, mc2, B):
         inner, e_plus, e_minus = candidates(q, b, beta, V0, mc2, B)
-        scale = np.where(V0 != 0.0, 1.0 + 2e-6, 1.0)
-        return inner, e_plus * scale, e_minus * scale
+        factor = np.where(V0 != 0.0, scale, 1.0)
+        return inner, e_plus * factor, e_minus * factor
 
-    monkeypatch.setattr(cm, "_candidates", shifted)
+    monkeypatch.setattr(cm, "_candidates", scaled)
+
+
+def test_rows_fail_over_fewer_levels(monkeypatch):
+    """With the mixed candidates of every V0 != 0 set NaN, those levels are
+    labelled spurious and leave the checked set; each row that states its
+    level count then fails by the count, though its values alone would pass."""
+    _scaled_where_offset(monkeypatch, math.nan)
     rows = [c for spec in verify.REGISTRY if hasattr(spec.full, "min_levels")
             for c in spec.measure(spec.full, "corrected")]
     assert [(c.name, c.min_levels) for c in rows] == [
@@ -62,6 +67,38 @@ def test_rows_fail_over_fewer_levels(monkeypatch):
     ]
     for c in rows:
         assert c.levels == c.min_levels // 2 and c.observed <= c.tolerance and not c.passed
+
+
+def test_shifted_candidates_fail_residuals_by_value(monkeypatch):
+    """With the mixed candidates of every V0 != 0 set scaled by 1 + 2e-6, the
+    levels keep their labels, since the label reads the sign of gamma1, and
+    the back-substitution residual fails by value over every level."""
+    _scaled_where_offset(monkeypatch, 1.0 + 2e-6)
+    spec = next(s for s in verify.REGISTRY if s.measure is verify._bound_residuals)
+    (row,) = spec.measure(spec.full, "corrected")
+    assert row.levels == row.min_levels == 234
+    assert row.observed > 1e-4 and not row.passed
+
+
+def test_quick_rows_fail_over_fewer_levels(monkeypatch):
+    """With every mixed particle candidate NaN, `verify` fails each mixed row
+    whose quick set states a level count: those that read a table by the
+    count, the oracle row over its listed levels by value."""
+    candidates = cm._candidates
+
+    def no_particles(q, b, beta, V0, mc2, B):
+        inner, e_plus, e_minus = candidates(q, b, beta, V0, mc2, B)
+        return inner, e_plus * math.nan, e_minus
+
+    monkeypatch.setattr(cm, "_candidates", no_particles)
+    rows = {c.name: c for c in verify.run_verify("mixed")}
+    for name, stated in (("mixed-bound-residuals", 18),
+                         ("mixed-normalization-closed-vs-quadrature", 8)):
+        row = rows[name]
+        assert row.min_levels == stated and row.levels < stated
+        assert row.observed <= row.tolerance and not row.passed
+    row = rows["mixed-oracle-agreement"]
+    assert (row.levels, row.min_levels, row.observed, row.passed) == (4, 4, math.inf, False)
 
 
 def test_nan_oracle_fails_its_rows(monkeypatch):

@@ -470,17 +470,35 @@ GOLDEN = [
 
 # sha256 of `wavefunction` stdout, pinned when L_n^alpha became a mantissa and
 # a power of two; u is one numpy exp of a sum of logs, so unlike GOLDEN these
-# bytes may depend on the last bit of numpy's exp and log on the platform
+# bytes may depend on the last bit of numpy's exp and log on the platform.
+# The CSV prints 12 digits, which hold across numpy's SIMD dispatch targets.
+# The JSON prints each float's 17-digit repr, whose last digit moves with
+# them (r from np.geomspace too), so a JSON case is pinned by its document
+# with each float rewritten at 12 digits (`_dispatch_free`).
 GOLDEN_WAVEFUNCTION = [
     ("wavefunction --model mixed --q 0.5 --n 2 --l 1 --samples 50",
      "cc0bb2a3cc53926ffd73483bf40c5befc77edb412e730a457238a58ed05b7e17"),
     ("wavefunction --model mixed --q 0.5 --n 2 --l 1 --samples 50 --output json",
-     "525a09cf1780ef26d4a79813d9420682112af438d211d3ced51acf7c16cdcd39"),
+     "9b0615c6dfdb1b91ca547287d4435285a5c828820b01d034f533aafb8b6c0136"),
     ("wavefunction --model scalar-linear --s 1 --n 3 --l 2 --samples 50 --r-max 8",
      "f76a25c09e8c5cdf67bdbf78209dad9c846b375caa8291d64991504ee4ebd5c9"),
     ("wavefunction --model scalar-linear --s 1 --n 3 --l 2 --samples 50 --r-max 8 --output json",
-     "ec25fbd1dceba5da6fde7e780941ccaf4343b35d2c9d8ac594772e5cbe094fd0"),
+     "b21ae234ef340b7c84888de9fef119d9bf3fb76ea25bbc145b1f90b84022e514"),
 ]
+
+
+def _dispatch_free(argv: str, out: str) -> str:
+    """The pinned form of a table's stdout: the bytes, or for a `wavefunction`
+    JSON document, the document with every float at 12 significant digits;
+    each must be written as its float's repr, which round-trips."""
+    if not (argv.startswith("wavefunction") and argv.endswith("--output json")):
+        return out
+
+    def number(text: str) -> str:
+        assert repr(float(text)) == text
+        return f"{float(text):.12g}"
+
+    return json.dumps(json.loads(out, parse_float=number))
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN + GOLDEN_WAVEFUNCTION,
@@ -488,7 +506,7 @@ GOLDEN_WAVEFUNCTION = [
 def test_golden_table_bytes(capsys, argv, digest):
     code, out, err = run(capsys, *argv.split())
     assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert hashlib.sha256(_dispatch_free(argv, out).encode()).hexdigest() == digest
 
 
 # sha256 of the three standard `verify` reports, pinned when the scalar

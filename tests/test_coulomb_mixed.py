@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from kgbound import coulomb_mixed as cm
+from kgbound import coulomb_mixed as cm, verify
 from kgbound.errors import EnergyOutOfWindow, InvalidParameter, UnrealRadicand
 from kgbound.levels import BOUND, SPURIOUS, THRESHOLD, UNREAL
 from kgbound.units import PhysicalConstants
@@ -151,26 +151,32 @@ class TestValidate:
     @pytest.mark.parametrize("V0", [1e9, -1e9])
     def test_bound_at_large_offset(self, V0):
         # E + V0 carries the rounding of E, an ulp of 1e9 being 1.2e-7, so the
-        # n = 0 particle level's residual is far past RESIDUAL_TOL; it is bound
+        # n = 0 particle level's residual is far past RESIDUAL_TOL; its gamma1
+        # is negative, so it is bound
         p = cm.MixedCoulombParams(q=0.5, V0=V0)
         e_plus, _ = cm.candidate_energies(p, 0, 0)
         row = cm.spectrum(p, 0, 0)[1]
         assert (row.branch, row.energy, row.status) == ("particle", e_plus, BOUND)
-        assert row.residual > cm.RESIDUAL_TOL
+        assert row.residual > verify.RESIDUAL_TOL
         assert cm.validate(p, 0, 0, e_plus, "particle").status == BOUND
         # the squaring artifact of test_spurious_squaring_artifact stays spurious
         p = cm.MixedCoulombParams(q=0.5, b=1.0, beta=1.0, V0=V0)
         _, e_minus = cm.candidate_energies(p, 0, 0)
         assert cm.validate(p, 0, 0, e_minus, "antiparticle").status == SPURIOUS
 
-    def test_squaring_artifact_at_the_edge(self):
-        # E + V0 sits one ulp from -m0c^2, where the residual's slope in
-        # E + V0 is about 2e9; in exact arithmetic this candidate's unsquared
-        # condition misses by 4e-9, so the allowance for V0's rounding must
-        # stop at its cap, B*eps*hbar*c, and leave it spurious
-        p = cm.MixedCoulombParams(q=1.0, beta=1.000000001, V0=-1.9158713332215074)
-        _, e_minus = cm.candidate_energies(p, 14, 0)
-        assert cm.validate(p, 14, 0, e_minus, "antiparticle").status == SPURIOUS
+    @pytest.mark.parametrize("params, n", [
+        # a squaring artifact in exact arithmetic, which misses the unsquared
+        # condition by 4e-9
+        (cm.MixedCoulombParams(q=1.0, beta=1.000000001, V0=-1.9158713332215074), 14),
+        # a level in exact arithmetic, eps = 9.6e-11 m0c^2/hbar*c
+        (cm.MixedCoulombParams(q=-1.0507214285116873, beta=1.000000001), 10),
+    ], ids=["artifact", "level"])
+    def test_one_ulp_from_the_edge_is_threshold(self, params, n):
+        # E + V0 sits one ulp from -m0c^2, which resolves eps*hbar*c no finer
+        # than 1.5e-8 m0c^2, so a level cannot be told from an artifact there
+        _, e_minus = cm.candidate_energies(params, n, 0)
+        assert e_minus + params.V0 == math.nextafter(-1.0, 0.0)
+        assert cm.validate(params, n, 0, e_minus, "antiparticle").status == THRESHOLD
 
     def test_unreal_energy(self):
         p = cm.MixedCoulombParams(q=0.5)

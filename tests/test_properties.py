@@ -76,22 +76,29 @@ def test_particle_above_antiparticle(params, n, l):
 
 
 def _rounding_allowance(params, n, l, E):
-    """What the bound test allows beyond RESIDUAL_TOL * m0c^2 at an in-window E
-    whose eps is past the threshold: V0's rounding in E + V0, up to an ulp of
-    V0, times the residual's slope in E + V0, capped at B*eps*hbar*c."""
+    """What a bound row's residual may exceed RESIDUAL_TOL * m0c^2 by at an
+    in-window E whose eps is past the threshold: the rounding of E + V0, an
+    ulp of m0c^2 + |V0| (E = -V0 + m0c^2 * ... carries both), times the
+    residual's slope in E + V0, capped at B*eps*hbar*c, a quarter of a
+    squaring artifact's residual."""
     mc2, e_tilde, B = params.constants.rest_energy, E + params.V0, params.B(n, l)
     root = math.sqrt(mc2 * mc2 - e_tilde * e_tilde)  # eps * hbar*c
-    rounding = 2.0 * sys.float_info.epsilon * abs(params.V0)
+    rounding = 2.0 * sys.float_info.epsilon * (mc2 + abs(params.V0))
     return min(rounding * (B * abs(e_tilde) / root + abs(params.q * params.beta)), B * root)
 
 
 @PROPERTY
 @given(params=mixed_params)
+# a level 3.8e-11 m0c^2 below the edge at V0 = 0: E's own rounding moves its
+# residual to 1.5e-10 m0c^2
+@example(params=cm.MixedCoulombParams(q=0.0078125, b=0.0078125, beta=0.0078125))
 def test_bound_rows_have_small_residual(params):
+    """The sign of gamma1 labels a row, and the residual checks it: a bound
+    row solves the unsquared condition to within float rounding."""
     for row in cm.spectrum(params, 3, 3):
         if row.status == BOUND:
             allowance = _rounding_allowance(params, row.n, row.l, row.energy)
-            assert row.residual < cm.RESIDUAL_TOL * params.constants.rest_energy + allowance
+            assert row.residual < verify.RESIDUAL_TOL * params.constants.rest_energy + allowance
 
 
 @PROPERTY
@@ -135,16 +142,17 @@ def _reference_candidates(params, n, l):
 
 
 def _reference_level(params, n, l, E, branch):
-    mc2, Q = params.constants.rest_energy, params.constants.hbar_c
-    if abs(E + params.V0) > mc2 * (1.0 + 1e-12):
+    """Unreal outside the window; threshold where eps^2 (hbar c)^2 is within
+    8 ulps of m0c^2 (m0c^2 + |V0|) of 0; bound where gamma1 < 0; else spurious."""
+    mc2, Q, e_tilde = params.constants.rest_energy, params.constants.hbar_c, E + params.V0
+    if abs(e_tilde) > mc2 * (1.0 + 1e-12):
         return (n, l, branch, E, UNREAL, math.inf)
-    eps = params.epsilon(E)
-    residual = abs(2.0 * params.B(n, l) * eps + params.gamma1(E)) * Q
-    if eps <= cm.THRESHOLD_TOL * mc2 / Q:
+    gamma1 = params.gamma1(E)
+    residual = abs(2.0 * params.B(n, l) * params.epsilon(E) + gamma1) * Q
+    edge = 8.0 * sys.float_info.epsilon * mc2 * (mc2 + abs(params.V0))
+    if mc2 * mc2 - e_tilde * e_tilde <= edge:
         return (n, l, branch, E, THRESHOLD, residual)
-    if residual < cm.RESIDUAL_TOL * mc2 + _rounding_allowance(params, n, l, E):
-        return (n, l, branch, E, BOUND, residual)
-    return (n, l, branch, E, SPURIOUS, residual)
+    return (n, l, branch, E, BOUND if gamma1 < 0.0 else SPURIOUS, residual)
 
 
 def _reference_mixed(params, n_max, l_max):
