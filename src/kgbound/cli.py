@@ -389,7 +389,7 @@ def cmd_nu_solve(args) -> int:
     else:
         energy = args.energy
         if energy is None:
-            energy = math.sqrt(scalar_linear.energy_squared(params, 0, args.l))
+            energy = math.sqrt(scalar_linear.energy_squared(params, args.n, args.l))
         problem = scalar_linear.nu_problem(params, args.l, energy)
     branches = nu.branches(problem)
     report = {

@@ -6,7 +6,9 @@ moves by -V0).  The radial problem reduces to
 
     u'' - (eps^2 + gamma1/r + gamma2/r^2) u = 0,
 
-whose closed-form levels come in a particle/antiparticle pair per (n, l).
+in which gamma2 (`_gamma2`) is the one definition of the angular term: the
+effective angular momentum L solves L(L + 1) = gamma2, and B = n + 1 + L.
+The closed-form levels come in a particle/antiparticle pair per (n, l).
 The pair is obtained by squaring the unsquared condition 2*B*eps = -gamma1,
 so a candidate is a level only where gamma1 < 0: it is labelled by that sign,
 past a continuum edge set by float resolution, and its back-substitution
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import levels, nu
 from .errors import EnergyOutOfWindow, InvalidParameter, UnrealRadicand
-from .levels import BOUND, BRANCHES, SPURIOUS, THRESHOLD, UNREAL, EnergyLevel
+from .levels import BOUND, BRANCHES, PARTICLE, SPURIOUS, THRESHOLD, UNREAL, EnergyLevel
 from .units import NATURAL, PhysicalConstants, require_finite_square
 
 # E + V0 carries the rounding of E and of V0, a few ulps of m0c^2 + |V0|, so
@@ -35,9 +37,11 @@ _STATUSES = np.array([UNREAL, THRESHOLD, BOUND, SPURIOUS], dtype=object)
 _BRANCHES = np.array(BRANCHES, dtype=object)
 
 
-def _radicand(q, b, beta, l):
-    """(l + 1/2)^2 + b(b - 2q) + q^2(1 - beta^2), for floats or arrays."""
-    return (l + 0.5) * (l + 0.5) + b * (b - 2.0 * q) + q * q * (1.0 - beta * beta)
+def _gamma2(q, b, beta, l):
+    """The centrifugal coefficient b(b - 2q) + q^2(1 - beta^2) + l(l + 1), the
+    one definition of the 1/r^2 term, for floats or arrays: the effective
+    angular momentum solves L(L + 1) = gamma2."""
+    return b * (b - 2.0 * q) + q * q * (1.0 - beta * beta) + l * (l + 1)
 
 
 @dataclass(frozen=True)
@@ -94,18 +98,13 @@ class MixedCoulombParams:
         raise InvalidParameter("duality partner defined only for b = 0 or b = 2q")
 
     def gamma2(self, l: int) -> float:
-        return (
-            self.b * (self.b - 2.0 * self.q)
-            + self.q * self.q * (1.0 - self.beta * self.beta)
-            + l * (l + 1)
-        )
+        return _gamma2(self.q, self.b, self.beta, l)
 
     def effective_L(self, l: int) -> float:
-        rad = _radicand(self.q, self.b, self.beta, l)
+        """L = sqrt(gamma2 + 1/4) - 1/2, the root of L(L + 1) = gamma2."""
+        rad = _gamma2(self.q, self.b, self.beta, l) + 0.25
         if rad < 0.0:
-            raise UnrealRadicand(
-                f"(l+1/2)^2 + b(b-2q) + q^2(1-beta^2) = {rad} < 0"
-            )
+            raise UnrealRadicand(f"gamma2 + 1/4 = {rad} < 0")
         return math.sqrt(rad) - 0.5
 
     def B(self, n: int, l: int) -> float:
@@ -238,12 +237,16 @@ def candidate_energies(params: MixedCoulombParams, n: int, l: int):
 
 
 def validate(params: MixedCoulombParams, n: int, l: int, E: float, branch: str) -> EnergyLevel:
-    """Label a candidate energy of (n, l), as `_classify` states, with its
-    back-substitution residual."""
+    """Label an energy of (n, l) on `branch` with its back-substitution
+    residual: its branch's candidate as `_classify` states, any other
+    in-window energy spurious."""
     levels.require_quantum_numbers(n, l)
-    B = math.nan if _outside(E + params.V0, params.constants.rest_energy) else params.B(n, l)
-    code, residual = _classify(*_couplings(params), B, E)
-    return EnergyLevel(n, l, branch, E, _STATUSES[code], float(residual))
+    q, b, beta, V0, mc2, Q = _couplings(params)
+    B = math.nan if _outside(E + V0, mc2) else params.B(n, l)
+    code, residual = _classify(q, b, beta, V0, mc2, Q, B, E)
+    candidate = _candidates(q, b, beta, V0, mc2, B)[1 if branch == PARTICLE else 2]
+    status = _STATUSES[code if code == 0 or E == candidate else 3]
+    return EnergyLevel(n, l, branch, E, status, float(residual))
 
 
 def spectrum_columns(
@@ -263,7 +266,7 @@ def spectrum_columns(
     l = np.arange(l_max + 1).reshape(-1, 1, 1)
     n = np.arange(n_max + 1).reshape(-1, 1)
     with np.errstate(all="ignore"):
-        rad = _radicand(q, b, beta, l)
+        rad = _gamma2(q, b, beta, l) + 0.25
         B = n + 1.0 + (np.sqrt(rad) - 0.5)
     inner, e_plus, e_minus = _candidates(q, b, beta, V0, mc2, B)
     unreal = (rad < 0.0) | (inner < 0.0)

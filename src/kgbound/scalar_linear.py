@@ -4,7 +4,9 @@ In z = r^2 the radial problem becomes a pseudoharmonic oscillator
 
     -u'' + (alpha1^2 r^2 + alpha2/r^2) u = kappa u,
 
-so E^2 is linear in the oscillator eigenvalue kappa.  Two spectrum modes are
+so E^2 is linear in the oscillator eigenvalue kappa.  alpha2 (`_alpha2`) is the
+one definition of the angular term: the effective angular momentum Lambda
+solves Lambda(Lambda + 1) = alpha2.  Two spectrum modes are
 shipped: `corrected` (kappa = alpha1*(4n + 2 + sqrt(4*alpha2 + 1)), which the
 finite-difference oracle confirms) and `as_printed` (the same with 2n + 1 in
 place of 4n + 2), retained so the discrepancy can be reported rather than
@@ -24,6 +26,12 @@ from .levels import BOUND, BRANCHES, EnergyLevel, require_quantum_numbers
 from .units import NATURAL, PhysicalConstants, require_finite_square
 
 MODES = ("corrected", "as_printed")
+
+
+def _alpha2(s, hbar_c, l):
+    """The centrifugal coefficient (s/(hbar c))^2 + l(l + 1), the one
+    definition of the 1/r^2 term, for floats or arrays."""
+    return (s / hbar_c) * (s / hbar_c) + l * (l + 1)
 
 
 @dataclass(frozen=True)
@@ -58,15 +66,13 @@ class LinearMassParams:
         return c.rest_energy / hbar_c_L
 
     def alpha2(self, l: int) -> float:
-        Q = self.constants.hbar_c
-        return (self.s * self.s + l * (l + 1) * Q * Q) / (Q * Q)
+        return _alpha2(self.s, self.constants.hbar_c, l)
 
     def Lambda(self, l: int) -> float:
-        """Effective angular momentum absorbing the coupling."""
-        Q = self.constants.hbar_c
-        two_s_over_hbar_c = 2.0 * self.s / Q
-        require_finite_square(two_s_over_hbar_c=two_s_over_hbar_c)
-        return 0.5 * (math.sqrt((2 * l + 1) ** 2 + two_s_over_hbar_c * two_s_over_hbar_c) - 1.0)
+        """Effective angular momentum absorbing the coupling: Lambda =
+        sqrt(alpha2 + 1/4) - 1/2, the root of Lambda(Lambda + 1) = alpha2."""
+        require_finite_square(two_s_over_hbar_c=2.0 * self.s / self.constants.hbar_c)
+        return math.sqrt(self.alpha2(l) + 0.25) - 0.5
 
     def epsilon_sq(self, E: float) -> float:
         """Signed (2 m0c^2 s/L - E^2)/(hbar c)^2, never rooted."""
@@ -96,10 +102,10 @@ def _energy_squared(s, length_scale, Q, mc2, coef, l):
     """E^2 of the level whose radial quantum number n enters as `coef` (4n + 2
     or 2n + 1 by mode), for floats or broadcasting arrays."""
     with np.errstate(all="ignore"):
-        centrifugal = (2 * l + 1) * (2 * l + 1)
-        root = np.sqrt(centrifugal + 4.0 * (s * s) / (Q * Q))
-        # 2s/Q + root cancels for s << 0; its rationalized form keeps E^2 > 0
-        rationalized = mc2 * (Q / length_scale) * (coef + centrifugal / (root - 2.0 * s / Q))
+        root = 2.0 * np.sqrt(_alpha2(s, Q, l) + 0.25)
+        # 2s/Q + root cancels for s << 0; its rationalized form, with
+        # root^2 - (2s/Q)^2 = (2l + 1)^2, keeps E^2 > 0
+        rationalized = mc2 * (Q / length_scale) * (coef + (2 * l + 1) ** 2 / (root - 2.0 * s / Q))
         direct = mc2 * (2.0 * s / length_scale + (Q / length_scale) * (coef + root))
         return np.where(s < 0.0, rationalized, direct)
 

@@ -165,9 +165,7 @@ def norm_closed_scalar_printed(params: scalar_linear.LinearMassParams, n: int, l
     Its binomial factor C(n-1, n) vanishes for every n >= 1, so the value is
     infinite there; it is reported for auditing, not used.
     """
-    Q = params.constants.hbar_c
-    two_s_over_hbar_c = 2.0 * params.s / Q
-    half_root = 0.5 * math.sqrt((2 * l + 1) ** 2 + two_s_over_hbar_c * two_s_over_hbar_c)
+    half_root = params.Lambda(l) + 0.5
     binom = 1.0 if n == 0 else 0.0
     if binom == 0.0:
         return math.inf

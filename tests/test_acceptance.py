@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from kgbound import cli, coulomb_mixed as cm, oracle, verify
+from kgbound import cli, coulomb_mixed as cm, oracle, scalar_linear as sl, verify
 
 
 def _report(capsys, criterion: int, rows):
@@ -112,6 +112,33 @@ def test_nan_oracle_fails_its_rows(monkeypatch):
                          ("scalar-oracle-agreement[corrected]", 192)):
         row = rows[name]
         assert math.isnan(row.observed) and row.levels == levels and not row.passed
+
+
+_GAMMA2, _ALPHA2 = cm._gamma2, sl._alpha2
+# every term of each planted error is nonzero at these couplings
+_MIXED = (cm, "_gamma2", "mixed-field-reduction", cm.MixedCoulombParams(q=0.5, b=0.5, beta=0.5))
+
+
+@pytest.mark.parametrize("module, name, row_name, params, mutant", [
+    (*_MIXED, lambda q, b, beta, l: _GAMMA2(q, b, beta, l) + 0.01 * q * q * (1.0 - beta * beta)),
+    (*_MIXED, lambda q, b, beta, l: _GAMMA2(q, b, beta, l) - 0.02 * b * q),
+    (*_MIXED, lambda q, b, beta, l: _GAMMA2(q, b, beta, l) + 1e-3),
+    (sl, "_alpha2", "scalar-field-reduction", sl.LinearMassParams(s=1.0),
+     lambda s, hbar_c, l: _ALPHA2(s, hbar_c, l) + 1e-3),
+], ids=["gamma2+0.01q^2(1-beta^2)", "gamma2-0.02bq", "gamma2+1e-3", "alpha2+1e-3"])
+def test_angular_term_has_one_definition(monkeypatch, module, name, row_name, params, mutant):
+    """An error planted in a model's centrifugal coefficient, gamma2 or
+    alpha2, fails criterion 7's field reduction by value and moves every
+    energy of the model's table: the effective angular momentum has no
+    second definition that could keep the closed form as it was."""
+    before = module.spectrum_columns(params, 3, 3)["energy"]
+    monkeypatch.setattr(module, name, mutant)
+    rows = {c.name: c for spec in verify.REGISTRY if spec.criterion == 7
+            for c in spec.measure(spec.full, "corrected")}
+    row = rows[row_name]
+    assert row.levels > 0 and row.observed > row.tolerance and not row.passed
+    after = module.spectrum_columns(params, 3, 3)["energy"]
+    assert np.all(np.isfinite(before)) and not np.any(after == before)
 
 
 @pytest.mark.usefixtures("verify_once")

@@ -421,9 +421,11 @@ GOLDEN = [
      "c8fe40faf63a112fc8b4b243e3ca3a0d39dff08ad84a06f7ce532703607e5a41"),
     ("spectrum --model mixed --q 0.5 --rest-energy 2 --units absolute",
      "c6d293345c53ef70bf1cac208ea0aa4a9d9dbebadad4f9bab5d1190a53c2228a"),
+    # repinned when E^2's root came from alpha2: three energy_squared values moved
+    # one ulp in their repr; the CSV of the same table did not change
     ("spectrum --model scalar-linear --s 1 --rest-energy 3 --hbar-c 0.7 --units absolute"
      " --output json",
-     "ceef0289f4defea848a3e972731bddac22afc8efd2f69de7884d5b58124a4a69"),
+     "86b8379ae0aa2b15006ce9126aa429f1e6d5a14c8d82374abf73b6087ba8a61b"),
     ("spectrum --model mixed --q 0.5 --n-max 0 --l-max 0",
      "634645d4cf824706c536d5a7fa984e68f067316038329c293b83b8d080fa157c"),
     ("spectrum --model scalar-linear --s 1 --n-max 0 --output json",
@@ -455,8 +457,10 @@ GOLDEN = [
      "7ed157f265c65c94a486303d1546523e26a6520fbef86bd1175b0d89ad42c292"),
     ("sweep --model mixed --q 1 --b 1 --key q --values 1,0.5 --l-max 1 --output json",
      "fb0365b4a587aebe6a54bcdd94680b2325f4e34642b213d91888cfabc98475fb"),
+    # repinned when L came from gamma2: nine residual cells of l = 1 rows moved
+    # by rounding, all below 1e-14; energies and labels did not change
     ("spectrum --model mixed --q 0.9 --b -0.9 --beta 0.3 --V0 -0.2 --n-max 30 --l-max 30",
-     "efaed4fd9d0e8da8c4b336e5a6062344fabfd2e3b614dcc96384441aa0acbc57"),
+     "d69684ad1bd0069bb020c0a17daf9049f1d6c0a63dddd46769932bbf0c2c3eb4"),
     # pinned before runs of equal cells were formatted once: 0.0 and -0.0
     # must stay apart, and a tiny repeated value takes %.11e
     ("sweep --model mixed --q 0.5 --key b --values 0,-0.0,0,0.5",
@@ -689,6 +693,20 @@ class TestNuSolve:
         tau = doc["selected"]["tau"]
         assert tau[0] == pytest.approx(2.0 + math.sqrt(4.0 * alpha2 + 1.0), abs=1e-12)
         assert tau[1] == pytest.approx(-2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n, l", [(0, 0), (2, 1), (5, 3)])
+    def test_scalar_default_energy_is_the_levels(self, capsys, n, l):
+        # with no --energy, the scalar model is reduced at level (n, l)'s own
+        # energy, where the quantization reads lambda = lambda_n
+        code, out, _ = run(capsys, "nu-solve", "--model", "scalar-linear", "--s", "1",
+                           "--n", str(n), "--l", str(l))
+        assert code == 0
+        doc = json.loads(out)
+        params = sl.LinearMassParams(s=1.0)
+        assert doc["energy"] == math.sqrt(sl.energy_squared(params, n, l))
+        quantization = doc["quantization"]
+        assert quantization["n"] == n
+        assert quantization["lambda"] == pytest.approx(quantization["lambda_n"], abs=1e-12)
 
     def test_mixed_branch(self, capsys):
         code, out, _ = run(capsys, "nu-solve", "--model", "mixed",

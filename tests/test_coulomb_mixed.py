@@ -35,7 +35,7 @@ class TestParams:
 
     def test_effective_l_constant_mass(self):
         p = cm.MixedCoulombParams(q=0.5)
-        # (l+1/2)^2 + q^2(1-1) = (l+1/2)^2, so L = l exactly
+        # gamma2 = l(l+1) + q^2(1-1) = l(l+1), so L = l exactly
         for l in range(4):
             assert p.effective_L(l) == pytest.approx(l, abs=1e-14)
 
@@ -147,6 +147,17 @@ class TestValidate:
         row = cm.validate(p, 0, 0, -0.6, "antiparticle")
         assert row.status == SPURIOUS
         assert row.residual == pytest.approx(3.2, abs=1e-12)
+
+    def test_energy_off_its_candidate_is_spurious(self):
+        # gamma1(0.5) < 0, but 0.5 is neither candidate of (0, 0): the label
+        # is that of the energy, not of the sign alone
+        p = cm.MixedCoulombParams(q=0.5)
+        row = cm.validate(p, 0, 0, 0.5, "particle")
+        assert p.gamma1(0.5) < 0.0
+        assert row.status == SPURIOUS
+        assert row.residual == pytest.approx(0.2320508075688772, rel=1e-12)
+        # the other branch's candidate is not this branch's either
+        assert cm.validate(p, 0, 0, 0.6, "antiparticle").status == SPURIOUS
 
     @pytest.mark.parametrize("V0", [1e9, -1e9])
     def test_bound_at_large_offset(self, V0):

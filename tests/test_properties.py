@@ -174,7 +174,8 @@ def _reference_mixed(params, n_max, l_max):
 
 def _reference_energy_squared(params, n, l, mode):
     Q, mc2, L, s = params.constants.hbar_c, params.constants.rest_energy, params.length_scale, params.s
-    root = math.sqrt((2 * l + 1) * (2 * l + 1) + 4.0 * (s * s) / (Q * Q))
+    # root = sqrt(4 alpha2 + 1), from the centrifugal coefficient alpha2
+    root = 2.0 * math.sqrt((s / Q) * (s / Q) + l * (l + 1) + 0.25)
     coef = 4 * n + 2 if mode == "corrected" else 2 * n + 1
     if s < 0.0:
         return mc2 * (Q / L) * (coef + (2 * l + 1) * (2 * l + 1) / (root - 2.0 * s / Q))
